@@ -349,33 +349,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service.store import StoreConfig
 
     config = StoreConfig(dimension=args.dimension, t=args.t, metric=args.metric)
+    options = {
+        "retain": args.retain,
+        "compact_bytes": args.compact_bytes or None,
+        "batch_ms": args.batch_ms,
+        "solve_timeout": args.timeout,
+        "max_pending": args.max_pending,
+        "ladder": tuple(args.ladder),
+    }
     try:
         if args.shards:
             # --shards N: args.journal names the shard root directory
             # (manifest + one journal/snapshot dir per shard).
             service = ShardCoordinator.open(
-                args.journal,
-                config,
-                shards=args.shards,
-                retain=args.retain,
-                compact_bytes=args.compact_bytes or None,
-                batch_ms=args.batch_ms,
-                solve_timeout=args.timeout,
-                max_pending=args.max_pending,
-                ladder=tuple(args.ladder),
+                args.journal, config, shards=args.shards, **options
             )
         else:
             snapshot_dir = args.snapshot_dir or f"{args.journal}.snapshots"
             service = ArrangementService.open(
-                args.journal,
-                config,
-                snapshot_dir=snapshot_dir,
-                retain=args.retain,
-                compact_bytes=args.compact_bytes or None,
-                batch_ms=args.batch_ms,
-                solve_timeout=args.timeout,
-                max_pending=args.max_pending,
-                ladder=tuple(args.ladder),
+                args.journal, config, snapshot_dir=snapshot_dir, **options
             )
     except JournalError as exc:
         print(f"geacc serve: cannot recover: {exc}", file=sys.stderr)
@@ -424,7 +416,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.service.loadgen import replay_timeline, replay_timeline_sharded
+    from repro.service.loadgen import replay_timeline
     from repro.service.sharding import shardable_instance, shardable_timeline
     from repro.simulation import random_timeline
 
@@ -447,38 +439,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         timeline = random_timeline(instance, rng, horizon=args.horizon)
     print(instance)
     try:
-        if args.shards:
-            with tempfile.TemporaryDirectory() as tmp:
-                report = replay_timeline_sharded(
-                    instance,
-                    timeline,
-                    Path(args.journal) if args.journal else Path(tmp) / "fleet",
-                    shards=args.shards,
-                    solve_timeout=args.timeout,
-                    ladder=tuple(args.ladder),
-                    bound=args.bound,
-                )
-        elif args.journal:
+        with tempfile.TemporaryDirectory() as tmp:
+            default = Path(tmp) / ("fleet" if args.shards else "replay.jsonl")
             report = replay_timeline(
                 instance,
                 timeline,
-                Path(args.journal),
+                Path(args.journal) if args.journal else default,
+                shards=args.shards,
                 batch_ms=args.batch_ms,
                 solve_timeout=args.timeout,
                 ladder=tuple(args.ladder),
                 bound=args.bound,
             )
-        else:
-            with tempfile.TemporaryDirectory() as tmp:
-                report = replay_timeline(
-                    instance,
-                    timeline,
-                    Path(tmp) / "replay.jsonl",
-                    batch_ms=args.batch_ms,
-                    solve_timeout=args.timeout,
-                    ladder=tuple(args.ladder),
-                    bound=args.bound,
-                )
     except JournalError as exc:
         print(f"geacc replay: journal error: {exc}", file=sys.stderr)
         return 2

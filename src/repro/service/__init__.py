@@ -35,13 +35,10 @@ from repro.service.journal import (
     FileSystem,
     Journal,
     RecoveryReport,
+    atomic_write_bytes,
     replay,
 )
-from repro.service.loadgen import (
-    ReplayReport,
-    replay_timeline,
-    replay_timeline_sharded,
-)
+from repro.service.loadgen import ReplayReport, replay_timeline
 from repro.service.sharding import (
     ConflictPartitioner,
     ShardCoordinator,
@@ -54,7 +51,6 @@ from repro.service.snapshot import (
     DEFAULT_RETAIN,
     SNAPSHOT_FORMAT,
     CompactionStats,
-    atomic_write_bytes,
     compact,
     list_snapshots,
     load_snapshot,
@@ -90,7 +86,6 @@ __all__ = [
     "recover_state",
     "replay",
     "replay_timeline",
-    "replay_timeline_sharded",
     "shardable_instance",
     "shardable_timeline",
     "write_snapshot",

@@ -15,8 +15,8 @@ the solver timings, under the same ``make bench-check`` regression gate:
   small);
 * **shard scaling** -- one synchronous replay of a fixed clustered
   workload per shard count (1/2/4/8), each run driving the identical
-  command sequence through :func:`~repro.service.loadgen.
-  replay_timeline_sharded`, so the aggregate-throughput curve measures
+  command sequence through :func:`~repro.service.loadgen.replay_timeline`
+  with ``shards=N``, so the aggregate-throughput curve measures
   exactly the work sharding removes (each shard's batch re-solves only
   its slice of the universe).
 
@@ -229,7 +229,7 @@ def run_shard_scaling_bench(quick: bool = False) -> ShardScalingBench:
     recover the fleet -- correctness work the sharding test suite owns);
     the clock sees the synchronous drive only.
     """
-    from repro.service.loadgen import replay_timeline_sharded
+    from repro.service.loadgen import replay_timeline
     from repro.service.sharding import shardable_instance, shardable_timeline
 
     instance = shardable_instance(
@@ -244,7 +244,7 @@ def run_shard_scaling_bench(quick: bool = False) -> ShardScalingBench:
     runs = []
     with TemporaryDirectory() as tmp_name:
         for shards in counts:
-            report = replay_timeline_sharded(
+            report = replay_timeline(
                 instance,
                 timeline,
                 Path(tmp_name) / f"fleet-{shards}",

@@ -52,6 +52,8 @@ from repro.service.store import (
     ArrangementStore,
     Delta,
     StoreConfig,
+    as_event_ids,
+    as_vector,
 )
 
 #: Default wait allowance for a blocking assignment request: generously
@@ -210,15 +212,14 @@ class ArrangementService:
         conflicts: list[int] | None = None,
     ) -> int:
         """Post a new event; returns its (stable) id."""
-        record = self._accept(
+        self._accept(
             CMD_POST_EVENT,
             {
                 "capacity": capacity,
-                "attributes": list(attributes),
-                "conflicts": sorted(set(conflicts or [])),
+                "attributes": as_vector(attributes),
+                "conflicts": as_event_ids(conflicts),
             },
         )
-        del record
         with self._lock:
             return self.store.n_events - 1
 
@@ -226,7 +227,7 @@ class ArrangementService:
         """Register a new user; returns their (stable) id."""
         self._accept(
             CMD_REGISTER_USER,
-            {"capacity": capacity, "attributes": list(attributes)},
+            {"capacity": capacity, "attributes": as_vector(attributes)},
         )
         with self._lock:
             return self.store.n_users - 1

@@ -38,7 +38,8 @@ filesystem and enumerate a crash at every write/flush/fsync/rename.
 These two modules are the only files under ``src/repro/service/``
 allowed to open files for writing (lint rule R14,
 ``docs/static-analysis.md``); everything else must route through
-:func:`repro.service.snapshot.atomic_write_bytes`.
+:func:`atomic_write_bytes` or :class:`JsonlLog`, the append-only log
+the journal and the shard manifest are both built on.
 """
 
 from __future__ import annotations
@@ -104,6 +105,198 @@ class FileSystem:
 REAL_FS = FileSystem()
 
 
+def atomic_write_bytes(
+    path: str | Path, blob: bytes, fs: FileSystem = REAL_FS
+) -> None:
+    """Write ``blob`` to ``path`` atomically and durably.
+
+    tmp file + write + flush + fsync + rename + directory fsync: after
+    this returns the bytes are durable under ``path``; a crash at any
+    point leaves either the old file or the new one, never a mix. This
+    is the one sanctioned write primitive for ``repro.service`` code
+    outside the journal/snapshot modules (lint rule R14).
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp_handle = fs.open(tmp, "wb")
+    tmp_handle.write(blob)
+    tmp_handle.flush()
+    fs.fsync(tmp_handle)
+    tmp_handle.close()
+    fs.replace(tmp, path)
+    fs.fsync_dir(path.parent)
+
+
+def encode_line(record: dict) -> bytes:
+    """One log line: compact, key-sorted JSON plus a newline."""
+    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
+        "utf-8"
+    )
+
+
+class JsonlLog:
+    """An append-only, fsync'd JSONL file: the journal's and the manifest's.
+
+    Line 1 is a header whose ``format`` field is :attr:`FORMAT`; every
+    later line is a record whose :attr:`COUNTER` field counts up by one
+    from the value the header implies. The durability contract is the
+    module docstring's; subclasses define the header and record shapes.
+    """
+
+    #: Header ``format`` tag.
+    FORMAT = ""
+    #: Record field holding the contiguous counter.
+    COUNTER = ""
+    #: What error messages call this file.
+    NOUN = "log"
+
+    def __init__(
+        self, path: Path, handle: IO[bytes], *, size_bytes: int, fs: FileSystem
+    ) -> None:
+        self.path = path
+        self.size_bytes = size_bytes
+        self._fs = fs
+        self._handle: IO[bytes] | None = handle
+
+    @property
+    def fs(self) -> FileSystem:
+        """The filesystem seam this log writes through.
+
+        Everything that persists alongside the log (snapshots, the
+        shard manifest) must go through the same seam so fault-injection
+        tests see one coherent world.
+        """
+        return self._fs
+
+    @classmethod
+    def _check_format(cls, header: object, path: Path) -> dict:
+        if not isinstance(header, dict) or header.get("format") != cls.FORMAT:
+            raise JournalError(
+                f"{path}: not a {cls.FORMAT} {cls.NOUN} "
+                f"(header {str(header)[:80]!r})"
+            )
+        return header
+
+    @classmethod
+    def _parse_header(cls, header: object, path: Path) -> tuple[object, int]:
+        """Validate a decoded header; return it parsed plus the first counter."""
+        return cls._check_format(header, path), 1
+
+    @classmethod
+    def scan(
+        cls, path: str | Path, fs: FileSystem = REAL_FS
+    ) -> Iterator[tuple[object, int]]:
+        """Yield ``(header | record, end_offset)`` pairs from a log file.
+
+        The first yield is the header as :meth:`_parse_header` returns
+        it; every later yield is a decoded record dict. ``end_offset`` is
+        the byte offset just past that line -- the durable prefix length
+        if everything after it were torn away. Record counters are
+        checked contiguous.
+
+        A torn final line (no trailing newline, or undecodable JSON on the
+        last line) terminates the iteration silently; torn or undecodable
+        content *before* the final line raises :class:`JournalError`.
+        """
+        path = Path(path)
+        noun, counter = cls.NOUN, cls.COUNTER
+        try:
+            blob = fs.read_bytes(path)
+        except OSError as exc:
+            raise JournalError(f"{path}: cannot read {noun}: {exc}") from exc
+        if not blob:
+            raise JournalError(f"{path}: empty {noun} (missing header)")
+        lines = blob.split(b"\n")
+        # A well-formed file ends with a newline, so the final split
+        # element is empty; anything else is the torn tail of a crashed
+        # append, which the loop never yields.
+        lines.pop()
+        offset = 0
+        expected = 1
+        for index, raw in enumerate(lines):
+            line_end = offset + len(raw) + 1
+            try:
+                decoded = json.loads(raw.decode("utf-8"))
+                if not isinstance(decoded, dict):
+                    raise ValueError(f"record is not an object: {decoded!r}")
+            except (ValueError, UnicodeDecodeError) as exc:
+                if index == len(lines) - 1:
+                    # Crash window: the final complete-looking line can
+                    # still be a partial write whose tail contained '\n'.
+                    return
+                raise JournalError(
+                    f"{path}:{index + 1}: corrupt record: {exc}"
+                ) from exc
+            if index == 0:
+                header, expected = cls._parse_header(decoded, path)
+                yield header, line_end
+            else:
+                if decoded.get(counter) != expected:
+                    raise JournalError(
+                        f"{path}:{index + 1}: sequence gap (expected "
+                        f"{expected}, got {decoded.get(counter)!r})"
+                    )
+                expected += 1
+                yield decoded, line_end
+            offset = line_end
+
+    @staticmethod
+    def _create_file(
+        path: Path, header: bytes, fs: FileSystem, mode: str = "xb"
+    ) -> IO[bytes]:
+        """Write ``header`` as a new file, fsync it and its directory."""
+        handle = fs.open(path, mode)
+        handle.write(header)
+        handle.flush()
+        fs.fsync(handle)
+        fs.fsync_dir(path.parent)
+        return handle
+
+    @staticmethod
+    def _reopen(path: Path, durable_bytes: int, fs: FileSystem) -> IO[bytes]:
+        """Open for append after cutting everything past ``durable_bytes``."""
+        handle = fs.open(path, "r+b")
+        handle.truncate(durable_bytes)
+        handle.seek(0, os.SEEK_END)
+        return handle
+
+    def _write_record(self, record: dict) -> None:
+        """Durably append one record line (written, flushed, fsync'd)."""
+        if self._handle is None:
+            raise JournalError(f"{self.path}: {self.NOUN} is closed")
+        blob = encode_line(record)
+        self._handle.write(blob)
+        self._handle.flush()
+        self._fs.fsync(self._handle)
+        self.size_bytes += len(blob)
+
+    def _replace(self, blob: bytes) -> None:
+        """Atomically replace the whole file with ``blob``; keep appending.
+
+        The live handle closes first, so a failure anywhere leaves the
+        log closed rather than appending to a file no longer on disk.
+        """
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        atomic_write_bytes(self.path, blob, self._fs)
+        handle = self._fs.open(self.path, "r+b")
+        handle.seek(0, os.SEEK_END)
+        self._handle = handle
+        self.size_bytes = len(blob)
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "JsonlLog":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 @dataclass(frozen=True)
 class JournalHeader:
     """Parsed first line of a journal: the config and the base seq."""
@@ -116,7 +309,7 @@ class JournalHeader:
 class RecoveryReport:
     """How a recovery reconstructed state (which ladder rung fired).
 
-    ``rung`` is one of:
+    ``rung`` is one of :data:`RECOVERY_RUNGS`, fastest first:
 
     * ``"snapshot+tail"`` -- a snapshot restored, journal tail replayed
       on top (the fast path);
@@ -146,29 +339,8 @@ class RecoveryReport:
         }
 
 
-def _parse_header(line: str, path: Path) -> JournalHeader:
-    try:
-        header = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JournalError(f"{path}: unreadable journal header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-        raise JournalError(
-            f"{path}: not a {JOURNAL_FORMAT} journal "
-            f"(header {str(header)[:80]!r})"
-        )
-    base_seq = header.get("base_seq", 0)
-    if not isinstance(base_seq, int) or base_seq < 0:
-        raise JournalError(f"{path}: malformed journal base_seq {base_seq!r}")
-    return JournalHeader(
-        config=StoreConfig.from_json(header.get("config", {})),
-        base_seq=base_seq,
-    )
-
-
-def _header_bytes(config: StoreConfig, base_seq: int) -> bytes:
-    return _encode(
-        {"format": JOURNAL_FORMAT, "config": config.to_json(), "base_seq": base_seq}
-    )
+#: The recovery ladder's rungs, fastest first.
+RECOVERY_RUNGS = ("snapshot+tail", "snapshot-only", "full-replay", "recreate")
 
 
 def read_header(path: str | Path, fs: FileSystem = REAL_FS) -> JournalHeader | None:
@@ -188,10 +360,14 @@ def read_header(path: str | Path, fs: FileSystem = REAL_FS) -> JournalHeader | N
     newline = blob.find(b"\n")
     if newline < 0:
         return None
-    return _parse_header(blob[:newline].decode("utf-8", errors="replace"), path)
+    try:
+        header = json.loads(blob[:newline].decode("utf-8", errors="replace"))
+    except json.JSONDecodeError as exc:
+        raise JournalError(f"{path}: unreadable journal header: {exc}") from exc
+    return Journal._parse_header(header, path)[0]
 
 
-class Journal:
+class Journal(JsonlLog):
     """An append-only, fsync'd JSONL write-ahead journal.
 
     Use :meth:`create` for a fresh journal or :meth:`recover` to open an
@@ -202,6 +378,10 @@ class Journal:
     :attr:`size_bytes` tracks the live file size so the front-end can
     trigger compaction on growth.
     """
+
+    FORMAT = JOURNAL_FORMAT
+    COUNTER = "seq"
+    NOUN = "journal"
 
     def __init__(
         self,
@@ -215,24 +395,29 @@ class Journal:
         fs: FileSystem = REAL_FS,
         last_recovery: RecoveryReport | None = None,
     ):
-        self.path = path
+        super().__init__(path, handle, size_bytes=size_bytes, fs=fs)
         self.config = config
         self.seq = seq
         self.base_seq = base_seq
-        self.size_bytes = size_bytes
         self.last_recovery = last_recovery
-        self._fs = fs
-        self._handle: IO[bytes] | None = handle
 
-    @property
-    def fs(self) -> FileSystem:
-        """The filesystem seam this journal writes through.
+    @classmethod
+    def _parse_header(cls, header: object, path: Path) -> tuple[JournalHeader, int]:
+        header = cls._check_format(header, path)
+        base_seq = header.get("base_seq", 0)
+        if not isinstance(base_seq, int) or base_seq < 0:
+            raise JournalError(f"{path}: malformed journal base_seq {base_seq!r}")
+        parsed = JournalHeader(
+            config=StoreConfig.from_json(header.get("config", {})),
+            base_seq=base_seq,
+        )
+        return parsed, base_seq + 1
 
-        Everything that persists alongside the journal (snapshots, the
-        shard manifest) must go through the same seam so fault-injection
-        tests see one coherent world.
-        """
-        return self._fs
+    @staticmethod
+    def _header(config: StoreConfig, base_seq: int) -> bytes:
+        return encode_line(
+            {"format": JOURNAL_FORMAT, "config": config.to_json(), "base_seq": base_seq}
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -256,17 +441,12 @@ class Journal:
         path = Path(path)
         if fs.exists(path):
             raise JournalError(f"{path}: journal already exists (use recover)")
-        blob = _header_bytes(config, base_seq)
-        handle = fs.open(path, "xb")
-        handle.write(blob)
-        handle.flush()
-        fs.fsync(handle)
-        fs.fsync_dir(path.parent)
+        blob = cls._header(config, base_seq)
         return cls(
             path,
             config,
             seq=base_seq,
-            handle=handle,
+            handle=cls._create_file(path, blob, fs),
             base_seq=base_seq,
             size_bytes=len(blob),
             fs=fs,
@@ -283,13 +463,13 @@ class Journal:
     ) -> tuple["Journal", ArrangementStore]:
         """Reopen ``path``, reconstruct its state, and continue appending.
 
-        With ``snapshot_dir``, recovery walks the degradation ladder
+        Recovery walks the degradation ladder
         (:func:`repro.service.snapshot.recover_state`): newest loadable
-        snapshot + journal tail -> older snapshot + tail -> full journal
-        replay -> :class:`JournalError` only when nothing durable
-        survives. Without it, only full replay is possible (a compacted
-        journal then refuses to recover rather than silently dropping
-        its pre-snapshot history).
+        snapshot in ``snapshot_dir`` + journal tail -> older snapshot +
+        tail -> full journal replay -> :class:`JournalError` only when
+        nothing durable survives. Without ``snapshot_dir``, only full
+        replay is possible (a compacted journal then refuses to recover
+        rather than silently dropping its pre-snapshot history).
 
         ``config`` is the last rung's safety net: when neither journal
         header nor any snapshot is durable -- a crash during the very
@@ -306,50 +486,22 @@ class Journal:
             ``(journal, store)`` -- the journal positioned after the
             last durable record, and the store reconstructed from it.
         """
-        path = Path(path)
-        if snapshot_dir is not None:
-            from repro.service.snapshot import recover_state
+        from repro.service.snapshot import recover_state
 
-            store, durable_bytes, report = recover_state(
-                path, snapshot_dir, config=config, fs=fs
-            )
-        else:
-            header = read_header(path, fs)
-            if header is None:
-                if config is None:
-                    raise JournalError(
-                        f"{path}: no durable journal header and no snapshots to "
-                        "recover from"
-                    )
-                store = ArrangementStore(config)
-                durable_bytes = -1
-                report = RecoveryReport(rung="recreate")
-            elif header.base_seq:
-                raise JournalError(
-                    f"{path}: compacted journal (base seq {header.base_seq}) "
-                    "needs its snapshot directory to recover"
-                )
-            else:
-                store, durable_bytes = replay(path, fs=fs)
-                report = RecoveryReport(
-                    rung="full-replay", records_replayed=store.seq
-                )
+        path = Path(path)
+        store, durable_bytes, report = recover_state(
+            path, snapshot_dir, config=config, fs=fs
+        )
         if durable_bytes < 0:
             # No durable header survived: rewrite the journal outright so
             # the file on disk matches the recovered state (base = the
             # recovered seq; there is no tail to preserve).
-            blob = _header_bytes(store.config, base_seq=store.seq)
-            handle = fs.open(path, "wb")
-            handle.write(blob)
-            handle.flush()
-            fs.fsync(handle)
-            fs.fsync_dir(path.parent)
+            blob = cls._header(store.config, base_seq=store.seq)
+            handle = cls._create_file(path, blob, fs, mode="wb")
             base_seq = store.seq
             durable_bytes = len(blob)
         else:
-            handle = fs.open(path, "r+b")
-            handle.truncate(durable_bytes)
-            handle.seek(0, os.SEEK_END)
+            handle = cls._reopen(path, durable_bytes, fs)
             base_seq = report.journal_base_seq
         journal = cls(
             path,
@@ -374,15 +526,9 @@ class Journal:
         is on disk (written, flushed, fsync'd) when this returns: the
         caller may only then mutate the store.
         """
-        if self._handle is None:
-            raise JournalError(f"{self.path}: journal is closed")
         record = {"seq": self.seq + 1, "cmd": cmd, **args}
-        blob = _encode(record)
-        self._handle.write(blob)
-        self._handle.flush()
-        self._fs.fsync(self._handle)
+        self._write_record(record)
         self.seq += 1
-        self.size_bytes += len(blob)
         return record
 
     def rewrite_tail(self, base_seq: int) -> None:
@@ -390,10 +536,10 @@ class Journal:
 
         The compaction primitive: rewrites the file as a fresh header
         (``base_seq`` recorded) plus every record with seq >
-        ``base_seq``, via tmp file + fsync + rename + directory fsync.
-        A crash anywhere in between leaves either the old journal or the
-        new one -- never a mix -- and both replay to the same state given
-        the snapshot at ``base_seq`` (which the caller,
+        ``base_seq``, via :func:`atomic_write_bytes`. A crash anywhere
+        in between leaves either the old journal or the new one -- never
+        a mix -- and both replay to the same state given the snapshot at
+        ``base_seq`` (which the caller,
         :func:`repro.service.snapshot.compact`, wrote first).
         """
         if self._handle is None:
@@ -403,38 +549,12 @@ class Journal:
                 f"{self.path}: cannot rebase journal to seq {base_seq} "
                 f"(live range is [{self.base_seq}, {self.seq}])"
             )
-        fs = self._fs
-        parts = [_header_bytes(self.config, base_seq)]
-        for item, _ in iter_records(self.path, fs=fs):
+        parts = [self._header(self.config, base_seq)]
+        for item, _ in self.scan(self.path, fs=self._fs):
             if isinstance(item, dict) and item["seq"] > base_seq:
-                parts.append(_encode(item))
-        blob = b"".join(parts)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp_handle = fs.open(tmp, "wb")
-        tmp_handle.write(blob)
-        tmp_handle.flush()
-        fs.fsync(tmp_handle)
-        tmp_handle.close()
-        self._handle.close()
-        self._handle = None
-        fs.replace(tmp, self.path)
-        fs.fsync_dir(self.path.parent)
-        handle = fs.open(self.path, "r+b")
-        handle.seek(0, os.SEEK_END)
-        self._handle = handle
+                parts.append(encode_line(item))
+        self._replace(b"".join(parts))
         self.base_seq = base_seq
-        self.size_bytes = len(blob)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._handle is None else "open"
@@ -443,71 +563,10 @@ class Journal:
         )
 
 
-def _encode(record: dict) -> bytes:
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
-
-
-def iter_records(
-    path: str | Path, fs: FileSystem = REAL_FS
-) -> Iterator[tuple[JournalHeader | dict, int]]:
-    """Yield ``(header | record, end_offset)`` pairs from a journal.
-
-    The first yield is the parsed :class:`JournalHeader`; every later
-    yield is a decoded record dict. ``end_offset`` is the byte offset
-    just past that line -- the durable prefix length if everything after
-    it were torn away. Record seqs are checked contiguous from
-    ``header.base_seq + 1``.
-
-    A torn final line (no trailing newline, or undecodable JSON on the
-    last line) terminates the iteration silently; torn or undecodable
-    content *before* the final line raises :class:`JournalError`.
-    """
-    path = Path(path)
-    try:
-        blob = fs.read_bytes(path)
-    except OSError as exc:
-        raise JournalError(f"{path}: cannot read journal: {exc}") from exc
-    if not blob:
-        raise JournalError(f"{path}: empty journal (missing header)")
-    lines = blob.split(b"\n")
-    # A well-formed file ends with a newline, so the final split element
-    # is empty; anything else is the torn tail of a crashed append.
-    torn_tail = lines.pop() != b""
-    offset = 0
-    expected_seq = 1
-    for index, raw in enumerate(lines):
-        line_end = offset + len(raw) + 1
-        is_last = index == len(lines) - 1
-        try:
-            decoded = json.loads(raw.decode("utf-8"))
-            if not isinstance(decoded, dict):
-                raise ValueError(f"record is not an object: {decoded!r}")
-        except (ValueError, UnicodeDecodeError) as exc:
-            if is_last:
-                # Crash window: the final complete-looking line can still
-                # be a partial write whose tail happened to contain '\n'.
-                return
-            raise JournalError(f"{path}:{index + 1}: corrupt record: {exc}") from exc
-        if index == 0:
-            header = _parse_header(raw.decode("utf-8"), path)
-            expected_seq = header.base_seq + 1
-            yield header, line_end
-        else:
-            seq = decoded.get("seq")
-            if seq != expected_seq:
-                raise JournalError(
-                    f"{path}:{index + 1}: sequence gap (expected {expected_seq}, "
-                    f"got {seq!r})"
-                )
-            expected_seq += 1
-            yield decoded, line_end
-        offset = line_end
-    if torn_tail:
-        # The bytes after the last newline are a partial append; callers
-        # recovering the journal truncate to the last yielded offset.
-        return
+#: ``(header | record, end_offset)`` pairs of a journal: the first yield
+#: is its :class:`JournalHeader`, and record seqs are checked contiguous
+#: from ``header.base_seq + 1``.
+iter_records = Journal.scan
 
 
 def replay(

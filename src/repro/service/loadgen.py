@@ -1,11 +1,15 @@
 """Timeline-driven load generation for the arrangement service.
 
 ``geacc replay`` takes a :class:`~repro.simulation.workload.Timeline`
-(the same workloads the offline simulator replays) and drives it
-through a live :class:`~repro.service.frontend.ArrangementService` in
+(the same workloads the offline simulator replays) and drives it in
 time order -- events post, users register and immediately request an
 assignment, events freeze -- with wall-clock compressed to "as fast as
-the service accepts commands". Every assignment request is measured
+the service accepts commands". One driver, :func:`replay_timeline`,
+serves both deployments: a live
+:class:`~repro.service.frontend.ArrangementService`, or with
+``shards >= 1`` a :class:`~repro.service.sharding.ShardCoordinator`
+fleet, read back only through their shared ``state_summary()`` /
+``check_invariants()`` surface. Every assignment request is measured
 from submission to batch commit, giving the latency distribution of the
 micro-batching engine under a realistic arrival burst.
 
@@ -163,6 +167,7 @@ def replay_timeline(
     timeline: Timeline,
     journal_path: str | Path,
     *,
+    shards: int = 0,
     batch_ms: float = 10.0,
     solve_timeout: float = 0.25,
     max_pending: int = 1024,
@@ -170,7 +175,16 @@ def replay_timeline(
     bound: str = "relaxation",
     verify_replay: bool = True,
 ) -> ReplayReport:
-    """Drive ``timeline`` through a fresh service; measure and score it.
+    """Drive ``timeline`` through a fresh deployment; measure and score it.
+
+    ``shards=0`` runs one threaded
+    :class:`~repro.service.frontend.ArrangementService`. ``shards >= 1``
+    runs a :class:`~repro.service.sharding.ShardCoordinator` fleet driven
+    *synchronously* (every request resolves in the caller's thread
+    before the next command is issued), so two runs at different shard
+    counts execute the identical command sequence and the
+    aggregate-throughput comparison measures exactly the work sharding
+    removes. ``--shards 1`` is the fair baseline for that comparison.
 
     Args:
         instance: Attribute-backed instance (the service recomputes
@@ -178,12 +192,16 @@ def replay_timeline(
             rejected).
         timeline: Post/arrival/start times, validated against the
             instance.
-        journal_path: Where the service journals; must not exist yet.
+        journal_path: Where the service journals (the fleet's root
+            directory when sharded); must not exist yet.
+        shards: Shard count (0 = one unsharded service).
         bound: Clairvoyant bound to score against (``relaxation`` =
             Corollary 1 via min-cost flow; ``nn`` = the cheaper Lemma 6
             capacity bound).
-        verify_replay: After the run, replay the journal and require the
-            reconstructed state digest to match the live one.
+        verify_replay: After the run, replay every journal and require
+            each reconstructed state digest to match the live one; a
+            fleet must also recover (manifest walk included) to the live
+            global arrangement digest.
     """
     if instance.event_attributes is None or instance.user_attributes is None:
         raise ServiceError(
@@ -192,6 +210,8 @@ def replay_timeline(
         )
     if bound not in BOUNDS:
         raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
+    if shards < 0:
+        raise ServiceError(f"shards must be >= 0, got {shards}")
     timeline.validate_against(instance)
 
     config = StoreConfig(
@@ -199,7 +219,6 @@ def replay_timeline(
         t=instance.t,
         metric=instance.metric,
     )
-    started = time.perf_counter()
     moments: list[tuple[float, int, int]] = []
     # Same intra-instant order as the simulator: posts, arrivals, freezes.
     for event, t in enumerate(timeline.post_times):
@@ -215,15 +234,20 @@ def replay_timeline(
     futures: list[PendingRequest] = []
     overloaded = 0
 
-    with ArrangementService.create(
-        journal_path,
-        config,
-        batch_ms=batch_ms,
-        solve_timeout=solve_timeout,
-        max_pending=max_pending,
-        ladder=ladder,
-        threaded=True,
-    ) as service:
+    path = Path(journal_path)
+    options = {
+        "batch_ms": batch_ms,
+        "solve_timeout": solve_timeout,
+        "max_pending": max_pending,
+        "ladder": ladder,
+    }
+    started = time.perf_counter()
+    backend: ArrangementService | ShardCoordinator = (
+        ShardCoordinator.create(path, config, shards, threaded=False, **options)
+        if shards
+        else ArrangementService.create(path, config, threaded=True, **options)
+    )
+    with backend:
         for _, kind, entity in moments:
             if kind == 0:
                 conflicts = [
@@ -231,18 +255,18 @@ def replay_timeline(
                     for w in sorted(instance.conflicts.conflicts_with(entity))
                     if w in event_ids
                 ]
-                event_ids[entity] = service.post_event(
+                event_ids[entity] = backend.post_event(
                     capacity=int(instance.event_capacities[entity]),
                     attributes=[float(x) for x in instance.event_attributes[entity]],
                     conflicts=conflicts,
                 )
             elif kind == 1:
-                user_ids[entity] = service.register_user(
+                user_ids[entity] = backend.register_user(
                     capacity=int(instance.user_capacities[entity]),
                     attributes=[float(x) for x in instance.user_attributes[entity]],
                 )
                 try:
-                    request = service.request_assignment(
+                    request = backend.request_assignment(
                         user_ids[entity], wait=False
                     )
                     assert isinstance(request, PendingRequest)
@@ -255,197 +279,43 @@ def replay_timeline(
                 for request in futures:
                     if not request.done:
                         request.wait(REQUEST_WAIT_S)
-                service.freeze_event(event_ids[entity])
+                backend.freeze_event(event_ids[entity])
         for request in futures:
             if not request.done:
                 request.wait(REQUEST_WAIT_S)
-        service.check_invariants()
-        achieved = service.store.max_sum()
-        live_digest = service.store.digest()
-        n_batches = service.engine.batches_solved
+        # A synchronous fleet re-solves the shards its last freezes left
+        # stale; the threaded service has nothing queued by now.
+        backend.run_pending_batch()
+        backend.check_invariants()
+        summary = backend.state_summary()
     seconds = time.perf_counter() - started
 
+    topology = summary.get("sharding")
+    per_shard = topology["per_shard"] if topology else []
     replay_verified = False
     if verify_replay:
-        recovered, _ = replay_journal(journal_path)
-        replay_verified = recovered.digest() == live_digest
-        if not replay_verified:
-            raise ServiceError(
-                f"journal replay of {journal_path} does not reproduce the "
-                "live state (digest mismatch)"
-            )
-
-    latencies_ms = sorted(
-        1000.0 * request.latency_s
-        for request in futures
-        if request.latency_s is not None
-    )
-    if latencies_ms:
-        p50, p90, p99 = (
-            float(np.percentile(latencies_ms, q)) for q in (50.0, 90.0, 99.0)
+        journals = (
+            [
+                (ShardManager.journal_path(path, row["shard"]), row["digest"])
+                for row in per_shard
+            ]
+            if topology
+            else [(path, summary["digest"])]
         )
-        max_ms = latencies_ms[-1]
-    else:
-        p50 = p90 = p99 = max_ms = 0.0
-
-    baseline = Simulator(instance, timeline).run(GreedyArrivalPolicy())
-    bound_value = BOUNDS[bound](instance)
-
-    return ReplayReport(
-        n_events=instance.n_events,
-        n_users=instance.n_users,
-        n_requests=len(futures),
-        n_batches=n_batches,
-        overloaded=overloaded,
-        p50_ms=p50,
-        p90_ms=p90,
-        p99_ms=p99,
-        max_ms=max_ms,
-        achieved_max_sum=achieved,
-        bound=float(bound_value),
-        bound_kind=bound,
-        baseline_max_sum=baseline.achieved_max_sum,
-        seconds=seconds,
-        journal_path=str(journal_path),
-        replay_verified=replay_verified,
-    )
-
-
-def replay_timeline_sharded(
-    instance: Instance,
-    timeline: Timeline,
-    root: str | Path,
-    *,
-    shards: int,
-    solve_timeout: float = 0.25,
-    max_pending: int = 1024,
-    ladder: tuple[str, ...] = ("greedy", "random-u"),
-    bound: str = "relaxation",
-    verify_replay: bool = True,
-) -> ReplayReport:
-    """Drive ``timeline`` through a fresh shard fleet under ``root``.
-
-    The sharded twin of :func:`replay_timeline`, and the harness behind
-    ``geacc replay --shards N``. Shards are driven *synchronously*
-    (every request resolves in the caller's thread before the next
-    command is issued), so two runs at different shard counts execute
-    the identical command sequence and the aggregate-throughput
-    comparison measures exactly the work sharding removes: each shard's
-    batch re-solves only its own slice of the universe instead of every
-    batch re-solving all of it. ``--shards 1`` through this same path is
-    the fair baseline.
-
-    Verification is per shard: every shard journal must replay to its
-    shard's live digest, and a full coordinator recovery (manifest walk
-    included) must reproduce the global arrangement digest.
-    """
-    if instance.event_attributes is None or instance.user_attributes is None:
-        raise ServiceError(
-            "geacc replay needs an attribute-backed instance (the service "
-            "computes similarities from attributes)"
-        )
-    if bound not in BOUNDS:
-        raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
-    if shards < 1:
-        raise ServiceError(f"shards must be >= 1, got {shards}")
-    timeline.validate_against(instance)
-
-    config = StoreConfig(
-        dimension=instance.event_attributes.shape[1],
-        t=instance.t,
-        metric=instance.metric,
-    )
-    moments: list[tuple[float, int, int]] = []
-    for event, t in enumerate(timeline.post_times):
-        moments.append((float(t), 0, event))
-    for user, t in enumerate(timeline.arrival_times):
-        moments.append((float(t), 1, user))
-    for event, t in enumerate(timeline.start_times):
-        moments.append((float(t), 2, event))
-    moments.sort()
-
-    event_ids: dict[int, int] = {}
-    user_ids: dict[int, int] = {}
-    futures: list[PendingRequest] = []
-    overloaded = 0
-
-    root = Path(root)
-    started = time.perf_counter()
-    with ShardCoordinator.create(
-        root,
-        config,
-        shards,
-        threaded=False,
-        solve_timeout=solve_timeout,
-        max_pending=max_pending,
-        ladder=ladder,
-    ) as coordinator:
-        for _, kind, entity in moments:
-            if kind == 0:
-                conflicts = [
-                    event_ids[w]
-                    for w in sorted(instance.conflicts.conflicts_with(entity))
-                    if w in event_ids
-                ]
-                event_ids[entity] = coordinator.post_event(
-                    capacity=int(instance.event_capacities[entity]),
-                    attributes=[
-                        float(x) for x in instance.event_attributes[entity]
-                    ],
-                    conflicts=conflicts,
-                )
-            elif kind == 1:
-                user_ids[entity] = coordinator.register_user(
-                    capacity=int(instance.user_capacities[entity]),
-                    attributes=[
-                        float(x) for x in instance.user_attributes[entity]
-                    ],
-                )
-                try:
-                    request = coordinator.request_assignment(
-                        user_ids[entity], wait=False
-                    )
-                    assert isinstance(request, PendingRequest)
-                    futures.append(request)
-                except ServiceOverloadedError:
-                    overloaded += 1
-            else:
-                coordinator.freeze_event(event_ids[entity])
-        coordinator.run_pending_batch()
-        coordinator.check_invariants()
-        summary = coordinator.state_summary()
-        live_digest = coordinator.arrangement_digest()
-    seconds = time.perf_counter() - started
-
-    shard_rows = tuple(
-        {
-            "shard": row["shard"],
-            "requests": row["requests_seen"],
-            "batches": row["batches_committed"],
-            "events": row["n_events"],
-            "users": row["n_users"],
-            "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
-        }
-        for row in summary["sharding"]["per_shard"]
-    )
-
-    replay_verified = False
-    if verify_replay:
-        for row in summary["sharding"]["per_shard"]:
-            recovered, _ = replay_journal(
-                ShardManager.journal_path(root, row["shard"])
-            )
-            if recovered.digest() != row["digest"]:
+        for journal, digest in journals:
+            recovered, _ = replay_journal(journal)
+            if recovered.digest() != digest:
                 raise ServiceError(
-                    f"shard {row['shard']} journal does not replay to its "
+                    f"journal replay of {journal} does not reproduce the "
                     "live state (digest mismatch)"
                 )
-        with ShardCoordinator.recover(root, threaded=False) as reopened:
-            if reopened.arrangement_digest() != live_digest:
-                raise ServiceError(
-                    f"coordinator recovery of {root} does not reproduce the "
-                    "live arrangement (digest mismatch)"
-                )
+        if topology:
+            with ShardCoordinator.recover(path, threaded=False) as reopened:
+                if reopened.arrangement_digest() != summary["digest"]:
+                    raise ServiceError(
+                        f"coordinator recovery of {path} does not reproduce "
+                        "the live arrangement (digest mismatch)"
+                    )
         replay_verified = True
 
     latencies_ms = sorted(
@@ -479,8 +349,22 @@ def replay_timeline_sharded(
         bound_kind=bound,
         baseline_max_sum=baseline.achieved_max_sum,
         seconds=seconds,
-        journal_path=str(root),
+        journal_path=str(path),
         replay_verified=replay_verified,
-        shards=shards,
-        per_shard=shard_rows,
+        shards=shards or None,
+        per_shard=(
+            tuple(
+                {
+                    "shard": row["shard"],
+                    "requests": row["requests_seen"],
+                    "batches": row["batches_committed"],
+                    "events": row["n_events"],
+                    "users": row["n_users"],
+                    "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
+                }
+                for row in per_shard
+            )
+            if topology
+            else None
+        ),
     )

@@ -56,12 +56,12 @@ from repro.service.engine import (
     PendingRequest,
 )
 from repro.service.frontend import DEFAULT_REQUEST_WAIT
-from repro.service.journal import REAL_FS, FileSystem
+from repro.service.journal import RECOVERY_RUNGS, REAL_FS, FileSystem
 from repro.service.sharding.manager import ShardManager
 from repro.service.sharding.manifest import ShardManifest
 from repro.service.sharding.partitioner import ConflictPartitioner
 from repro.service.snapshot import DEFAULT_RETAIN, CompactionStats
-from repro.service.store import Delta, StoreConfig
+from repro.service.store import Delta, StoreConfig, as_event_ids, as_vector
 
 #: The manifest's file name under the shard root directory.
 MANIFEST_NAME = "manifest.jsonl"
@@ -469,12 +469,12 @@ class ShardCoordinator:
             raise ServiceError("coordinator is closed")
 
     def _shard_of_event(self, event: int) -> int:
-        if not 0 <= event < len(self._event_shard):
+        if not isinstance(event, int) or not 0 <= event < len(self._event_shard):
             raise ServiceError(f"unknown event {event!r}")
         return self._event_shard[event]
 
     def _shard_of_user(self, user: int) -> int:
-        if not 0 <= user < len(self._user_shard):
+        if not isinstance(user, int) or not 0 <= user < len(self._user_shard):
             raise ServiceError(f"unknown user {user!r}")
         return self._user_shard[user]
 
@@ -496,7 +496,8 @@ class ShardCoordinator:
         """
         with self._lock:
             self._check_open()
-            conflict_gids = sorted(set(conflicts or []))
+            attributes = as_vector(attributes)
+            conflict_gids = as_event_ids(conflicts)
             for g in conflict_gids:
                 if not 0 <= g < len(self._event_shard):
                     raise ServiceError(f"unknown conflict event {g!r}")
@@ -516,9 +517,9 @@ class ShardCoordinator:
                 )
             manager = self.managers[target]
             gid = len(self._event_shard)
-            manager.validate_post_event(capacity, list(attributes), conflict_gids)
+            manager.validate_post_event(capacity, attributes, conflict_gids)
             self.manifest.append("event", {"gid": gid, "shard": target})
-            manager.post_event(gid, capacity, list(attributes), conflict_gids)
+            manager.post_event(gid, capacity, attributes, conflict_gids)
             self._event_shard.append(target)
             self.partitioner.add_event(gid)
             self.partitioner.add_edges(gid, conflict_gids)
@@ -533,7 +534,8 @@ class ShardCoordinator:
         """
         with self._lock:
             self._check_open()
-            self.managers[0].validate_register_user(capacity, list(attributes))
+            attributes = as_vector(attributes)
+            self.managers[0].validate_register_user(capacity, attributes)
             attrs = tuple(float(x) for x in attributes)
             scores = [m.best_similarity(attrs) for m in self.managers]
             best = max(scores)
@@ -543,7 +545,7 @@ class ShardCoordinator:
             )
             gid = len(self._user_shard)
             self.manifest.append("user", {"gid": gid, "shard": target})
-            self.managers[target].register_user(gid, capacity, list(attributes))
+            self.managers[target].register_user(gid, capacity, attributes)
             self._user_shard.append(target)
             return gid
 
@@ -701,6 +703,10 @@ class ShardCoordinator:
         with self._lock:
             shard_stats = [manager.stats() for manager in self.managers]
             sizes = self.partitioner.component_sizes()
+            # A recovered fleet reports its slowest shard's ladder rung.
+            rungs = [
+                s["last_recovery"]["rung"] for s in shard_stats if s["last_recovery"]
+            ]
             return {
                 "seq": sum(s["seq"] for s in shard_stats),
                 "n_events": len(self._event_shard),
@@ -715,6 +721,9 @@ class ShardCoordinator:
                 "max_sum": sum(s["max_sum"] for s in shard_stats),
                 "digest": self.arrangement_digest(),
                 "journal_bytes": sum(s["journal_bytes"] for s in shard_stats),
+                "last_recovery": (
+                    {"rung": max(rungs, key=RECOVERY_RUNGS.index)} if rungs else None
+                ),
                 "sharding": {
                     "shards": len(self.managers),
                     "components": len(sizes),

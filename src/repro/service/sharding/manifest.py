@@ -4,8 +4,9 @@ Shard journals are deliberately self-contained -- each one replays to
 its shard's state with *local* entity ids and knows nothing about the
 other shards. What they cannot answer is the routing question: which
 global id lives on which shard, and in what local slot. The manifest is
-the coordinator's durable answer: an fsync'd JSONL file (same
-discipline as :mod:`repro.service.journal`, through the same
+the coordinator's durable answer: an fsync'd JSONL file (a
+:class:`~repro.service.journal.JsonlLog`, the same implementation the
+journal is built on, through the same
 :class:`~repro.service.journal.FileSystem` seam so ``FaultFS`` can
 crash it at any instruction) holding one entry per globally-visible
 placement decision:
@@ -29,21 +30,17 @@ entries are unacknowledged -- recovery reconciles entry counts against
 each shard's actual state and drops the overhang
 (:meth:`ShardManifest.load` + the coordinator's recovery walk).
 
-A torn final line is truncated exactly as the journal does it; a
-mid-file gap or foreign header raises
-:class:`~repro.exceptions.JournalError`.
+A torn final line is truncated by the journal's own code; a mid-file
+gap or foreign header raises :class:`~repro.exceptions.JournalError`.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import IO
 
 from repro.exceptions import JournalError
-from repro.service.journal import REAL_FS, FileSystem
-from repro.service.snapshot import atomic_write_bytes
+from repro.service.journal import REAL_FS, FileSystem, JsonlLog, encode_line
 from repro.service.store import StoreConfig
 
 #: Manifest format tag (header ``format`` field).
@@ -53,20 +50,12 @@ MANIFEST_FORMAT = "geacc-shard-manifest-v1"
 ENTRY_KINDS = frozenset({"event", "user", "rebalance"})
 
 
-def _encode(payload: dict) -> bytes:
-    return (
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def _header_bytes(config: StoreConfig, shards: int) -> bytes:
-    return _encode(
-        {"format": MANIFEST_FORMAT, "shards": shards, "config": config.to_json()}
-    )
-
-
-class ShardManifest:
+class ShardManifest(JsonlLog):
     """Append-only fsync'd placement log for one shard fleet."""
+
+    FORMAT = MANIFEST_FORMAT
+    COUNTER = "n"
+    NOUN = "manifest"
 
     def __init__(
         self,
@@ -79,17 +68,24 @@ class ShardManifest:
         fs: FileSystem = REAL_FS,
         size_bytes: int = 0,
     ) -> None:
-        self.path = path
+        super().__init__(path, handle, size_bytes=size_bytes, fs=fs)
         self.config = config
         self.shards = shards
         self.n = n
-        self.size_bytes = size_bytes
-        self._fs = fs
-        self._handle: IO[bytes] | None = handle
 
-    @property
-    def fs(self) -> FileSystem:
-        return self._fs
+    @classmethod
+    def _parse_header(cls, header: object, path: Path) -> tuple[object, int]:
+        header = cls._check_format(header, path)
+        shards = header.get("shards")
+        if not isinstance(shards, int) or shards < 1:
+            raise JournalError(f"{path}: malformed shard count {shards!r}")
+        return header, 1
+
+    @staticmethod
+    def _header(config: StoreConfig, shards: int) -> bytes:
+        return encode_line(
+            {"format": MANIFEST_FORMAT, "shards": shards, "config": config.to_json()}
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -110,12 +106,8 @@ class ShardManifest:
             raise JournalError(f"shards must be >= 1, got {shards}")
         if fs.exists(path):
             raise JournalError(f"{path}: manifest already exists (use load)")
-        blob = _header_bytes(config, shards)
-        handle = fs.open(path, "xb")
-        handle.write(blob)
-        handle.flush()
-        fs.fsync(handle)
-        fs.fsync_dir(path.parent)
+        blob = cls._header(config, shards)
+        handle = cls._create_file(path, blob, fs)
         return cls(path, config, shards, n=0, handle=handle, fs=fs, size_bytes=len(blob))
 
     @classmethod
@@ -125,65 +117,26 @@ class ShardManifest:
         """Re-open an existing manifest, truncating any torn tail.
 
         Returns the manifest (positioned for append) plus every durable
-        entry in order. Validation mirrors the journal: contiguous ``n``
-        starting at 1, known entry kinds, decodable JSON everywhere but
-        the final line.
+        entry in order. Validation is the journal's (contiguous ``n``
+        starting at 1, decodable JSON everywhere but the final line)
+        plus known entry kinds.
         """
         path = Path(path)
-        try:
-            blob = fs.read_bytes(path)
-        except OSError as exc:
-            raise JournalError(f"{path}: cannot read manifest: {exc}") from exc
-        newline = blob.find(b"\n")
-        if newline < 0:
+        lines = list(cls.scan(path, fs))
+        if not lines:
             raise JournalError(f"{path}: manifest has no durable header")
-        try:
-            header = json.loads(blob[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise JournalError(f"{path}: undecodable manifest header") from exc
-        if not isinstance(header, dict) or header.get("format") != MANIFEST_FORMAT:
-            raise JournalError(
-                f"{path}: not a {MANIFEST_FORMAT} manifest: {header!r}"
-            )
-        config = StoreConfig.from_json(header.get("config", {}))
-        shards = header.get("shards")
-        if not isinstance(shards, int) or shards < 1:
-            raise JournalError(f"{path}: malformed shard count {shards!r}")
-
-        entries: list[dict] = []
-        offset = newline + 1
-        durable_bytes = offset
-        while offset < len(blob):
-            line_end = blob.find(b"\n", offset)
-            if line_end < 0:
-                break  # torn trailing write: never acknowledged
-            line = blob[offset:line_end]
-            offset = line_end + 1
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                if offset >= len(blob):
-                    break  # torn final line (crash split the write)
-                raise JournalError(
-                    f"{path}: undecodable manifest entry mid-file"
-                ) from exc
-            if (
-                not isinstance(entry, dict)
-                or entry.get("n") != len(entries) + 1
-                or entry.get("kind") not in ENTRY_KINDS
-            ):
+        header: dict = lines[0][0]  # type: ignore[assignment]
+        entries: list[dict] = [entry for entry, _ in lines[1:]]  # type: ignore[misc]
+        for entry in entries:
+            if entry.get("kind") not in ENTRY_KINDS:
                 raise JournalError(f"{path}: malformed manifest entry {entry!r}")
-            entries.append(entry)
-            durable_bytes = offset
-        handle = fs.open(path, "r+b")
-        handle.truncate(durable_bytes)
-        handle.seek(0, os.SEEK_END)
+        durable_bytes = lines[-1][1]
         manifest = cls(
             path,
-            config,
-            shards,
+            StoreConfig.from_json(header.get("config", {})),
+            header["shards"],
             n=len(entries),
-            handle=handle,
+            handle=cls._reopen(path, durable_bytes, fs),
             fs=fs,
             size_bytes=durable_bytes,
         )
@@ -195,17 +148,11 @@ class ShardManifest:
 
     def append(self, kind: str, payload: dict) -> dict:
         """Durably record one placement entry; returns it with ``n`` set."""
-        if self._handle is None:
-            raise JournalError(f"{self.path}: manifest is closed")
         if kind not in ENTRY_KINDS:
             raise JournalError(f"unknown manifest entry kind {kind!r}")
         entry = {"n": self.n + 1, "kind": kind, **payload}
-        blob = _encode(entry)
-        self._handle.write(blob)
-        self._handle.flush()
-        self._fs.fsync(self._handle)
+        self._write_record(entry)
         self.n += 1
-        self.size_bytes += len(blob)
         return entry
 
     def rewrite(self, entries: list[dict]) -> None:
@@ -217,31 +164,11 @@ class ShardManifest:
         re-opened for append. A crash mid-rewrite leaves either the old
         or the new manifest, never a mix.
         """
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        blob = _header_bytes(self.config, self.shards)
-        renumbered = []
-        for index, entry in enumerate(entries):
-            renumbered.append({**entry, "n": index + 1})
-        body = b"".join(_encode(entry) for entry in renumbered)
-        atomic_write_bytes(self.path, blob + body, fs=self._fs)
-        handle = self._fs.open(self.path, "r+b")
-        handle.seek(0, os.SEEK_END)
-        self._handle = handle
-        self.n = len(renumbered)
-        self.size_bytes = len(blob) + len(body)
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ShardManifest":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+        body = b"".join(
+            encode_line({**entry, "n": index + 1}) for index, entry in enumerate(entries)
+        )
+        self._replace(self._header(self.config, self.shards) + body)
+        self.n = len(entries)
 
     def __repr__(self) -> str:
         return (

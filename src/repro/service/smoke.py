@@ -1,23 +1,24 @@
 """End-to-end crash-recovery smoke: serve, mutate, kill -9, recover.
 
-Two scenarios, two drivers: CI runs ``python -m repro.service.smoke``
-(exit 0 = the crash-recovery invariant held), and
-``tests/service/test_crash_smoke.py`` calls :func:`run_smoke` /
-:func:`run_compaction_smoke` so the same end-to-end paths are exercised
-by the tier-1 suite.
+Three scenarios, two drivers: CI runs ``python -m repro.service.smoke``
+(exit 0 = the crash-recovery invariant held in every scenario), and
+``tests/service/test_crash_smoke.py`` calls :func:`run_smoke` (with and
+without ``shards``) and :func:`run_compaction_smoke` so the same
+end-to-end paths are exercised by the tier-1 suite.
 
-Scenario A (:func:`run_smoke`) is the PR 4 acceptance criterion
-verbatim:
+Scenario A (:func:`run_smoke`) is the service's original acceptance criterion:
 
 1. start ``geacc serve`` on an ephemeral port with a fresh journal;
-2. post an event, register a user, request an assignment over HTTP and
-   assert the user got a seat;
+2. post events (one with a conflict edge), register users, request
+   assignments over HTTP and assert every user got a seat;
 3. ``kill -9`` the server mid-stream (an un-acknowledged command may be
    in flight -- that is the point);
 4. restart ``geacc serve`` from the same journal;
 5. assert the recovered state digest equals an independent
-   :func:`repro.service.journal.replay` of the journal, and that the
-   assignment from step 2 survived.
+   :func:`repro.service.journal.replay` of the journal and the
+   pre-crash digest, that the restart reports its recovery rung, that
+   the assignments from step 2 survived, and that the service still
+   seats a new user.
 
 Scenario B (:func:`run_compaction_smoke`) kills the server in the
 widest compaction crash window -- after the snapshot is durably written
@@ -28,12 +29,13 @@ via the snapshot + tail ladder rung. A second pass compacts for real,
 kill -9s immediately after, and requires the same equality from the
 trimmed journal.
 
-Scenario C (:func:`run_sharded_smoke`) is scenario A against a shard
-fleet: ``geacc serve --shards 4``, events and users spread across every
-shard (plus a conflict edge to exercise same-shard placement), kill -9,
-restart, and the coordinator's manifest-walk recovery must reproduce
-the pre-crash global digest, the surviving assignments, and a live
-4-shard topology in ``GET /state``.
+Scenario C (``run_smoke(shards=4)``) is scenario A against
+``geacc serve --shards 4``: the same commands spread events and users
+across every shard, and the coordinator's manifest-walk recovery must
+reproduce the pre-crash global digest. Only here does the smoke also
+check the live 4-shard topology in ``GET /state``, that the conflicting
+sibling joined its component, and that a post-recovery user near it is
+seated on that component.
 
 Uses ``urllib`` (a client, not a server -- rule R8 bans server-side
 socket primitives outside this package, and the subprocess boundary is
@@ -133,70 +135,143 @@ class ServeProcess:
                 self.process.wait()
 
 
-def run_smoke(workdir: str | Path | None = None, verbose: bool = False) -> None:
-    """Run the kill -9 scenario; raises :class:`ServiceError` on failure."""
+def run_smoke(
+    workdir: str | Path | None = None, verbose: bool = False, shards: int = 0
+) -> None:
+    """Run the kill -9 scenario; raises :class:`ServiceError` on failure.
+
+    ``shards=0`` is scenario A against one service; ``shards >= 1`` is
+    scenario C, the same body against a ``--shards N`` fleet, plus its
+    topology checks.
+    """
 
     def say(message: str) -> None:
         if verbose:
             print(message, flush=True)
 
+    # Four well-separated corners (t defaults to 10000): on a fleet,
+    # best-similarity routing sends each user to the shard owning its
+    # corner's event.
+    corners = [
+        [1000.0, 1000.0],
+        [9000.0, 1000.0],
+        [1000.0, 9000.0],
+        [9000.0, 9000.0],
+    ]
+    serve_args = ("--shards", str(shards)) if shards else ()
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        journal = Path(tmp) / "service.jsonl"
-        server = ServeProcess(journal)
+        # With --shards the --journal path names the fleet's root directory.
+        journal = Path(tmp) / ("fleet" if shards else "service.jsonl")
+        server = ServeProcess(journal, serve_args)
         try:
-            say(f"serving at {server.base} (journal {journal})")
-            event = _request(
+            say(f"serving at {server.base} (journal {journal}, shards {shards})")
+            events = [
+                _request(
+                    server.base,
+                    "POST",
+                    "/events",
+                    {"capacity": 2, "attributes": corner},
+                )["event"]
+                for corner in corners
+            ]
+            # A conflicting sibling must land on its component's shard.
+            rival = _request(
                 server.base,
                 "POST",
                 "/events",
-                {"capacity": 3, "attributes": [10.0, 20.0]},
+                {
+                    "capacity": 2,
+                    "attributes": [1050.0, 1050.0],
+                    "conflicts": [events[0]],
+                },
             )["event"]
-            user = _request(
-                server.base,
-                "POST",
-                "/users",
-                {"capacity": 2, "attributes": [11.0, 19.0]},
-            )["user"]
-            assigned = _request(server.base, "POST", "/assignments", {"user": user})
-            if event not in assigned["events"]:
-                raise ServiceError(
-                    f"user {user} was not assigned event {event}: {assigned}"
+            users = []
+            for corner in corners:
+                user = _request(
+                    server.base,
+                    "POST",
+                    "/users",
+                    {"capacity": 1, "attributes": [corner[0] + 5.0, corner[1] - 5.0]},
+                )["user"]
+                users.append(user)
+                assigned = _request(
+                    server.base, "POST", "/assignments", {"user": user}
                 )
+                if not assigned["events"]:
+                    raise ServiceError(f"user {user} got no seat: {assigned}")
+            seated = _request(server.base, "GET", f"/assignments/{users[0]}")
             pre_crash = _request(server.base, "GET", "/state")
             say(f"pre-crash state: {pre_crash}")
+            if shards:
+                topology = pre_crash.get("sharding")
+                if not topology or topology["shards"] != shards:
+                    raise ServiceError(
+                        f"expected a {shards}-shard topology: {topology}"
+                    )
+                # rival joined events[0]'s component: 5 events, 4 components.
+                if topology["components"] != len(corners):
+                    raise ServiceError(
+                        f"expected {len(corners)} conflict components, got "
+                        f"{topology}"
+                    )
+                populated = sum(
+                    1 for shard in topology["per_shard"] if shard["n_events"] > 0
+                )
+                if populated != min(shards, len(corners)):
+                    raise ServiceError(
+                        f"expected events on every shard, got {topology}"
+                    )
         finally:
             server.kill9()
         say("killed -9; restarting from the journal")
 
-        recovered_store, _ = replay_journal(journal)
-        server = ServeProcess(journal)
+        server = ServeProcess(journal, serve_args)
         try:
             post_crash = _request(server.base, "GET", "/state")
             say(f"post-crash state: {post_crash}")
-            if post_crash["digest"] != recovered_store.digest():
-                raise ServiceError(
-                    "recovered server state diverges from reference replay: "
-                    f"{post_crash['digest']} != {recovered_store.digest()}"
-                )
+            if not shards:
+                recovered_store, _ = replay_journal(journal)
+                if post_crash["digest"] != recovered_store.digest():
+                    raise ServiceError(
+                        "recovered server state diverges from reference replay: "
+                        f"{post_crash['digest']} != {recovered_store.digest()}"
+                    )
             if post_crash["digest"] != pre_crash["digest"]:
                 raise ServiceError(
                     "recovered state does not match pre-crash state: "
                     f"{post_crash['digest']} != {pre_crash['digest']}"
                 )
-            survived = _request(server.base, "GET", f"/assignments/{user}")
-            if event not in survived["events"]:
+            if not post_crash.get("last_recovery"):
+                raise ServiceError(f"restart reported no recovery rung: {post_crash}")
+            if shards and post_crash.get("sharding", {}).get("shards") != shards:
                 raise ServiceError(
-                    f"assignment ({event}, {user}) did not survive the crash: "
-                    f"{survived}"
+                    f"topology did not survive the crash: {post_crash}"
                 )
-            # And the service still accepts work after recovery.
-            second = _request(
+            survived = _request(server.base, "GET", f"/assignments/{users[0]}")
+            if survived != seated:
+                raise ServiceError(
+                    f"assignment {seated} did not survive the crash: {survived}"
+                )
+            # The service still accepts work after recovery -- including
+            # on the component the conflict edge grew.
+            late = _request(
                 server.base,
                 "POST",
                 "/users",
-                {"capacity": 1, "attributes": [9.0, 21.0]},
+                {"capacity": 1, "attributes": [1040.0, 1060.0]},
             )["user"]
-            _request(server.base, "POST", "/assignments", {"user": second})
+            late_assigned = _request(
+                server.base, "POST", "/assignments", {"user": late}
+            )
+            if not late_assigned["events"]:
+                raise ServiceError(
+                    f"post-recovery user {late} got no seat: {late_assigned}"
+                )
+            if shards and not {rival, events[0]} & set(late_assigned["events"]):
+                raise ServiceError(
+                    f"post-recovery user {late} was seated off its corner: "
+                    f"{late_assigned}"
+                )
         finally:
             server.terminate()
     say("crash-recovery smoke passed")
@@ -307,135 +382,11 @@ def run_compaction_smoke(
     say("mid-compaction crash-recovery smoke passed")
 
 
-def run_sharded_smoke(
-    workdir: str | Path | None = None, verbose: bool = False
-) -> None:
-    """Kill -9 a 4-shard fleet; require full per-shard + manifest recovery."""
-
-    def say(message: str) -> None:
-        if verbose:
-            print(message, flush=True)
-
-    # Four well-separated corners (t defaults to 10000): best-similarity
-    # routing sends each user to the shard owning its corner's event.
-    corners = [
-        [1000.0, 1000.0],
-        [9000.0, 1000.0],
-        [1000.0, 9000.0],
-        [9000.0, 9000.0],
-    ]
-    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        root = Path(tmp) / "fleet"
-        server = ServeProcess(root, extra_args=("--shards", "4"))
-        try:
-            say(f"serving 4 shards at {server.base} (root {root})")
-            events = [
-                _request(
-                    server.base,
-                    "POST",
-                    "/events",
-                    {"capacity": 2, "attributes": corner},
-                )["event"]
-                for corner in corners
-            ]
-            # A conflicting sibling must land on its component's shard.
-            rival = _request(
-                server.base,
-                "POST",
-                "/events",
-                {
-                    "capacity": 2,
-                    "attributes": [1050.0, 1050.0],
-                    "conflicts": [events[0]],
-                },
-            )["event"]
-            users = []
-            for corner in corners:
-                user = _request(
-                    server.base,
-                    "POST",
-                    "/users",
-                    {"capacity": 1, "attributes": [corner[0] + 5.0, corner[1] - 5.0]},
-                )["user"]
-                users.append(user)
-                assigned = _request(
-                    server.base, "POST", "/assignments", {"user": user}
-                )
-                if not assigned["events"]:
-                    raise ServiceError(f"user {user} got no seat: {assigned}")
-            pre_crash = _request(server.base, "GET", "/state")
-            say(f"pre-crash state: {pre_crash}")
-            topology = pre_crash.get("sharding")
-            if not topology or topology["shards"] != 4:
-                raise ServiceError(f"expected a 4-shard topology: {topology}")
-            # rival joined events[0]'s component: 5 events, 4 components.
-            if topology["components"] != 4:
-                raise ServiceError(
-                    f"expected 4 conflict components, got {topology}"
-                )
-            populated = sum(
-                1 for shard in topology["per_shard"] if shard["n_events"] > 0
-            )
-            if populated != 4:
-                raise ServiceError(
-                    f"expected events on all 4 shards, got {topology}"
-                )
-        finally:
-            server.kill9()
-        say("killed -9; recovering the fleet from its manifest + journals")
-
-        server = ServeProcess(root, extra_args=("--shards", "4"))
-        try:
-            post_crash = _request(server.base, "GET", "/state")
-            say(f"post-crash state: {post_crash}")
-            if post_crash["digest"] != pre_crash["digest"]:
-                raise ServiceError(
-                    "recovered fleet state does not match pre-crash state: "
-                    f"{post_crash['digest']} != {pre_crash['digest']}"
-                )
-            if post_crash.get("sharding", {}).get("shards") != 4:
-                raise ServiceError(
-                    f"topology did not survive the crash: {post_crash}"
-                )
-            survived = _request(
-                server.base, "GET", f"/assignments/{users[0]}"
-            )
-            if not survived["events"]:
-                raise ServiceError(
-                    f"user {users[0]}'s assignment did not survive: {survived}"
-                )
-            # The fleet still accepts work after recovery -- including on
-            # the component the conflict edge grew.
-            late = _request(
-                server.base,
-                "POST",
-                "/users",
-                {"capacity": 1, "attributes": [1040.0, 1060.0]},
-            )["user"]
-            late_assigned = _request(
-                server.base, "POST", "/assignments", {"user": late}
-            )
-            if not late_assigned["events"]:
-                raise ServiceError(
-                    f"post-recovery user {late} got no seat: {late_assigned}"
-                )
-            if rival not in late_assigned["events"] and events[0] not in (
-                late_assigned["events"]
-            ):
-                raise ServiceError(
-                    f"post-recovery user {late} was seated off its corner: "
-                    f"{late_assigned}"
-                )
-        finally:
-            server.terminate()
-    say("sharded crash-recovery smoke passed")
-
-
 def main() -> int:
     try:
         run_smoke(verbose=True)
         run_compaction_smoke(verbose=True)
-        run_sharded_smoke(verbose=True)
+        run_smoke(verbose=True, shards=4)
     except ServiceError as exc:
         print(f"SMOKE FAILED: {exc}", file=sys.stderr)
         return 1

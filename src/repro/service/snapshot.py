@@ -56,6 +56,7 @@ from repro.service.journal import (
     REAL_FS,
     FileSystem,
     RecoveryReport,
+    atomic_write_bytes,
     read_header,
     replay,
 )
@@ -78,28 +79,6 @@ _SNAPSHOT_NAME = re.compile(r"snapshot-(\d{12})\.json")
 def snapshot_path(directory: str | Path, seq: int) -> Path:
     """The canonical file name for a snapshot at ``seq``."""
     return Path(directory) / f"snapshot-{seq:012d}.json"
-
-
-def atomic_write_bytes(
-    path: str | Path, blob: bytes, fs: FileSystem = REAL_FS
-) -> None:
-    """Write ``blob`` to ``path`` atomically and durably.
-
-    tmp file + write + flush + fsync + rename + directory fsync: after
-    this returns the bytes are durable under ``path``; a crash at any
-    point leaves either the old file or the new one, never a mix. This
-    is the one sanctioned write primitive for ``repro.service`` code
-    outside the journal/snapshot modules (lint rule R14).
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp_handle = fs.open(tmp, "wb")
-    tmp_handle.write(blob)
-    tmp_handle.flush()
-    fs.fsync(tmp_handle)
-    tmp_handle.close()
-    fs.replace(tmp, path)
-    fs.fsync_dir(path.parent)
 
 
 def write_snapshot(
@@ -292,7 +271,7 @@ def compact(
 
 def recover_state(
     journal_path: str | Path,
-    snapshot_dir: str | Path,
+    snapshot_dir: str | Path | None,
     *,
     config: StoreConfig | None = None,
     fs: FileSystem = REAL_FS,
@@ -303,7 +282,9 @@ def recover_state(
     tail; full journal replay (only possible when the journal was never
     compacted, ``base_seq == 0``); a fresh empty store under ``config``
     when nothing durable exists at all. Only when every rung is
-    exhausted does it raise :class:`JournalError`.
+    exhausted does it raise :class:`JournalError`. Without a
+    ``snapshot_dir`` the snapshot rungs are skipped, so a compacted
+    journal cannot recover.
 
     A snapshot that fails verification (:class:`SnapshotError`) or
     cannot bridge to the journal tail is *rejected* -- recorded in the
@@ -319,7 +300,8 @@ def recover_state(
     journal_path = Path(journal_path)
     header = read_header(journal_path, fs)
     rejected: list[str] = []
-    for snap_seq, snap_file in list_snapshots(snapshot_dir, fs):
+    snapshots = [] if snapshot_dir is None else list_snapshots(snapshot_dir, fs)
+    for snap_seq, snap_file in snapshots:
         try:
             snap = load_snapshot(snap_file, fs)
         except SnapshotError as exc:
@@ -356,12 +338,14 @@ def recover_state(
                 snapshots_rejected=tuple(rejected),
             ),
         )
+    detail = "; ".join(rejected) or (
+        "no snapshots found" if snapshot_dir else "no snapshot directory given"
+    )
     if header is None:
         if config is None:
-            detail = "; ".join(rejected) if rejected else "no snapshots found"
             raise JournalError(
-                f"{journal_path}: nothing durable survives (no journal header, "
-                f"no usable snapshot: {detail})"
+                f"{journal_path}: nothing durable survives (no durable journal "
+                f"header, no usable snapshot: {detail})"
             )
         return (
             ArrangementStore(config),
@@ -369,7 +353,6 @@ def recover_state(
             RecoveryReport(rung="recreate", snapshots_rejected=tuple(rejected)),
         )
     if header.base_seq:
-        detail = "; ".join(rejected) if rejected else "no snapshots found"
         raise JournalError(
             f"{journal_path}: nothing durable survives (journal tail starts at "
             f"seq {header.base_seq + 1}, no usable snapshot: {detail})"

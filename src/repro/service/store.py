@@ -63,6 +63,25 @@ ALL_COMMANDS = frozenset(
 )
 
 
+def as_vector(attributes: object) -> list:
+    """Copy a client attribute vector (a missing one is a client error)."""
+    if not isinstance(attributes, (list, tuple)):
+        raise ServiceError(f"attributes must be a list of numbers, got {attributes!r}")
+    return list(attributes)
+
+
+def as_event_ids(conflicts: object) -> list[int]:
+    """Sorted, de-duplicated event ids from a client list (``None`` = none)."""
+    if conflicts is None:
+        return []
+    if not isinstance(conflicts, (list, tuple)):
+        raise ServiceError("conflicts must be a list of event ids")
+    for other in conflicts:
+        if not isinstance(other, int):
+            raise ServiceError(f"conflict references unknown event {other!r}")
+    return sorted(set(conflicts))
+
+
 @dataclass(frozen=True)
 class StoreConfig:
     """Immutable service-wide model parameters (journal header payload).

@@ -106,9 +106,11 @@ def test_open_creates_then_recovers(tmp_path: Path) -> None:
     with ShardCoordinator.open(root, CONFIG, 2, threaded=False) as coordinator:
         populate(coordinator)
         digest = coordinator.arrangement_digest()
+        assert coordinator.state_summary()["last_recovery"] is None
     # Second open: manifest exists, config/shards not needed.
     with ShardCoordinator.open(root, threaded=False) as coordinator:
         assert coordinator.arrangement_digest() == digest
+        assert coordinator.state_summary()["last_recovery"]["rung"] == "full-replay"
     with pytest.raises(ServiceError):
         ShardCoordinator.open(tmp_path / "nowhere", threaded=False)
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.service.frontend import ArrangementService
 from repro.service.http import make_server
+from repro.service.sharding import ShardCoordinator
 from repro.service.store import StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
@@ -143,4 +144,44 @@ def test_overload_is_503_with_retry_after(tmp_path: Path) -> None:
         server.shutdown()
         server.server_close()
         service.close()
+        thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["service", "fleet"])
+@pytest.mark.parametrize(
+    "path, payload",
+    [
+        ("/events", {"capacity": 1}),
+        ("/events", {"capacity": 1, "attributes": None}),
+        ("/events", {"capacity": 1, "attributes": [1.0, 1.0], "conflicts": ["0"]}),
+        ("/events", {"capacity": 1, "attributes": [1.0, 1.0], "conflicts": [0, "x"]}),
+        ("/users", {"capacity": 1}),
+        ("/users", {"capacity": 1, "attributes": None}),
+        ("/assignments", {"user": "0"}),
+    ],
+)
+def test_malformed_fields_are_400_on_both_backends(
+    tmp_path: Path, sharded: bool, path: str, payload: dict
+) -> None:
+    backend = (
+        ShardCoordinator.create(tmp_path / "fleet", CONFIG, 2, threaded=False)
+        if sharded
+        else ArrangementService.create(tmp_path / "j.jsonl", CONFIG, batch_ms=1.0)
+    )
+    server = make_server(backend)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.port}"
+    try:
+        call(base, "POST", "/events", {"capacity": 1, "attributes": [1.0, 1.0]})
+        call(base, "POST", "/users", {"capacity": 1, "attributes": [1.0, 1.0]})
+        seq = call(base, "GET", "/state")["seq"]
+        error = expect_http_error(base, "POST", path, payload)
+        assert error.code == 400, json.loads(error.read())
+        # Rejected before anything was journaled.
+        assert call(base, "GET", "/state")["seq"] == seq
+    finally:
+        server.shutdown()
+        server.server_close()
+        backend.close()
         thread.join(timeout=10)

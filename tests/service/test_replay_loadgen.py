@@ -91,3 +91,21 @@ def test_cli_replay_runs_and_gates_on_baseline(tmp_path: Path, capsys) -> None:
     assert "replay verified" in out
     assert "engine >= baseline" in out
     assert journal.exists()
+
+
+def test_cli_replay_sharded_verifies_every_journal(tmp_path: Path, capsys) -> None:
+    code = main(
+        [
+            "replay",
+            "--shards", "2",
+            "--components", "4",
+            "--events", "8",
+            "--users", "40",
+            "--seed", "0",
+            "--journal", str(tmp_path / "fleet"),
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "replay verified" in out
+    assert "sharding: 2 shards" in out
