@@ -13,13 +13,12 @@ All functions here are vectorised: given event attributes ``(|V|, d)`` and
 user attributes ``(|U|, d)`` they return the full ``(|V|, |U|)`` matrix.
 :func:`similarity_tiles` computes one rectangular block of that matrix
 bit-identically (the tile kernel every array-backed solver substrate pulls
-cache-friendly blocks through), and :class:`SimilarityRowCache` memoises
-per-event rows over an append-only user set for the service path.
+cache-friendly blocks through, and what lets the service grow its
+similarity buffer by new rows and columns only).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Callable
 
 import numpy as np
@@ -154,87 +153,6 @@ def similarity_tiles(
     return similarity_matrix(
         event_attrs[events_slice], user_attrs[users_slice], t, metric
     )
-
-
-class SimilarityRowCache:
-    """Memoised per-event similarity rows over an append-only user set.
-
-    The serving path recomputes one event's row against every registered
-    user on each solve batch; users are only ever *appended*, so a cached
-    row stays valid as a prefix and only the new suffix needs computing.
-    This cache keeps up to ``max_rows`` event rows (LRU) and extends them
-    incrementally with :func:`similarity_tiles` suffix calls.
-
-    The caller owns the attribute arrays and must pass the event's
-    attributes consistently (event attributes are immutable in the store);
-    rows are keyed by event index. :meth:`invalidate` drops state when an
-    event is replaced wholesale.
-    """
-
-    def __init__(self, t: float, metric: str = "euclidean", max_rows: int = 256) -> None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be positive, got {max_rows}")
-        if metric not in TILEABLE_METRICS:
-            raise ValueError(
-                f"row caching requires a tileable metric, got {metric!r}"
-            )
-        self.t = t
-        self.metric = metric
-        self.max_rows = max_rows
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def row(
-        self,
-        event: int,
-        event_attrs: np.ndarray,
-        user_attrs: np.ndarray,
-    ) -> np.ndarray:
-        """The event's similarity row against ``user_attrs`` (read-only).
-
-        Args:
-            event: Cache key (the event's index in the store).
-            event_attrs: ``(1, d)`` or ``(d,)`` attributes of that event.
-            user_attrs: ``(|U|, d)`` attributes of *all* current users;
-                ``|U|`` may only grow between calls for the same key.
-        """
-        user_attrs = np.asarray(user_attrs, dtype=np.float64)
-        n_users = user_attrs.shape[0]
-        event_attrs = np.asarray(event_attrs, dtype=np.float64).reshape(1, -1)
-        cached = self._rows.get(event)
-        if cached is not None and cached.shape[0] == n_users:
-            self._rows.move_to_end(event)
-            self.hits += 1
-            return cached
-        if cached is not None and cached.shape[0] < n_users:
-            # Append-only user set: compute just the new suffix.
-            suffix = similarity_tiles(
-                event_attrs,
-                user_attrs,
-                self.t,
-                slice(None),
-                slice(cached.shape[0], n_users),
-                self.metric,
-            )[0]
-            row = np.concatenate([cached, suffix])
-        else:
-            # Miss, or the user set shrank (not append-only): recompute.
-            self.misses += 1
-            row = similarity_matrix(event_attrs, user_attrs, self.t, self.metric)[0]
-        row.flags.writeable = False
-        self._rows[event] = row
-        self._rows.move_to_end(event)
-        while len(self._rows) > self.max_rows:
-            self._rows.popitem(last=False)
-        return row
-
-    def invalidate(self, event: int | None = None) -> None:
-        """Forget one event's row, or everything when ``event`` is None."""
-        if event is None:
-            self._rows.clear()
-        else:
-            self._rows.pop(event, None)
 
 
 def top_k_descending(values: np.ndarray, k: int) -> np.ndarray:

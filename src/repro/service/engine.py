@@ -11,6 +11,11 @@ standing one and committed only if it is at least as good, as a
 journaled ``commit_batch`` delta -- so replay never re-solves anything
 and the recovered state is independent of batch boundaries.
 
+Only the conflict clusters a batch changed are re-solved, with a
+per-batch proof that the result equals re-solving everything (see
+:meth:`MicroBatchEngine._solve_open_remainder`); a batch that cannot
+prove it re-solves everything.
+
 Admission control: the pending queue is bounded. A full queue rejects
 with :class:`~repro.exceptions.ServiceOverloadedError` *before* anything
 is journaled -- the service degrades by shedding load explicitly, never
@@ -19,8 +24,10 @@ by stalling every in-flight request behind an unbounded backlog.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol
 
@@ -30,6 +37,8 @@ from repro.core.conflicts import DisjointSet
 from repro.core.model import Instance
 from repro.exceptions import ServiceError, ServiceOverloadedError
 from repro.robustness.harness import SolveResult, solve_with_ladder
+from repro.robustness.outcome import Outcome
+from repro.service.remainder import OpenRemainder
 from repro.service.store import ArrangementStore, Delta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -59,6 +68,9 @@ DEFAULT_MAX_PENDING = 1024
 #: Default degradation ladder for batch solves: the scalable
 #: approximation first, the cheapest feasible answer as the floor.
 DEFAULT_LADDER: tuple[str, ...] = ("greedy", "random-u")
+
+#: Counters of :attr:`MicroBatchEngine.stats` (the ``engine`` block).
+_STAT_KEYS = ("batches", "scoped", "full", "scope_refused")
 
 
 class PendingRequest:
@@ -114,7 +126,17 @@ class PendingRequest:
 
 
 class MicroBatchEngine:
-    """Coalesces pending requests and re-solves the open remainder.
+    """Coalesces pending requests and re-solves what they changed.
+
+    Each batch re-solves the *scope* -- the clusters (conflict
+    components merged through users' seats) holding a change since the
+    last batch, a dirty event, or the best open event of a user who
+    arrived, asked or lost a seat -- and checks that the full Greedy
+    re-solve would have accepted no pair across the scope's border. If
+    the check fails, or the first rung is not Greedy, the batch
+    re-solves every open event. A cluster stays dirty until its seats
+    equal a first-rung ``optimal`` candidate. :attr:`stats` counts
+    scoped, full and refused batches.
 
     Args:
         service: The owning :class:`~repro.service.frontend.
@@ -147,7 +169,10 @@ class MicroBatchEngine:
             raise ServiceError(f"solve_timeout must be > 0, got {solve_timeout}")
         if max_pending < 1:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
-        self._service = service
+        # A weak back-reference: the service owns the engine, and without
+        # a cycle between them a closed service is freed at once rather
+        # than at the collector's next full pass.
+        self._service = weakref.proxy(service)
         self.batch_ms = batch_ms
         self.solve_timeout = solve_timeout
         self.max_pending = max_pending
@@ -156,6 +181,14 @@ class MicroBatchEngine:
         self.batches_solved = 0
         self.requests_served = 0
         self.last_outcome: str | None = None
+        #: Batches that re-solved an open remainder: ``scoped`` ones
+        #: proved a sub-instance enough, ``full`` ones solved everything
+        #: (after a ``scope_refused`` check failure too).
+        self.stats = dict.fromkeys(_STAT_KEYS, 0)
+        self._remainder = OpenRemainder()
+        #: Events whose cluster's seats are not the last first-rung
+        #: optimal candidate; their clusters are re-solved next batch.
+        self._dirty_events: set[int] = set()
         self._pending: list[PendingRequest] = []
         self._cond = threading.Condition()
         self._stop = False
@@ -196,8 +229,9 @@ class MicroBatchEngine:
         new event) leave the standing arrangement stale without putting
         anything in the queue. The shard coordinator marks the affected
         shard dirty; the next batch -- background-thread or synchronous
-        -- re-solves the open remainder even if the request list is
-        empty. The unsharded service never calls this, so its batch
+        -- runs even if the request list is empty. Which clusters it
+        re-solves does not depend on this flag: the store's change log
+        names them. The unsharded service never calls this, so its batch
         cadence is unchanged.
         """
         with self._cond:
@@ -273,12 +307,19 @@ class MicroBatchEngine:
         service = self._service
         with service._lock:
             store = service.store
-            delta = self._solve_open_remainder(store)
-            if delta:
-                service._journal_and_apply(
-                    "commit_batch",
-                    {**delta.to_json(), "users": sorted({r.user for r in batch})},
-                )
+            try:
+                delta = self._solve_open_remainder(store, [r.user for r in batch])
+                if delta:
+                    service._journal_and_apply(
+                        "commit_batch",
+                        {**delta.to_json(), "users": sorted({r.user for r in batch})},
+                    )
+            except BaseException:
+                # The change log is spent: start over from a full re-solve.
+                self._remainder = OpenRemainder()
+                raise
+            # The engine chose those seats itself: they are not news.
+            store.take_changes()
             self.batches_solved += 1
             self.requests_served += len(batch)
             results = {
@@ -288,107 +329,273 @@ class MicroBatchEngine:
         for request in batch:
             request.resolve(results[request.user])
 
-    def _solve_open_remainder(self, store: ArrangementStore) -> Delta:
-        """Re-solve the un-frozen remainder; never worsen the standing state.
+    def _solve_open_remainder(
+        self, store: ArrangementStore, requested: Sequence[int]
+    ) -> Delta:
+        """Re-solve the clusters that changed; never worsen the standing state.
 
-        Builds the restricted instance the
-        :class:`~repro.simulation.policies.RebatchPolicy` would build --
-        open events keep their capacity, frozen/cancelled ones drop to
-        zero, user capacities shrink by frozen commitments, and a pair's
-        similarity is zeroed when the user's frozen commitments conflict
-        with the event -- then runs the degradation ladder under the
-        batch deadline. The solved arrangement replaces the standing
-        open assignment only if it does not lower the open MaxSum, so a
-        deadline-starved rung can never regress the arrangement.
+        The restricted instance is the one the
+        :class:`~repro.simulation.policies.RebatchPolicy` would build
+        (see :mod:`repro.service.remainder`). With Greedy as the first
+        rung, only the *scope* is re-solved: every cluster holding a
+        changed event, a dirty event, or the best open event of a user
+        who arrived, asked, or lost a seat. A vectorised check then
+        proves that the full re-solve would have accepted no pair
+        crossing the scope's border; if it cannot, the same batch
+        re-solves everything. Either way the solved arrangement replaces
+        a cluster's standing seats only if it does not lower their
+        MaxSum, so a deadline-starved rung can never regress the
+        arrangement.
         """
-        open_events = store.open_events()
-        if not open_events or store.n_users == 0:
+        changes = store.take_changes()
+        remainder = self._remainder
+        new_events, new_users = remainder.sync(store, changes)
+        capacities = remainder.event_capacities
+        open_events = capacities > 0
+        if not open_events.any() or store.n_users == 0:
             return Delta()
-        n_events, n_users = store.n_events, store.n_users
-        sims = np.zeros((n_events, n_users))
-        frozen_of_user = [
-            frozenset(
-                e for e in store.events_of(u) if not store.is_open(e)
+        sims = remainder.sims
+        seat_events, seat_users = store.open_seats()
+        clusters = _merge_through_users(remainder.components, seat_events, seat_users)
+        home = np.full(store.n_users, -1, dtype=np.intp)
+        home[seat_users] = clusters[seat_events]
+        # A user's capacity for the re-solve: what frozen seats leave.
+        user_capacities = store.user_remaining_array() + np.bincount(
+            seat_users, minlength=store.n_users
+        )
+        scope = self._scope(
+            clusters,
+            open_events,
+            set(new_events) | changes.events | self._dirty_events,
+            set(new_users) | changes.users | set(requested),
+        )
+        self.stats["batches"] += 1
+        while True:
+            full = bool(np.array_equal(scope, open_events))
+            cluster_in_scope = np.zeros(len(clusters), dtype=bool)
+            cluster_in_scope[clusters[scope]] = True
+            users = np.where(home < 0, True, cluster_in_scope[home])
+            result, candidate = self._solve_scope(
+                store, np.flatnonzero(scope), np.flatnonzero(users), user_capacities
             )
-            for u in range(n_users)
-        ]
-        for event in open_events:
-            row = store.sim_row(event)
-            for user in range(n_users):
-                if row[user] <= 0:
-                    continue
-                if store.conflicts_with_any(event, frozen_of_user[user]):
-                    continue
-                sims[event, user] = row[user]
-
-        event_capacities = np.zeros(n_events, dtype=np.int64)
-        for event in open_events:
-            event_capacities[event] = store.event_capacity(event)
-        user_capacities = np.asarray(
-            [
-                store.user_capacity(u) - len(frozen_of_user[u])
-                for u in range(n_users)
-            ],
-            dtype=np.int64,
+            if full:
+                self.stats["full"] += 1
+                break
+            if _nothing_crosses(
+                sims, scope, users, user_capacities, candidate,
+                seat_events, seat_users,
+            ):
+                self.stats["scoped"] += 1
+                break
+            self.stats["scope_refused"] += 1
+            scope = open_events
+        if result is not None:
+            self.last_outcome = result.outcome.value
+        clean = result is None or (
+            result.solver == self.ladder[0] and result.outcome is Outcome.OPTIMAL
         )
-        conflicts = store.snapshot_instance().conflicts
-        sub_instance = Instance(
-            event_capacities, user_capacities, conflicts, sims=sims
-        )
-        result = self._solve(
-            sub_instance, self.ladder, timeout=self.solve_timeout
-        )
-        self.last_outcome = result.outcome.value
-        if result.arrangement is None:
+        if candidate is None:
+            self._dirty_events = set(np.flatnonzero(scope).tolist())
             return Delta()  # every rung failed: keep the standing state
-
-        current = {
-            (e, u)
-            for e, u in store.pairs()
-            if store.is_open(e)
-        }
-        candidate = set(result.arrangement.pairs())
-        if current == candidate:
-            return Delta()
-
-        # Keep-better is decided per *user-linked conflict cluster*, not
-        # globally: conflict-graph components are independent on the
-        # event side, so a deadline-starved rung that regressed one
-        # region must not veto a genuine improvement in another. But a
-        # user holding seats in several components couples them through
-        # its capacity -- applying one component's candidate while
-        # keeping another's current seats could over-commit that user --
-        # so components sharing any user (in either arrangement) are
-        # merged into one accept/reject unit first.
-        clusters = DisjointSet()
-        for event in range(n_events):
-            clusters.add(event)
-            for other in store.event_conflicts(event):
-                clusters.union(event, other)
-        anchor_of_user: dict[int, int] = {}
-        for event, user in current | candidate:
-            anchor = anchor_of_user.setdefault(user, event)
-            clusters.union(anchor, event)
-        current_of: dict[int, set[tuple[int, int]]] = {}
-        candidate_of: dict[int, set[tuple[int, int]]] = {}
-        for pair in current:
-            current_of.setdefault(clusters.find(pair[0]), set()).add(pair)
-        for pair in candidate:
-            candidate_of.setdefault(clusters.find(pair[0]), set()).add(pair)
-        assigns: list[tuple[int, int]] = []
-        unassigns: list[tuple[int, int]] = []
-        for root in sorted(set(current_of) | set(candidate_of)):
-            kept = current_of.get(root, set())
-            solved = candidate_of.get(root, set())
-            if kept == solved:
-                continue
-            kept_sum = float(sum(sims[e, u] for e, u in kept))
-            solved_sum = float(sum(sims[e, u] for e, u in solved))
-            if solved_sum < kept_sum:
-                continue  # this cluster keeps its standing seats
-            assigns.extend(solved - kept)
-            unassigns.extend(kept - solved)
-        return Delta(
-            assigns=tuple(sorted(assigns)),
-            unassigns=tuple(sorted(unassigns)),
+        in_scope = scope[seat_events]
+        delta, rejected = _keep_better(
+            sims, clusters, (seat_events[in_scope], seat_users[in_scope]), candidate
         )
+        if clean:
+            scope = scope & np.isin(clusters, rejected)
+        self._dirty_events = set(np.flatnonzero(scope).tolist())
+        return delta
+
+    def _scope(
+        self,
+        clusters: np.ndarray,
+        open_events: np.ndarray,
+        stale: set[int],
+        movers: set[int],
+    ) -> np.ndarray:
+        """The open events of every cluster this batch must re-solve.
+
+        That is every cluster holding a ``stale`` event or the most
+        similar open event of a ``mover``. Only Greedy is known to split
+        across clusters, so any other first rung re-solves all open
+        events. So does a batch whose remainder was rebuilt (after a
+        retire, or always when similarities are not per pair): every
+        event is new to it, hence stale.
+        """
+        if self.ladder[0] != "greedy":
+            return open_events
+        sims = self._remainder.sims
+        if movers:
+            users = sorted(movers)
+            best = sims[:, users].argmax(axis=0)
+            stale = stale | set(best[sims[best, users] > 0].tolist())
+        in_scope = np.zeros(len(clusters), dtype=bool)
+        in_scope[clusters[sorted(stale)]] = True
+        return in_scope[clusters] & open_events
+
+    def _solve_scope(
+        self,
+        store: ArrangementStore,
+        events: np.ndarray,
+        users: np.ndarray,
+        user_capacities: np.ndarray,
+    ) -> tuple[SolveResult | None, tuple[np.ndarray, np.ndarray] | None]:
+        """Solve the scope's open events for the users homed in it.
+
+        Ids keep their ascending order, so Greedy breaks ties exactly as
+        on the whole instance. Returns the ladder result (None when the
+        sub-instance is empty and nothing had to run) and the solved
+        seats as global ``(events, users)`` arrays (None when every rung
+        failed).
+        """
+        if not len(events) or not len(users):
+            empty = np.zeros(0, dtype=np.intp)
+            return None, (empty, empty)
+        remainder = self._remainder
+        instance = Instance(
+            remainder.event_capacities[events],
+            user_capacities[users],
+            store.conflict_graph(events),
+            sims=remainder.sims[np.ix_(events, users)],
+            validate=False,
+        )
+        result = self._solve(instance, self.ladder, timeout=self.solve_timeout)
+        if result.arrangement is None:
+            return result, None
+        pairs = np.asarray(result.arrangement.pairs(), dtype=np.intp).reshape(-1, 2)
+        return result, (events[pairs[:, 0]], users[pairs[:, 1]])
+
+    def engine_summary(self) -> dict:
+        """The ``engine`` block of ``GET /state``."""
+        return {**self.stats, "last_outcome": self.last_outcome}
+
+
+def fleet_engine_summary(per_shard: list[dict]) -> dict:
+    """Shard ``engine`` blocks summed; ``last_outcome`` is the worst one."""
+    outcomes = [s["last_outcome"] for s in per_shard if s["last_outcome"]]
+    severity = [outcome.value for outcome in Outcome]  # best first
+    return {
+        **{key: sum(s[key] for s in per_shard) for key in _STAT_KEYS},
+        "last_outcome": max(outcomes, key=severity.index) if outcomes else None,
+    }
+
+
+def _merge_through_users(
+    components: np.ndarray, seat_events: np.ndarray, seat_users: np.ndarray
+) -> np.ndarray:
+    """Conflict components merged through users' seats, per event.
+
+    A user holding seats in several components couples them through its
+    capacity, so they form one *cluster*; it is named by its smallest
+    component name.
+    """
+    if not len(seat_users):
+        return components
+    seated = components[seat_events]
+    first = np.full(int(seat_users.max()) + 1, -1, dtype=np.intp)
+    first[seat_users] = seated
+    links = seated != first[seat_users]
+    if not links.any():
+        return components
+    merged = DisjointSet()
+    for a, b in zip(seated[links].tolist(), first[seat_users][links].tolist()):
+        merged.union(a, b)
+    name = np.arange(len(components))
+    for root, members in merged.members().items():
+        name[members] = root
+    return name[components]
+
+
+def _nothing_crosses(
+    sims: np.ndarray,
+    scope: np.ndarray,
+    users: np.ndarray,
+    user_capacities: np.ndarray,
+    candidate: tuple[np.ndarray, np.ndarray] | None,
+    seat_events: np.ndarray,
+    seat_users: np.ndarray,
+) -> bool:
+    """True when the full Greedy run would accept no pair across the scope.
+
+    Greedy (Algorithm 2) takes pairs in one global ``(-sim, event,
+    user)`` order. A user's *home* is the region holding its seats (the
+    scope for ``users``, the rest otherwise). If no user could take a
+    pair outside its home, the full run splits into the scoped run plus
+    the standing rest. A user with capacity left could take any pair of
+    positive similarity; a full user could only take a pair ranked
+    before its weakest seat, i.e. one strictly more similar.
+    """
+    if candidate is None:
+        return False
+    outside = ~scope[seat_events]
+    events = np.concatenate([candidate[0], seat_events[outside]])
+    holders = np.concatenate([candidate[1], seat_users[outside]])
+    n_users = len(user_capacities)
+    left = user_capacities - np.bincount(holders, minlength=n_users)
+    weakest = np.full(n_users, np.inf)
+    np.minimum.at(weakest, holders, sims[events, holders])
+    away = np.where(
+        users,
+        np.max(sims, axis=0, where=~scope[:, None], initial=0.0),
+        np.max(sims, axis=0, where=scope[:, None], initial=0.0),
+    )
+    return bool(np.all(np.where(left > 0, away <= 0.0, away < weakest)))
+
+
+def _keep_better(
+    sims: np.ndarray,
+    clusters: np.ndarray,
+    standing: tuple[np.ndarray, np.ndarray],
+    candidate: tuple[np.ndarray, np.ndarray],
+) -> tuple[Delta, list[int]]:
+    """Accept the candidate per cluster where it does not lower MaxSum.
+
+    Keep-better is decided per *user-linked conflict cluster*, not
+    globally: conflict components are independent on the event side, so
+    a deadline-starved rung that regressed one region must not veto a
+    genuine improvement in another. A user holding seats in several
+    components in either arrangement couples them through its capacity
+    -- applying one component's candidate while keeping another's
+    standing seats could over-commit that user -- so such components
+    form one accept/reject unit.
+
+    Returns the delta and the cluster names (as in ``clusters``) of the
+    units that kept their standing seats.
+    """
+    current = set(zip(standing[0].tolist(), standing[1].tolist()))
+    solved = set(zip(candidate[0].tolist(), candidate[1].tolist()))
+    if current == solved:
+        return Delta(), []
+    units = DisjointSet()
+    anchor_of_user: dict[int, int] = {}
+    for event, user in current | solved:
+        name = int(clusters[event])
+        units.union(name, int(clusters[anchor_of_user.setdefault(user, event)]))
+    current_of: dict[int, set[tuple[int, int]]] = {}
+    solved_of: dict[int, set[tuple[int, int]]] = {}
+    for pair in current:
+        current_of.setdefault(units.find(int(clusters[pair[0]])), set()).add(pair)
+    for pair in solved:
+        solved_of.setdefault(units.find(int(clusters[pair[0]])), set()).add(pair)
+    assigns: list[tuple[int, int]] = []
+    unassigns: list[tuple[int, int]] = []
+    rejected: list[int] = []
+    for root in sorted(set(current_of) | set(solved_of)):
+        kept = current_of.get(root, set())
+        chosen = solved_of.get(root, set())
+        if kept == chosen:
+            continue
+        kept_sum = math.fsum(sims[e, u] for e, u in kept)
+        solved_sum = math.fsum(sims[e, u] for e, u in chosen)
+        if solved_sum < kept_sum:
+            rejected.append(root)
+            continue  # this cluster keeps its standing seats
+        assigns.extend(chosen - kept)
+        unassigns.extend(kept - chosen)
+    if rejected:
+        members = units.members()
+        rejected = [name for root in rejected for name in members[root]]
+    return (
+        Delta(assigns=tuple(sorted(assigns)), unassigns=tuple(sorted(unassigns))),
+        rejected,
+    )

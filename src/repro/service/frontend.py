@@ -375,6 +375,7 @@ class ArrangementService:
                 "requests_seen": store.requests_seen,
                 "batches_committed": store.batches_committed,
                 "pending": self.engine.pending,
+                "engine": self.engine.engine_summary(),
                 "max_sum": store.max_sum(),
                 "digest": store.digest(),
                 "journal_bytes": self.journal.size_bytes,

@@ -84,6 +84,9 @@ class ReplayReport:
     #: Per-shard ``{"shard", "requests", "batches", "events", "users",
     #: "rps"}`` rows, set for sharded runs.
     per_shard: tuple[dict, ...] | None = None
+    #: The deployment's ``engine`` block: batches that re-solved an open
+    #: remainder, and how many of them re-solved only a scope.
+    engine: dict | None = None
 
     @property
     def aggregate_rps(self) -> float:
@@ -104,6 +107,8 @@ class ReplayReport:
             "== geacc replay: micro-batched service vs clairvoyant bound ==",
             f"workload: |V|={self.n_events} |U|={self.n_users} "
             f"requests={self.n_requests} batches={self.n_batches} "
+            f"scoped={self.engine['scoped'] if self.engine else 0}/"
+            f"{self.engine['batches'] if self.engine else 0} "
             f"overloaded={self.overloaded} wall={self.seconds:.2f}s",
             f"latency:  p50={self.p50_ms:.2f}ms p90={self.p90_ms:.2f}ms "
             f"p99={self.p99_ms:.2f}ms max={self.max_ms:.2f}ms",
@@ -148,6 +153,7 @@ class ReplayReport:
             "baseline_ratio": self.baseline_ratio,
             "seconds": self.seconds,
             "replay_verified": self.replay_verified,
+            "engine": self.engine,
             **(
                 {}
                 if self.shards is None
@@ -352,6 +358,7 @@ def replay_timeline(
         journal_path=str(path),
         replay_verified=replay_verified,
         shards=shards or None,
+        engine=summary["engine"],
         per_shard=(
             tuple(
                 {

@@ -54,6 +54,7 @@ from repro.service.engine import (
     DEFAULT_MAX_PENDING,
     DEFAULT_SOLVE_TIMEOUT,
     PendingRequest,
+    fleet_engine_summary,
 )
 from repro.service.frontend import DEFAULT_REQUEST_WAIT
 from repro.service.journal import RECOVERY_RUNGS, REAL_FS, FileSystem
@@ -718,6 +719,7 @@ class ShardCoordinator:
                     s["batches_committed"] for s in shard_stats
                 ),
                 "pending": sum(s["pending"] for s in shard_stats),
+                "engine": fleet_engine_summary([s["engine"] for s in shard_stats]),
                 "max_sum": sum(s["max_sum"] for s in shard_stats),
                 "digest": self.arrangement_digest(),
                 "journal_bytes": sum(s["journal_bytes"] for s in shard_stats),

@@ -438,6 +438,7 @@ class ShardManager:
             "retired_events": self.retired_events,
             "retired_users": self.retired_users,
             "pending": summary["pending"],
+            "engine": summary["engine"],
             "journal_bytes": summary["journal_bytes"],
             "journal_base_seq": summary["journal_base_seq"],
             "snapshots": summary["snapshots"],

@@ -31,11 +31,7 @@ import numpy as np
 
 from repro.core.conflicts import ConflictGraph
 from repro.core.model import Arrangement, Instance
-from repro.core.similarity import (
-    TILEABLE_METRICS,
-    SimilarityRowCache,
-    similarity_matrix,
-)
+from repro.core.similarity import TILEABLE_METRICS, similarity_matrix
 from repro.core.validation import validate_arrangement
 from repro.exceptions import JournalError, ServiceError
 
@@ -80,6 +76,25 @@ def as_event_ids(conflicts: object) -> list[int]:
         if not isinstance(other, int):
             raise ServiceError(f"conflict references unknown event {other!r}")
     return sorted(set(conflicts))
+
+
+def grown_to(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``buf`` itself if ``shape`` fits in it, else a copy grown by doubling.
+
+    The copy keeps ``buf``'s contents in its leading corner; a dimension
+    that fits keeps its size.
+    """
+    if all(want <= have for want, have in zip(shape, buf.shape)):
+        return buf
+    grown = np.zeros(
+        tuple(
+            have if want <= have else max(16, 2 * have, want)
+            for want, have in zip(shape, buf.shape)
+        ),
+        dtype=buf.dtype,
+    )
+    grown[tuple(slice(0, n) for n in buf.shape)] = buf
+    return grown
 
 
 @dataclass(frozen=True)
@@ -158,6 +173,28 @@ class Delta:
 
 
 @dataclass
+class ChangeLog:
+    """What changed since the engine last looked, in O(1) per record.
+
+    New events and users are not listed: ids are append-only, so the
+    engine keeps a watermark instead. Only lifecycle changes are kept,
+    in sets bounded by the entity counts, so a store that never runs a
+    batch (replay, bulk ingest) does not grow a log with its journal.
+
+    Attributes:
+        events: Events frozen, cancelled or retired, plus events whose
+            seats a ``commit_batch`` edited.
+        users: Users who lost seats to a cancel or a retire.
+        retired: An event was retired (frozen seats may have been
+            released, so derived masks must be rebuilt).
+    """
+
+    events: set[int] = field(default_factory=set)
+    users: set[int] = field(default_factory=set)
+    retired: bool = False
+
+
+@dataclass
 class _LiveEvent:
     capacity: int
     attributes: tuple[float, ...]
@@ -196,16 +233,16 @@ class ArrangementStore:
         self._event_remaining: list[int] = []
         self._user_remaining: list[int] = []
         self._n_assignments = 0
-        # Packed user attributes (rows appended as users register) plus a
-        # per-event similarity-row cache over that append-only set. User
-        # and event attributes are immutable, so cached rows stay valid
-        # as prefixes and only new-user suffixes are ever recomputed.
+        self.changes = ChangeLog()
+        # Packed attributes (rows appended as entities arrive) plus a
+        # dense similarity buffer over them, allocated on first use and
+        # grown by doubling. Attributes are immutable and tileable
+        # metrics are per pair, so the filled block stays valid and only
+        # new rows and columns are ever computed.
+        self._event_attrs_buf = np.empty((0, config.dimension), dtype=np.float64)
         self._user_attrs_buf = np.empty((0, config.dimension), dtype=np.float64)
-        self._row_cache: SimilarityRowCache | None = (
-            SimilarityRowCache(config.t, config.metric)
-            if config.metric in TILEABLE_METRICS
-            else None
-        )
+        self._sims_buf = np.empty((0, 0), dtype=np.float64)
+        self._sims_filled = (0, 0)
 
     # ------------------------------------------------------------------
     # Read side
@@ -257,6 +294,46 @@ class ArrangementStore:
         """Events conflicting with ``event`` (the live adjacency set)."""
         return frozenset(self._events[event].conflicts)
 
+    def conflict_graph(self, events: "np.ndarray | range") -> ConflictGraph:
+        """The conflict graph among ``events``, relabelled ``0..k-1``.
+
+        ``events`` must be ascending; local id ``i`` is ``events[i]``.
+        Edges leaving the set are dropped, so pass a union of conflict
+        components when none may be lost.
+        """
+        local = {int(event): i for i, event in enumerate(events)}
+        pairs = [
+            (i, local[b])
+            for a, i in local.items()
+            for b in self._events[a].conflicts
+            if a < b and b in local
+        ]
+        return ConflictGraph(len(local), pairs)
+
+    def open_seats(self) -> tuple[np.ndarray, np.ndarray]:
+        """Standing seats on open events as ``(events, users)`` arrays."""
+        events: list[int] = []
+        users: list[int] = []
+        for event, record in enumerate(self._events):
+            if record.frozen or record.cancelled:
+                continue
+            holders = self._users_of_event[event]
+            events.extend([event] * len(holders))
+            users.extend(holders)
+        return (
+            np.asarray(events, dtype=np.intp),
+            np.asarray(users, dtype=np.intp),
+        )
+
+    def user_remaining_array(self) -> np.ndarray:
+        """Remaining capacity of every user, as an array."""
+        return np.asarray(self._user_remaining, dtype=np.int64)
+
+    def take_changes(self) -> ChangeLog:
+        """Hand the change log to the caller and start a fresh one."""
+        changes, self.changes = self.changes, ChangeLog()
+        return changes
+
     def best_similarity(self, attributes: tuple[float, ...]) -> float:
         """Best Eq. (1) similarity of a prospective user to any live event.
 
@@ -306,26 +383,74 @@ class ArrangementStore:
         """Packed ``(|U|, d)`` user-attribute matrix (rows append-only)."""
         return self._user_attrs_buf[: len(self._users)]
 
+    def _event_attrs_view(self) -> np.ndarray:
+        """Packed ``(|V|, d)`` event-attribute matrix (rows append-only)."""
+        return self._event_attrs_buf[: len(self._events)]
+
     def _append_user_attrs(self, attributes: tuple[float, ...]) -> None:
-        buf = self._user_attrs_buf
         n = len(self._users)  # the new user is already in self._users
-        if n > buf.shape[0]:
-            grown = np.empty(
-                (max(16, 2 * buf.shape[0], n), buf.shape[1]), dtype=np.float64
-            )
-            grown[: buf.shape[0]] = buf
-            self._user_attrs_buf = buf = grown
-        buf[n - 1] = attributes
+        if n > len(self._user_attrs_buf):
+            self._user_attrs_buf = grown_to(self._user_attrs_buf, (n, self.config.dimension))
+        self._user_attrs_buf[n - 1] = attributes
+
+    def _append_event_attrs(self, attributes: tuple[float, ...]) -> None:
+        n = len(self._events)  # the new event is already in self._events
+        if n > len(self._event_attrs_buf):
+            self._event_attrs_buf = grown_to(self._event_attrs_buf, (n, self.config.dimension))
+        self._event_attrs_buf[n - 1] = attributes
+
+    @property
+    def per_pair_similarity(self) -> bool:
+        """True when a pair's similarity never changes as entities arrive.
+
+        Holds for the tileable metrics; ``dot`` rescales by a peak that
+        moves with every new entity.
+        """
+        return self.config.metric in TILEABLE_METRICS
+
+    def similarities(self) -> np.ndarray:
+        """The read-only ``(|V|, |U|)`` similarity matrix of every entity.
+
+        With a per-pair metric the matrix lives in one buffer that is
+        grown by doubling; a call computes only the rows of events and
+        the columns of users that arrived since the last call. Other
+        metrics are recomputed row by row on every call, as
+        :meth:`sim_row` defines them.
+        """
+        n_events, n_users = len(self._events), len(self._users)
+        if not self.per_pair_similarity:
+            sims = np.zeros((n_events, n_users))
+            for event in range(n_events if n_users else 0):
+                sims[event] = self.sim_row(event)
+            sims.flags.writeable = False
+            return sims
+        rows, cols = self._sims_filled
+        if (rows, cols) != (n_events, n_users):
+            self._sims_buf = buf = grown_to(self._sims_buf, (n_events, n_users))
+            events, users = self._event_attrs_view(), self._user_attrs_view()
+            t, metric = self.config.t, self.config.metric
+            if cols < n_users and rows:
+                buf[:rows, cols:n_users] = similarity_matrix(
+                    events[:rows], users[cols:], t, metric
+                )
+            if rows < n_events and n_users:
+                buf[rows:n_events, :n_users] = similarity_matrix(
+                    events[rows:], users, t, metric
+                )
+            self._sims_filled = (n_events, n_users)
+        view = self._sims_buf[:n_events, :n_users]
+        view.flags.writeable = False
+        return view
 
     def sim(self, event: int, user: int) -> float:
         """Eq. (1) similarity of one live pair.
 
-        Served from the memoised event row when the metric is tileable
-        (one vectorised row compute, then O(1) lookups for every later
-        probe of the same event), else computed pairwise on demand.
+        Served from :meth:`similarities` when the metric is per pair
+        (O(1) lookups once the buffer is filled), else computed pairwise
+        on demand.
         """
-        if self._row_cache is not None:
-            return float(self.sim_row(event)[user])
+        if self.per_pair_similarity:
+            return float(self.similarities()[event, user])
         row = similarity_matrix(
             np.asarray([self._events[event].attributes]),
             np.asarray([self._users[user].attributes]),
@@ -337,18 +462,14 @@ class ArrangementStore:
     def sim_row(self, event: int) -> np.ndarray:
         """Similarities of one event against every registered user.
 
-        Memoised per event over the append-only user set: a repeat call
-        after ``k`` new registrations computes only the ``k``-column
-        suffix tile. The returned row is read-only when cached.
+        A read-only row of :meth:`similarities` when the metric is per
+        pair, so no number of open events makes rows recompute; else
+        computed on demand against the current user set.
         """
         if not self._users:
             return np.zeros(0)
-        if self._row_cache is not None:
-            return self._row_cache.row(
-                event,
-                np.asarray(self._events[event].attributes, dtype=np.float64),
-                self._user_attrs_view(),
-            )
+        if self.per_pair_similarity:
+            return self.similarities()[event]
         return similarity_matrix(
             np.asarray([self._events[event].attributes]),
             np.asarray([u.attributes for u in self._users]),
@@ -491,7 +612,9 @@ class ArrangementStore:
         elif cmd == CMD_REQUEST_ASSIGNMENT:
             self.requests_seen += 1
         elif cmd == CMD_FREEZE_EVENT:
-            self._events[self._checked_event(record)].frozen = True
+            event = self._checked_event(record)
+            self._events[event].frozen = True
+            self.changes.events.add(event)
         elif cmd == CMD_CANCEL_EVENT:
             self._apply_cancel(record)
         elif cmd == CMD_COMMIT_BATCH:
@@ -523,6 +646,7 @@ class ArrangementStore:
                 conflicts=conflicts,
             )
         )
+        self._append_event_attrs(self._events[event].attributes)
         self._users_of_event.append(set())
         self._event_remaining.append(int(record["capacity"]))
         for other in conflicts:
@@ -545,14 +669,15 @@ class ArrangementStore:
             raise JournalError(f"cancel of non-open event {event}")
         # Deterministically derived from state -- the record does not
         # (and must not) carry the seat list.
-        for user in sorted(self._users_of_event[event]):
-            self._unassign(event, user)
+        self._release_seats(event)
         live.cancelled = True
 
     def _apply_commit_batch(self, record: dict) -> None:
         delta = Delta.from_json(record)
         self.apply_delta(delta, _strict=JournalError)
         self.batches_committed += 1
+        self.changes.events.update(e for e, _ in delta.assigns)
+        self.changes.events.update(e for e, _ in delta.unassigns)
 
     def _apply_retire_event(self, record: dict) -> None:
         """Tombstone an event after its state migrated to another shard.
@@ -568,10 +693,18 @@ class ArrangementStore:
         live = self._events[event]
         if live.cancelled:
             raise JournalError(f"retire of already-retired event {event}")
-        for user in sorted(self._users_of_event[event]):
-            self._unassign(event, user)
+        self._release_seats(event)
         live.frozen = False
         live.cancelled = True
+        self.changes.retired = True
+
+    def _release_seats(self, event: int) -> None:
+        """Unassign every seat of ``event`` and log the change."""
+        holders = sorted(self._users_of_event[event])
+        for user in holders:
+            self._unassign(event, user)
+        self.changes.events.add(event)
+        self.changes.users.update(holders)
 
     def _apply_retire_user(self, record: dict) -> None:
         """Tombstone a migrated user: capacity drops to zero.
@@ -662,7 +795,7 @@ class ArrangementStore:
         if not self._events or not self._users:
             return np.zeros((len(self._events), len(self._users)))
         return similarity_matrix(
-            np.asarray([e.attributes for e in self._events]),
+            self._event_attrs_view(),
             self._user_attrs_view(),
             self.config.t,
             self.config.metric,
@@ -677,19 +810,10 @@ class ArrangementStore:
         capacities = [
             0 if e.cancelled else e.capacity for e in self._events
         ]
-        conflicts = ConflictGraph(
-            len(self._events),
-            [
-                (a, b)
-                for a, event in enumerate(self._events)
-                for b in event.conflicts
-                if a < b
-            ],
-        )
         return Instance(
             np.asarray(capacities, dtype=np.int64),
             np.asarray([u.capacity for u in self._users], dtype=np.int64),
-            conflicts,
+            self.conflict_graph(range(len(self._events))),
             sims=self._sims_matrix(),
             validate=False,
         )
@@ -798,6 +922,7 @@ class ArrangementStore:
                         conflicts={int(v) for v in entry["conflicts"]},
                     )
                 )
+                store._append_event_attrs(store._events[-1].attributes)
                 store._users_of_event.append(set())
                 store._event_remaining.append(int(entry["capacity"]))
             for entry in state["users"]:

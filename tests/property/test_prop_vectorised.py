@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from repro.core.algorithms.neighbors import _chunked_descending
 from repro.core.similarity import (
-    SimilarityRowCache,
     similarity_matrix,
     similarity_tiles,
     top_k_descending,
 )
 from repro.flow.dense_bipartite import DenseBipartiteMinCostFlow
 from repro.flow.reference import ReferenceBipartiteMinCostFlow
+from repro.service.store import ArrangementStore, StoreConfig
 
 _METRICS = st.sampled_from(["euclidean", "cosine"])
 
@@ -56,19 +56,35 @@ def test_tiles_equal_full_matrix_blocks(attrs, metric, data):
 
 @settings(max_examples=40, deadline=None)
 @given(attribute_sets(), _METRICS, st.data())
-def test_row_cache_suffix_extension_is_bit_identical(attrs, metric, data):
-    # Serve a row over a user prefix, append the rest, serve again: the
-    # extended row (prefix kept + suffix tile) must equal a from-scratch
-    # full row exactly.
+def test_store_similarity_buffer_growth_is_bit_identical(attrs, metric, data):
+    # Fill the store's buffer over a prefix of both entity sets, add the
+    # rest, fill again: the grown buffer (old block kept + new rows and
+    # columns) must equal a from-scratch full matrix exactly.
     event_attrs, user_attrs = attrs
-    nu = user_attrs.shape[0]
-    prefix = data.draw(st.integers(1, nu), label="prefix")
-    cache = SimilarityRowCache(3.0, metric)
-    cache.row(0, event_attrs[0], user_attrs[:prefix])
-    extended = cache.row(0, event_attrs[0], user_attrs)
-    full = similarity_matrix(event_attrs[:1], user_attrs, 3.0, metric)[0]
-    assert np.array_equal(extended, full)
-    assert not extended.flags.writeable
+    store = ArrangementStore(StoreConfig(dimension=event_attrs.shape[1], t=3.0, metric=metric))
+    seq = 0
+
+    def add(cmd: str, row: np.ndarray) -> None:
+        nonlocal seq
+        seq += 1
+        store.apply({"seq": seq, "cmd": cmd, "capacity": 1, "attributes": row.tolist()})
+
+    cut_v = data.draw(st.integers(1, event_attrs.shape[0]), label="cut_v")
+    cut_u = data.draw(st.integers(1, user_attrs.shape[0]), label="cut_u")
+    for row in event_attrs[:cut_v]:
+        add("post_event", row)
+    for row in user_attrs[:cut_u]:
+        add("register_user", row)
+    store.similarities()
+    for row in user_attrs[cut_u:]:
+        add("register_user", row)
+    for row in event_attrs[cut_v:]:
+        add("post_event", row)
+    grown = store.similarities()
+    full = similarity_matrix(event_attrs, user_attrs, 3.0, metric)
+    assert np.array_equal(grown, full)
+    assert not grown.flags.writeable
+    assert np.array_equal(store.sim_row(0), full[0])
 
 
 @st.composite

@@ -1,14 +1,18 @@
 """MicroBatchEngine: batching, admission control, quality guarantees."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
 
+from repro.core.similarity import similarity_matrix
 from repro.exceptions import ServiceError, ServiceOverloadedError
+from repro.robustness.harness import solve_with_ladder
+from repro.service import store as store_module
 from repro.service.engine import MicroBatchEngine, PendingRequest
 from repro.service.frontend import ArrangementService
 from repro.service.journal import replay
-from repro.service.store import StoreConfig
+from repro.service.store import Delta, StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
 
@@ -172,3 +176,172 @@ def test_store_journal_seq_mismatch_is_refused(tmp_path: Path) -> None:
     with pytest.raises(ServiceError, match="does not match"):
         ArrangementService(store, journal, threaded=False)
     journal.close()
+
+
+# ----------------------------------------------------------------------
+# Scoped re-solves: each fallback to the full re-solve
+# ----------------------------------------------------------------------
+
+
+def recording(sizes: list[tuple[int, int]], answer=solve_with_ladder):
+    """A batch solver that records each instance's ``(|V|, |U|)``."""
+
+    def solve(instance, ladder, *, timeout=None):
+        sizes.append((instance.n_events, instance.n_users))
+        return answer(instance, ladder, timeout=timeout)
+
+    return solve
+
+
+def test_unsaturated_user_with_a_cross_similarity_refuses_the_scope(
+    tmp_path: Path,
+) -> None:
+    sizes: list[tuple[int, int]] = []
+    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+        home = service.post_event(1, [1.0, 1.0])
+        hungry = service.register_user(2, [1.0, 1.0])
+        assert service.request_assignment(hungry) == (home,)
+        # A new, unrelated cluster: its scope alone would do, but the
+        # hungry user has capacity left and likes it a little.
+        far = service.post_event(1, [9.0, 9.0])
+        local = service.register_user(1, [9.0, 9.0])
+        assert service.request_assignment(local) == (far,)
+        stats = service.engine.stats
+        assert stats["scope_refused"] == 1 and stats["scoped"] == 0
+        assert sizes == [(1, 1), (1, 1), (2, 2)]  # full, scoped, full again
+
+
+def test_cross_similarity_equal_to_a_home_seat_refuses_the_scope(
+    tmp_path: Path,
+) -> None:
+    sizes: list[tuple[int, int]] = []
+    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+        left = service.post_event(1, [3.0, 5.0])
+        right = service.post_event(1, [7.0, 5.0])
+        torn = service.register_user(1, [5.0, 5.0])  # equidistant
+        assert service.request_assignment(torn) == (left,)  # tie: lower id
+        # ``right``'s cluster is the scope; ``torn`` is full, but its
+        # best pair there ties its seat, so Greedy's order decides.
+        fan = service.register_user(1, [7.0, 5.0])
+        assert service.request_assignment(fan) == (right,)
+        assert service.engine.stats["scope_refused"] == 1
+        assert sizes[-1] == (2, 2)
+
+
+def test_cluster_whose_keep_better_was_rejected_stays_dirty(tmp_path: Path) -> None:
+    sizes: list[tuple[int, int]] = []
+    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+        a = service.post_event(1, [2.0, 5.0])
+        b = service.post_event(1, [4.0, 5.0], conflicts=[a])
+        near = service.register_user(1, [2.9, 5.0])
+        edge = service.register_user(1, [1.0, 5.0])
+        # Seats better than Greedy's (which gives ``a`` to ``near``).
+        service.commit_delta(Delta(assigns=((a, edge), (b, near))), users=[near, edge])
+        service.post_event(1, [9.0, 9.0])
+        corner = service.register_user(1, [9.0, 9.0])
+        service.post_event(1, [1.0, 9.0])
+        other = service.register_user(1, [1.0, 9.0])
+        service.request_assignment(corner)  # first batch: full
+        service.request_assignment(other)
+        kept = service.store.pairs()
+        assert (a, edge) in kept and (b, near) in kept  # Greedy rejected
+        # Only ``corner`` asks again, yet the rejected cluster is
+        # re-solved with it: its seats are not Greedy's.
+        service.request_assignment(corner)
+        assert service.engine.stats["scoped"] == 2
+        assert sizes[-2:] == [(3, 3), (3, 3)]
+        assert service.store.pairs() == kept
+
+
+def test_lower_rung_batch_leaves_its_clusters_dirty(tmp_path: Path) -> None:
+    sizes: list[tuple[int, int]] = []
+    demote = [False]
+
+    def answer(instance, ladder, *, timeout=None):
+        result = solve_with_ladder(instance, ladder, timeout=timeout)
+        if demote[0]:
+            result = dataclasses.replace(result, solver=ladder[1])
+        return result
+
+    with sync_service(tmp_path, batch_solver=recording(sizes, answer)) as service:
+        users = []
+        for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
+            service.post_event(1, corner)
+            users.append(service.register_user(1, corner))
+        for user in users:
+            service.request_assignment(user)
+        demote[0] = True
+        service.request_assignment(users[0])  # answered by random-u's rung
+        demote[0] = False
+        service.request_assignment(users[1])
+        assert sizes[-2:] == [(1, 1), (2, 2)]
+        assert service.engine.stats["scoped"] == len(sizes) - 1
+
+
+def test_other_first_rungs_always_resolve_everything(tmp_path: Path) -> None:
+    sizes: list[tuple[int, int]] = []
+    with sync_service(
+        tmp_path, ladder=("mincostflow", "greedy"), batch_solver=recording(sizes)
+    ) as service:
+        for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
+            service.post_event(1, corner)
+            service.request_assignment(service.register_user(1, corner))
+        assert sizes == [(1, 1), (2, 2), (3, 3)]
+        assert service.engine.stats == {
+            "batches": 3, "scoped": 0, "full": 3, "scope_refused": 0
+        }
+
+
+def test_rescaled_similarities_always_resolve_everything(tmp_path: Path) -> None:
+    # ``dot`` rescales by a peak that moves as entities arrive, so a
+    # clean cluster's similarities do not stay put.
+    config = StoreConfig(dimension=2, t=10.0, metric="dot")
+    sizes: list[tuple[int, int]] = []
+    with ArrangementService.create(
+        tmp_path / "j.jsonl", config, threaded=False, batch_solver=recording(sizes)
+    ) as service:
+        for corner in ([1.0, 2.0], [9.0, 8.0], [2.0, 9.0]):
+            service.post_event(1, corner)
+            service.request_assignment(service.register_user(1, corner))
+        assert sizes == [(1, 1), (2, 2), (3, 3)]
+        assert service.engine.stats["scoped"] == 0
+        service.check_invariants()
+
+
+def test_first_batch_after_recover_is_full(tmp_path: Path) -> None:
+    with sync_service(tmp_path) as service:
+        users = []
+        for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
+            service.post_event(1, corner)
+            users.append(service.register_user(1, corner))
+            service.request_assignment(users[-1])
+        assert service.engine.stats["scoped"] == 2
+    sizes: list[tuple[int, int]] = []
+    with ArrangementService.recover(
+        tmp_path / "j.jsonl", threaded=False, batch_solver=recording(sizes)
+    ) as service:
+        service.request_assignment(users[0])
+        service.request_assignment(users[1])
+        assert sizes == [(3, 3), (1, 1)]
+        assert service.engine.stats["full"] == 1
+
+
+def test_rows_do_not_recompute_past_the_old_row_cache_size(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    shapes: list[tuple[int, ...]] = []
+
+    def spy(*args, **kwargs):
+        result = similarity_matrix(*args, **kwargs)
+        shapes.append(result.shape)
+        return result
+
+    with sync_service(tmp_path) as service:
+        for k in range(300):
+            service.post_event(1, [k / 30.0, 5.0])
+        service.request_assignment(service.register_user(1, [1.0, 5.0]))
+        monkeypatch.setattr(store_module, "similarity_matrix", spy)
+        user = service.register_user(1, [2.0, 5.0])
+        service.request_assignment(user)
+        # One (300 x 1) tile for the new user; no row is recomputed.
+        assert shapes == [(300, 1)]

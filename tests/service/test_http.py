@@ -185,3 +185,41 @@ def test_malformed_fields_are_400_on_both_backends(
         server.server_close()
         backend.close()
         thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_state_reports_the_engine_block_on_both_backends(
+    tmp_path: Path, sharded: bool
+) -> None:
+    backend = (
+        ShardCoordinator.create(tmp_path / "fleet", CONFIG, 2, threaded=False)
+        if sharded
+        else ArrangementService.create(tmp_path / "j.jsonl", CONFIG, batch_ms=1.0)
+    )
+    server = make_server(backend)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    base = f"http://127.0.0.1:{server.port}"
+    try:
+        corners = ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0], [9.0, 1.0])
+        for corner in corners:
+            call(base, "POST", "/events", {"capacity": 1, "attributes": corner})
+        for corner in corners:
+            user = call(base, "POST", "/users", {"capacity": 1, "attributes": corner})
+            call(base, "POST", "/assignments", {"user": user["user"]})
+        state = call(base, "GET", "/state")
+        engine = state["engine"]
+        assert set(engine) == {"batches", "scoped", "full", "scope_refused", "last_outcome"}
+        # An engine's first batch is full; later ones need one corner.
+        assert engine["batches"] == engine["scoped"] + engine["full"] == 4
+        assert engine["scoped"] >= 2
+        assert engine["last_outcome"] == "optimal"
+        if sharded:
+            rows = [row["engine"] for row in state["sharding"]["per_shard"]]
+            for key in ("batches", "scoped", "full", "scope_refused"):
+                assert engine[key] == sum(row[key] for row in rows)
+    finally:
+        server.shutdown()
+        server.server_close()
+        backend.close()
+        thread.join(timeout=10)

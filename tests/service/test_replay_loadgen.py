@@ -109,3 +109,18 @@ def test_cli_replay_sharded_verifies_every_journal(tmp_path: Path, capsys) -> No
     assert code == 0, out
     assert "replay verified" in out
     assert "sharding: 2 shards" in out
+
+
+def test_one_shard_replay_scopes_every_batch_after_the_first(tmp_path: Path) -> None:
+    """Tripwire: a refactor that makes every batch fall back to the full
+    re-solve passes every exactness test; this catches it."""
+    from repro.service.sharding import shardable_instance, shardable_timeline
+
+    instance = shardable_instance(8, 3, 12)
+    report = replay_timeline(
+        instance, shardable_timeline(instance), tmp_path / "fleet", shards=1
+    )
+    assert report.engine is not None
+    assert report.engine["batches"] == report.n_requests
+    assert report.engine["scoped"] == report.engine["batches"] - 1
+    assert f"scoped={report.n_requests - 1}/{report.n_requests}" in report.render()
