@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-robustness lint typecheck check bench bench-check bench-figures bench-figures-smoke bench-figures-paper examples report clean
+.PHONY: install test test-robustness smoke lint typecheck check bench bench-check bench-check-xl bench-selftest bench-figures bench-figures-smoke bench-figures-paper examples report clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -15,6 +15,11 @@ test:
 # The anytime-harness fault-injection suite on its own (CI smoke step).
 test-robustness:
 	$(PYTHON) -m pytest tests/robustness -q
+
+# Serve (single service + 4-shard fleet), kill -9, recover (CI's
+# service-smoke job).
+smoke:
+	PYTHONPATH=src $(PYTHON) -m repro.service.smoke
 
 # src gets the full rule set; tests get the scope-agnostic rules only
 # (the tests tree legitimately uses exact float comparisons, terse
@@ -34,7 +39,7 @@ typecheck:
 		echo "mypy not installed; run: pip install -e '.[lint]'"; \
 	fi
 
-check: lint typecheck test
+check: lint typecheck test bench-selftest
 
 # Regenerate the tracked solver baseline, both tiers (commit the result).
 # Each invocation rewrites only its own tier in the JSON and preserves
@@ -54,6 +59,11 @@ bench-check:
 bench-check-xl:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scale xl --quick \
 		--output BENCH_solvers.current.json --compare BENCH_solvers.json
+
+# The end-to-end benchmark's self-test at smoke sizes (CI's step that
+# catches src/ renames bench/ depends on).
+bench-selftest:
+	$(PYTHON) -m pytest bench -q
 
 # pytest-benchmark micro-benchmarks (figure-level timings).
 bench-figures:

@@ -30,7 +30,6 @@ from repro.parallel.executor import (
     run_cell_groups,
 )
 from repro.parallel.maplib import parallel_map, thread_map
-from repro.parallel.shardsolve import solve_shard_batch
 from repro.parallel.sharedmem import (
     SharedInstanceArchive,
     SharedInstanceHandle,
@@ -45,6 +44,5 @@ __all__ = [
     "default_jobs",
     "parallel_map",
     "run_cell_groups",
-    "solve_shard_batch",
     "thread_map",
 ]

@@ -29,7 +29,7 @@ import threading
 import time
 import weakref
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -44,17 +44,6 @@ from repro.service.store import ArrangementStore, Delta
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.frontend import ArrangementService
 
-
-class BatchSolver(Protocol):
-    """The solver signature a batch engine drives (ladder-compatible)."""
-
-    def __call__(
-        self,
-        instance: Instance,
-        ladder: Sequence[object],
-        *,
-        timeout: float | None = None,
-    ) -> SolveResult: ...
 
 #: Default micro-batch coalescing window.
 DEFAULT_BATCH_MS = 25.0
@@ -79,10 +68,13 @@ class PendingRequest:
     The engine resolves it with the user's standing event list after
     the batch containing it commits; :attr:`latency_s` is the submit ->
     resolve wall time (what ``geacc replay`` aggregates into
-    percentiles).
+    percentiles). A shard sets :attr:`global_ids`, its local -> global
+    event map, so :meth:`wait` answers in the fleet's ids.
     """
 
-    __slots__ = ("user", "submitted_at", "resolved_at", "events", "error", "_done")
+    __slots__ = (
+        "user", "submitted_at", "resolved_at", "events", "error", "global_ids", "_done"
+    )
 
     def __init__(self, user: int) -> None:
         self.user = user
@@ -90,6 +82,7 @@ class PendingRequest:
         self.resolved_at: float | None = None
         self.events: tuple[int, ...] | None = None
         self.error: Exception | None = None
+        self.global_ids: Sequence[int] | None = None
         self._done = threading.Event()
 
     def resolve(self, events: tuple[int, ...]) -> None:
@@ -112,7 +105,9 @@ class PendingRequest:
         if self.error is not None:
             raise self.error
         assert self.events is not None
-        return self.events
+        if self.global_ids is None:
+            return self.events
+        return tuple(sorted(self.global_ids[e] for e in self.events))
 
     @property
     def done(self) -> bool:
@@ -147,11 +142,6 @@ class MicroBatchEngine:
         solve_timeout: Per-batch ladder deadline (seconds).
         max_pending: Admission-control queue bound.
         ladder: Solver names for :func:`solve_with_ladder`, best first.
-        solver: Optional replacement for :func:`solve_with_ladder` with
-            the same ``(instance, ladder, *, timeout)`` signature. The
-            shard coordinator injects
-            :func:`repro.parallel.shardsolve.solve_shard_batch` here so
-            shard batches solve over zero-copy shared-memory views.
     """
 
     def __init__(
@@ -161,7 +151,6 @@ class MicroBatchEngine:
         solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
         max_pending: int = DEFAULT_MAX_PENDING,
         ladder: tuple[str, ...] = DEFAULT_LADDER,
-        solver: "BatchSolver | None" = None,
     ) -> None:
         if batch_ms < 0:
             raise ServiceError(f"batch_ms must be >= 0, got {batch_ms}")
@@ -177,7 +166,6 @@ class MicroBatchEngine:
         self.solve_timeout = solve_timeout
         self.max_pending = max_pending
         self.ladder = tuple(ladder)
-        self._solve = solver if solver is not None else solve_with_ladder
         self.batches_solved = 0
         self.requests_served = 0
         self.last_outcome: str | None = None
@@ -237,6 +225,12 @@ class MicroBatchEngine:
         with self._cond:
             self._dirty = True
             self._cond.notify_all()
+
+    @property
+    def dirty(self) -> bool:
+        """True while a :meth:`mark_dirty` waits for its batch."""
+        with self._cond:
+            return self._dirty
 
     # ------------------------------------------------------------------
     # The batch loop
@@ -459,7 +453,7 @@ class MicroBatchEngine:
             sims=remainder.sims[np.ix_(events, users)],
             validate=False,
         )
-        result = self._solve(instance, self.ladder, timeout=self.solve_timeout)
+        result = solve_with_ladder(instance, self.ladder, timeout=self.solve_timeout)
         if result.arrangement is None:
             return result, None
         pairs = np.asarray(result.arrangement.pairs(), dtype=np.intp).reshape(-1, 2)

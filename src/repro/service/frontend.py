@@ -29,7 +29,6 @@ from repro.service.engine import (
     DEFAULT_LADDER,
     DEFAULT_MAX_PENDING,
     DEFAULT_SOLVE_TIMEOUT,
-    BatchSolver,
     MicroBatchEngine,
     PendingRequest,
 )
@@ -83,7 +82,6 @@ class ArrangementService:
         snapshot_dir: str | Path | None = None,
         retain: int = DEFAULT_RETAIN,
         compact_bytes: int | None = None,
-        batch_solver: "BatchSolver | None" = None,
     ) -> None:
         if store.seq != journal.seq:
             raise ServiceError(
@@ -108,7 +106,6 @@ class ArrangementService:
             solve_timeout=solve_timeout,
             max_pending=max_pending,
             ladder=ladder,
-            solver=batch_solver,
         )
         self._threaded = threaded
         self._closed = False

@@ -42,12 +42,12 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections.abc import Iterable
 from contextlib import ExitStack
 from pathlib import Path
 
 from repro.exceptions import JournalError, ServiceError
 from repro.parallel.maplib import thread_map
-from repro.parallel.shardsolve import solve_shard_batch
 from repro.service.engine import (
     DEFAULT_BATCH_MS,
     DEFAULT_LADDER,
@@ -84,11 +84,7 @@ class ShardCoordinator:
     Build with :meth:`create` (fresh shard root), :meth:`recover`
     (existing root -> reconstructed routing), or :meth:`open` (either).
     ``threaded=False`` drives every shard synchronously from the caller
-    (deterministic replay and tests); ``shared_solve`` routes shard
-    batches through :func:`~repro.parallel.shardsolve.solve_shard_batch`
-    (default: enabled exactly when threaded, so concurrent engine
-    threads solve zero-copy and the synchronous path stays allocation
-    free).
+    (deterministic replay and tests).
     """
 
     def __init__(
@@ -116,31 +112,6 @@ class ShardCoordinator:
     # Construction
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _service_kwargs(
-        *,
-        threaded: bool,
-        batch_ms: float,
-        solve_timeout: float,
-        max_pending: int,
-        ladder: tuple[str, ...],
-        retain: int,
-        compact_bytes: int | None,
-        shared_solve: bool | None,
-    ) -> dict:
-        if shared_solve is None:
-            shared_solve = threaded
-        return {
-            "threaded": threaded,
-            "batch_ms": batch_ms,
-            "solve_timeout": solve_timeout,
-            "max_pending": max_pending,
-            "ladder": ladder,
-            "retain": retain,
-            "compact_bytes": compact_bytes,
-            "batch_solver": solve_shard_batch if shared_solve else None,
-        }
-
     @classmethod
     def create(
         cls,
@@ -156,14 +127,13 @@ class ShardCoordinator:
         ladder: tuple[str, ...] = DEFAULT_LADDER,
         retain: int = DEFAULT_RETAIN,
         compact_bytes: int | None = None,
-        shared_solve: bool | None = None,
     ) -> "ShardCoordinator":
         """Create a fresh shard fleet under ``root``."""
         root = Path(root)
         if not fs.exists(root):
             fs.mkdir(root)
         manifest = ShardManifest.create(root / MANIFEST_NAME, config, shards, fs=fs)
-        kwargs = cls._service_kwargs(
+        kwargs = dict(
             threaded=threaded,
             batch_ms=batch_ms,
             solve_timeout=solve_timeout,
@@ -171,7 +141,6 @@ class ShardCoordinator:
             ladder=ladder,
             retain=retain,
             compact_bytes=compact_bytes,
-            shared_solve=shared_solve,
         )
         managers = [
             ShardManager.create(root, shard, config, fs=fs, **kwargs)
@@ -192,7 +161,6 @@ class ShardCoordinator:
         ladder: tuple[str, ...] = DEFAULT_LADDER,
         retain: int = DEFAULT_RETAIN,
         compact_bytes: int | None = None,
-        shared_solve: bool | None = None,
     ) -> "ShardCoordinator":
         """Restart a shard fleet from its root directory.
 
@@ -207,7 +175,7 @@ class ShardCoordinator:
         root = Path(root)
         manifest, entries = ShardManifest.load(root / MANIFEST_NAME, fs=fs)
         config = manifest.config
-        kwargs = cls._service_kwargs(
+        kwargs = dict(
             threaded=threaded,
             batch_ms=batch_ms,
             solve_timeout=solve_timeout,
@@ -215,7 +183,6 @@ class ShardCoordinator:
             ladder=ladder,
             retain=retain,
             compact_bytes=compact_bytes,
-            shared_solve=shared_solve,
         )
 
         def recover_one(shard: int) -> ShardManager:
@@ -261,8 +228,9 @@ class ShardCoordinator:
         an entry whose shard journal never saw the command is the
         write-ahead overhang -- legal only at the very tail (mutations
         are globally serialised), where it is dropped and the manifest
-        rewritten. Rebalance entries are *redone* idempotently from
-        their payload, finishing any migration the crash interrupted.
+        rewritten. Rebalance entries are applied again from their
+        payload (:meth:`_apply_rebalance`), finishing any migration the
+        crash interrupted.
         """
         managers = self.managers
         expected_events = [0] * len(managers)
@@ -273,7 +241,7 @@ class ShardCoordinator:
             last = index == len(entries) - 1
             kind = entry["kind"]
             if kind == "rebalance":
-                self._redo_rebalance(entry, expected_events, expected_users)
+                self._apply_rebalance(entry, expected_events, expected_users)
                 kept.append(entry)
                 self.rebalances += 1
                 self.last_rebalance = self._rebalance_summary(entry)
@@ -350,24 +318,49 @@ class ShardCoordinator:
                     ],
                 )
 
-    def _redo_rebalance(
+    def _apply_rebalance(
         self,
         entry: dict,
-        expected_events: list[int],
-        expected_users: list[int],
+        placed_events: list[int],
+        placed_users: list[int],
     ) -> None:
-        """Idempotently finish the migration a rebalance entry records.
+        """Migrate what a rebalance entry records: the one migration path.
 
-        Every step checks whether its effect already exists (the shard
-        journals survived the crash) before re-issuing the command, so
-        a migration interrupted at *any* point -- after the manifest
-        append, mid-import, mid-retire -- converges to the same state.
+        The live rebalance runs it right after appending the entry;
+        recovery runs it for every rebalance entry in the manifest.
+        ``placed_events``/``placed_users`` count each shard's bound local
+        slots (the target's advance as the movers bind). The involved
+        shards' state locks are held throughout, so no batch -- not even
+        a recovered fleet's engine thread -- runs mid-migration. Every
+        step checks whether its effect already exists before issuing
+        its command, so a migration interrupted at *any* point (after
+        the manifest append, mid-import, mid-retire) and one applied
+        twice converge to the same state.
+        """
+        involved = {int(entry["target"]), *(int(m["shard"]) for m in entry["moves"])}
+        with self._shard_locks(involved):
+            self._migrate(entry, placed_events, placed_users)
+
+    def _migrate(
+        self,
+        entry: dict,
+        placed_events: list[int],
+        placed_users: list[int],
+    ) -> None:
+        """:meth:`_apply_rebalance`'s steps, per move in journal order.
+
+        The target posts the events open (conflicts bind to movers
+        already posted, symmetry fills the rest), registers the users,
+        commits the seats as one ``commit_batch`` delta and replays the
+        lifecycle flags (a cancelled event never held seats, a frozen
+        one gets its seats before freezing); the source then retires
+        the events, releasing every seat, and the now seatless users.
         """
         target_id = int(entry["target"])
         target = self.managers[target_id]
         if (
-            int(entry["target_events_before"]) != expected_events[target_id]
-            or int(entry["target_users_before"]) != expected_users[target_id]
+            int(entry["target_events_before"]) != placed_events[target_id]
+            or int(entry["target_users_before"]) != placed_users[target_id]
         ):
             raise JournalError(
                 f"rebalance entry {entry.get('n')} disagrees with shard "
@@ -383,7 +376,7 @@ class ShardCoordinator:
                         f"rebalance entry {entry.get('n')} moves unplaced "
                         f"event {gid}"
                     )
-                local = expected_events[target_id]
+                local = placed_events[target_id]
                 if local < target.store.n_events:
                     target.bind_event(gid, local)
                 else:
@@ -395,7 +388,7 @@ class ShardCoordinator:
                     )
                 posted.add(gid)
                 self._event_shard[gid] = target_id
-                expected_events[target_id] += 1
+                placed_events[target_id] += 1
             for spec in move["users"]:
                 gid = int(spec["gid"])
                 if not 0 <= gid < len(self._user_shard):
@@ -403,7 +396,7 @@ class ShardCoordinator:
                         f"rebalance entry {entry.get('n')} moves unplaced "
                         f"user {gid}"
                     )
-                local = expected_users[target_id]
+                local = placed_users[target_id]
                 if local < target.store.n_users:
                     target.bind_user(gid, local)
                 else:
@@ -413,35 +406,34 @@ class ShardCoordinator:
                         [float(x) for x in spec["attributes"]],
                     )
                 self._user_shard[gid] = target_id
-                expected_users[target_id] += 1
+                placed_users[target_id] += 1
             pairs = [(int(e), int(u)) for e, u in move["assignments"]]
-            if pairs:
-                probe_event = target.local_event(pairs[0][0])
-                probe_user = target.local_user(pairs[0][1])
-                if probe_user not in target.store.users_of(probe_event):
-                    delta = Delta(
-                        assigns=tuple(
-                            sorted(
-                                (target.local_event(e), target.local_user(u))
-                                for e, u in pairs
-                            )
+            if pairs and not _seats_landed(target, source, move):
+                delta = Delta(
+                    assigns=tuple(
+                        sorted(
+                            (target.local_event(e), target.local_user(u))
+                            for e, u in pairs
                         )
                     )
-                    target.service.commit_delta(
-                        delta, users=[target.local_user(u) for _, u in pairs]
-                    )
+                )
+                target.service.commit_delta(
+                    delta, users=[target.local_user(u) for _, u in pairs]
+                )
             for spec in move["events"]:
-                local = target.local_event(int(spec["gid"]))
+                gid = int(spec["gid"])
+                local = target.local_event(gid)
                 if spec["frozen"] and not target.store.is_frozen(local):
-                    target.service.freeze_event(local)
+                    target.freeze_event(gid)
                 elif spec["cancelled"] and not target.store.is_cancelled(local):
-                    target.service.cancel_event(local)
+                    target.cancel_event(gid)
             for spec in move["events"]:
                 gid = int(spec["gid"])
                 if source.owns_event(gid):
                     local = source.local_event(gid)
                     if not source.store.is_cancelled(local):
                         source.service.retire_event(local)
+                        source.service.engine.mark_dirty()
                     source.unbind_event(gid)
             for spec in move["users"]:
                 gid = int(spec["gid"])
@@ -464,6 +456,13 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # Routing helpers
     # ------------------------------------------------------------------
+
+    def _shard_locks(self, shards: Iterable[int]) -> ExitStack:
+        """Hold the state locks of ``shards`` (ascending, so no deadlock)."""
+        stack = ExitStack()
+        for shard in sorted(shards):
+            stack.enter_context(self.managers[shard].service._lock)
+        return stack
 
     def _check_open(self) -> None:
         if self._closed:
@@ -560,11 +559,12 @@ class ShardCoordinator:
         """Ask the owning shard's engine to (re)arrange ``user``.
 
         In synchronous mode the caller's thread first re-solves any
-        *other* shard a mutation left stale (the unsharded engine would
-        have re-solved those components in the same batch), then drives
-        the owning shard's batch. Returns the user's standing events as
-        global ids (``wait=True``) or the shard-local
-        :class:`~repro.service.engine.PendingRequest` (``wait=False``).
+        *other* shard whose engine a mutation left dirty (the unsharded
+        engine would have re-solved those components in the same batch),
+        then drives the owning shard's batch. Returns the user's
+        standing events as global ids (``wait=True``) or a
+        :class:`~repro.service.engine.PendingRequest` whose ``wait``
+        gives them (``wait=False``).
         """
         with self._lock:
             self._check_open()
@@ -573,17 +573,17 @@ class ShardCoordinator:
             stale = (
                 []
                 if self._threaded
-                else [m for m in self.managers if m is not manager and m.dirty]
+                else [
+                    m
+                    for m in self.managers
+                    if m is not manager and m.service.engine.dirty
+                ]
             )
         if not self._threaded:
             for other in stale:
-                other.resolve_if_dirty()
+                other.service.run_pending_batch()
             manager.service.run_pending_batch()
-        if not wait:
-            return request
-        request.wait(timeout)
-        with self._lock:
-            return manager.events_of(user)
+        return request.wait(timeout) if wait else request
 
     def freeze_event(self, event: int) -> None:
         with self._lock:
@@ -597,11 +597,7 @@ class ShardCoordinator:
 
     def run_pending_batch(self) -> int:
         """Drive one batch on every shard synchronously (tests, replay)."""
-        total = 0
-        for manager in self.managers:
-            manager.dirty = False
-            total += manager.service.run_pending_batch()
-        return total
+        return sum(manager.service.run_pending_batch() for manager in self.managers)
 
     # ------------------------------------------------------------------
     # Rebalancing (the one cross-shard mutation)
@@ -614,9 +610,9 @@ class ShardCoordinator:
         already holding the most moving events as the target, drain the
         involved shards, take their state locks, write one manifest
         ``rebalance`` entry carrying the complete redo payload, then
-        migrate -- import on the target, tombstone on each source. A
-        crash anywhere in the tail is finished by
-        :meth:`_redo_rebalance` on recovery.
+        apply it through :meth:`_apply_rebalance` -- the same function
+        recovery applies it with, so a crash anywhere in the tail is
+        finished exactly as the live run would have.
         """
         managers = self.managers
         members = self.partitioner.components()
@@ -627,10 +623,7 @@ class ShardCoordinator:
         target = max(sorted(involved), key=lambda s: involved[s])
         for shard in sorted(involved):
             managers[shard].service.run_pending_batch()
-        with ExitStack() as stack:
-            for shard in sorted(involved):
-                stack.enter_context(managers[shard].service._lock)
-            target_manager = managers[target]
+        with self._shard_locks(involved):
             moves = []
             for comp in sorted(components):
                 source_id = self._event_shard[comp]
@@ -651,24 +644,16 @@ class ShardCoordinator:
                 "rebalance",
                 {
                     "target": target,
-                    "target_events_before": len(target_manager.events_g),
-                    "target_users_before": len(target_manager.users_g),
+                    "target_events_before": len(managers[target].events_g),
+                    "target_users_before": len(managers[target].users_g),
                     "moves": moves,
                 },
             )
-            for move in moves:
-                source = managers[move["shard"]]
-                target_manager.import_component(
-                    move["events"], move["users"], move["assignments"]
-                )
-                for spec in move["events"]:
-                    self._event_shard[spec["gid"]] = target
-                for spec in move["users"]:
-                    self._user_shard[spec["gid"]] = target
-                source.retire_component(
-                    [spec["gid"] for spec in move["events"]],
-                    [spec["gid"] for spec in move["users"]],
-                )
+            self._apply_rebalance(
+                entry,
+                [len(manager.events_g) for manager in managers],
+                [len(manager.users_g) for manager in managers],
+            )
         self.rebalances += 1
         self.last_rebalance = self._rebalance_summary(entry)
         return target
@@ -751,9 +736,7 @@ class ShardCoordinator:
         across sharded and unsharded runs is the sharding equivalence
         contract.
         """
-        with self._lock, ExitStack() as stack:
-            for manager in self.managers:
-                stack.enter_context(manager.service._lock)
+        with self._lock, self._shard_locks(range(len(self.managers))):
             events = []
             event_remaining = []
             for gid, shard in enumerate(self._event_shard):
@@ -875,3 +858,21 @@ class ShardCoordinator:
             f"ShardCoordinator({self.root}, shards={len(self.managers)}, "
             f"events={len(self._event_shard)}, users={len(self._user_shard)})"
         )
+
+
+def _seats_landed(target: ShardManager, source: ShardManager, move: dict) -> bool:
+    """Whether a rebalance move's seat delta is already on the target.
+
+    The source retires the moved users only after the target committed
+    their seats. Until then nothing but the migration has touched those
+    seats (it holds both shards' locks), so one pair tells; from then on
+    later batches may have moved them, and the retire is the answer.
+    """
+    first = int(move["users"][0]["gid"])
+    if not source.owns_user(first):
+        return True  # retired by this process
+    if source.store.user_capacity(source.local_user(first)) == 0:
+        return True  # retired before the crash
+    event, user = move["assignments"][0]
+    seated = target.store.users_of(target.local_event(int(event)))
+    return target.local_user(int(user)) in seated

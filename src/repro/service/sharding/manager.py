@@ -32,7 +32,6 @@ from repro.service.store import (
     CMD_POST_EVENT,
     CMD_REGISTER_USER,
     ArrangementStore,
-    Delta,
     StoreConfig,
 )
 
@@ -53,9 +52,6 @@ class ShardManager:
         #: Entities tombstoned out of this shard by a rebalance.
         self.retired_events = 0
         self.retired_users = 0
-        #: True when a mutation invalidated the standing arrangement and
-        #: no batch has re-solved it yet (the coordinator's drain set).
-        self.dirty = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -248,7 +244,6 @@ class ShardManager:
         local_conflicts = [self.local_event(g) for g in conflict_gids]
         local = self.service.post_event(capacity, attributes, local_conflicts)
         self.bind_event(gid, local)
-        self.dirty = True
         self.service.engine.mark_dirty()
         return local
 
@@ -260,27 +255,22 @@ class ShardManager:
         return local
 
     def request_assignment(self, gid: int) -> PendingRequest:
-        """Admit + journal an assignment request; never blocks."""
-        self.dirty = False  # the coming batch re-solves this shard anyway
+        """Admit + journal an assignment request; never blocks.
+
+        The future answers in global event ids.
+        """
         result = self.service.request_assignment(self.local_user(gid), wait=False)
         assert isinstance(result, PendingRequest)
+        result.global_ids = self.events_g
         return result
 
     def freeze_event(self, gid: int) -> None:
         self.service.freeze_event(self.local_event(gid))
-        self.dirty = True
         self.service.engine.mark_dirty()
 
     def cancel_event(self, gid: int) -> None:
         self.service.cancel_event(self.local_event(gid))
-        self.dirty = True
         self.service.engine.mark_dirty()
-
-    def resolve_if_dirty(self) -> None:
-        """Synchronously re-solve when a mutation left the shard stale."""
-        if self.dirty:
-            self.dirty = False
-            self.service.run_pending_batch()
 
     def events_of(self, gid: int) -> tuple[int, ...]:
         """The user's standing events, as sorted global ids."""
@@ -295,7 +285,7 @@ class ShardManager:
             return self.store.best_similarity(attributes)
 
     # ------------------------------------------------------------------
-    # Migration (the rebalance protocol's two sides)
+    # Migration (the rebalance protocol's export side)
     # ------------------------------------------------------------------
 
     def export_component(
@@ -351,99 +341,17 @@ class ShardManager:
         ]
         return events, users, sorted(assignments)
 
-    def import_component(
-        self,
-        events: list[dict],
-        users: list[dict],
-        assignments: list[list[int]],
-    ) -> None:
-        """Target side of a migration: recreate state from the payload.
-
-        Order matters and is re-runnable by recovery: events are posted
-        open (conflicts bind to already-posted movers only, symmetry
-        fills the rest), users registered, seats committed as one
-        ``commit_batch`` delta, and only then are lifecycle flags
-        (freeze/cancel) replayed -- a cancelled event never held seats,
-        a frozen one gets its seats before freezing.
-        """
-        posted: set[int] = set()
-        for entry in events:
-            gid = int(entry["gid"])
-            self.post_event(
-                gid,
-                int(entry["capacity"]),
-                [float(x) for x in entry["attributes"]],
-                [g for g in entry["conflicts"] if g in posted],
-            )
-            posted.add(gid)
-        for entry in users:
-            self.register_user(
-                int(entry["gid"]),
-                int(entry["capacity"]),
-                [float(x) for x in entry["attributes"]],
-            )
-        delta = Delta(
-            assigns=tuple(
-                sorted(
-                    (self.local_event(e), self.local_user(u))
-                    for e, u in assignments
-                )
-            )
-        )
-        self.service.commit_delta(
-            delta, users=[self.local_user(u) for _, u in assignments]
-        )
-        for entry in events:
-            if entry["frozen"]:
-                self.freeze_event(int(entry["gid"]))
-            elif entry["cancelled"]:
-                self.cancel_event(int(entry["gid"]))
-
-    def retire_component(self, event_gids: list[int], user_gids: list[int]) -> None:
-        """Source side of a migration: tombstone everything that moved.
-
-        Events retire first (releasing every seat, including frozen
-        ones) so the mover users are seatless by the time they retire.
-        A mover that was already cancelled needs no retire command --
-        it holds no seats and the store refuses to retire it twice.
-        """
-        for gid in sorted(event_gids):
-            local = self.local_event(gid)
-            if not self.store.is_cancelled(local):
-                self.service.retire_event(local)
-            self.unbind_event(gid)
-        for gid in sorted(user_gids):
-            self.service.retire_user(self.local_user(gid))
-            self.unbind_user(gid)
-        self.dirty = True
-        self.service.engine.mark_dirty()
-
     # ------------------------------------------------------------------
     # Health / lifecycle
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
         """Per-shard topology entry for ``GET /state``."""
-        summary = self.service.state_summary()
         return {
             "shard": self.shard_id,
-            "seq": summary["seq"],
-            "n_events": summary["n_events"],
-            "n_users": summary["n_users"],
-            "n_assignments": summary["n_assignments"],
-            "open_events": summary["open_events"],
-            "requests_seen": summary["requests_seen"],
-            "batches_committed": summary["batches_committed"],
-            "max_sum": summary["max_sum"],
+            **self.service.state_summary(),
             "retired_events": self.retired_events,
             "retired_users": self.retired_users,
-            "pending": summary["pending"],
-            "engine": summary["engine"],
-            "journal_bytes": summary["journal_bytes"],
-            "journal_base_seq": summary["journal_base_seq"],
-            "snapshots": summary["snapshots"],
-            "last_recovery": summary["last_recovery"],
-            "digest": summary["digest"],
         }
 
     def check_invariants(self) -> None:

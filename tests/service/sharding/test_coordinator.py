@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import JournalError, ServiceError
+from repro.service.engine import PendingRequest
 from repro.service.http import make_server
 from repro.service.sharding import MANIFEST_NAME, ShardCoordinator
 from repro.service.store import StoreConfig
@@ -57,6 +58,20 @@ def test_each_user_is_seated_on_its_corner_event(tmp_path: Path) -> None:
         events, users = populate(coordinator)
         for event, user in zip(events, users):
             assert coordinator.assignments_of(user) == (event,)
+
+
+def test_an_unwaited_request_answers_in_global_ids(tmp_path: Path) -> None:
+    with make_fleet(tmp_path / "fleet", shards=2) as coordinator:
+        events = [
+            coordinator.post_event(capacity=1, attributes=corner)
+            for corner in CORNERS[:2]
+        ]
+        user = coordinator.register_user(capacity=1, attributes=[8.9, 1.1])
+        request = coordinator.request_assignment(user, wait=False)
+        assert isinstance(request, PendingRequest)
+        # Event 1 is local event 0 on shard 1.
+        assert request.wait(1.0) == (events[1],) == (1,)
+        assert coordinator.assignments_of(user) == (1,)
 
 
 def test_conflicting_event_lands_on_its_components_shard(tmp_path: Path) -> None:

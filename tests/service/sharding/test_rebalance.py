@@ -10,6 +10,8 @@ to reproduce a consistent, invariant-clean fleet that kept every
 acknowledged assignment.
 """
 
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 from repro.exceptions import JournalError
 from repro.robustness.faultfs import FaultFS, SimulatedCrash
 from repro.service.sharding import ShardCoordinator
+from repro.service.sharding.manifest import ShardManifest
 from repro.service.store import StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
@@ -117,6 +120,91 @@ def test_recovery_after_rebalance_is_digest_exact(tmp_path: Path) -> None:
         assert recovered.arrangement_digest() == live_digest
         assert recovered.rebalances == rebalances
         recovered.check_invariants()
+
+
+def test_applying_a_rebalance_entry_twice_journals_nothing_more(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    applied: list[tuple[dict, list[int], list[int]]] = []
+    apply = ShardCoordinator._apply_rebalance
+
+    def spy(self, entry, placed_events, placed_users):
+        applied.append((entry, list(placed_events), list(placed_users)))
+        apply(self, entry, placed_events, placed_users)
+
+    monkeypatch.setattr(ShardCoordinator, "_apply_rebalance", spy)
+    coordinator, events, _users = build_split_fleet(tmp_path / "fleet")
+    with coordinator:
+        coordinator.post_event(capacity=1, attributes=[5.0, 5.0], conflicts=events)
+        assert len(applied) == 1
+        seqs = [manager.service.seq for manager in coordinator.managers]
+        digest = coordinator.arrangement_digest()
+        entry, placed_events, placed_users = applied[0]
+        apply(coordinator, entry, placed_events, placed_users)
+        assert [manager.service.seq for manager in coordinator.managers] == seqs
+        assert coordinator.arrangement_digest() == digest
+        coordinator.check_invariants()
+
+
+def test_recovery_after_a_migrated_seat_moved_is_digest_exact(tmp_path: Path) -> None:
+    root = tmp_path / "fleet"
+    coordinator, events, users = build_split_fleet(root)
+    with coordinator:
+        coordinator.post_event(capacity=1, attributes=[5.0, 5.0], conflicts=events)
+        moved = coordinator.last_rebalance["from_shards"][0]
+        # The migrated event goes; its user's seat moves on to the bridge.
+        coordinator.cancel_event(events[moved])
+        assert coordinator.request_assignment(users[moved]) != (events[moved],)
+        live_digest = coordinator.arrangement_digest()
+
+    with ShardCoordinator.recover(root, threaded=False) as recovered:
+        assert recovered.arrangement_digest() == live_digest
+        recovered.check_invariants()
+
+
+def test_threaded_recovery_finishes_the_rebalance_before_any_batch(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    append = ShardManifest.append
+
+    def append_then_die(self, kind, payload):
+        entry = append(self, kind, payload)
+        if kind == "rebalance":
+            raise SimulatedCrash("killed right after the rebalance entry")
+        return entry
+
+    monkeypatch.setattr(ShardManifest, "append", append_then_die)
+    crashed = tmp_path / "crashed"
+    coordinator = ShardCoordinator.create(crashed, CONFIG, 2, threaded=False)
+    home = coordinator.post_event(capacity=1, attributes=[1.0, 1.0])  # target
+    away = coordinator.post_event(capacity=2, attributes=[4.0, 4.0])
+    acked = {}
+    # Two seated movers; two target-shard users left without a seat, who
+    # would take the moved event's seats if a batch ran mid-migration.
+    for corner in ([1.1, 0.9], [4.1, 3.9], [3.9, 4.1], [1.3, 1.3], [0.7, 0.7]):
+        user = coordinator.register_user(capacity=1, attributes=corner)
+        acked[user] = coordinator.request_assignment(user)
+    assert sorted(acked.values()) == [(), (), (home,), (away,), (away,)]
+    with pytest.raises(SimulatedCrash):
+        coordinator.post_event(capacity=1, attributes=[2.5, 2.5], conflicts=[home, away])
+    coordinator.close()
+    monkeypatch.undo()
+    # The engine threads start before the manifest replay; the redo must
+    # still land whole, on every interleaving.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(20):
+            root = tmp_path / f"run-{run}"
+            shutil.copytree(crashed, root)
+            with ShardCoordinator.recover(root, threaded=True, batch_ms=0) as recovered:
+                assert recovered.rebalances == 1
+                recovered.run_pending_batch()
+                recovered.check_invariants()
+                for user, seats in acked.items():
+                    assert recovered.assignments_of(user) == seats, run
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from repro.core.similarity import similarity_matrix
 from repro.exceptions import ServiceError, ServiceOverloadedError
 from repro.robustness.harness import solve_with_ladder
+from repro.service import engine as engine_module
 from repro.service import store as store_module
 from repro.service.engine import MicroBatchEngine, PendingRequest
 from repro.service.frontend import ArrangementService
@@ -183,21 +184,25 @@ def test_store_journal_seq_mismatch_is_refused(tmp_path: Path) -> None:
 # ----------------------------------------------------------------------
 
 
-def recording(sizes: list[tuple[int, int]], answer=solve_with_ladder):
-    """A batch solver that records each instance's ``(|V|, |U|)``."""
+def recording(
+    monkeypatch: pytest.MonkeyPatch, answer=solve_with_ladder
+) -> list[tuple[int, int]]:
+    """Record each batch instance's ``(|V|, |U|)``; ``answer`` solves it."""
+    sizes: list[tuple[int, int]] = []
 
     def solve(instance, ladder, *, timeout=None):
         sizes.append((instance.n_events, instance.n_users))
         return answer(instance, ladder, timeout=timeout)
 
-    return solve
+    monkeypatch.setattr(engine_module, "solve_with_ladder", solve)
+    return sizes
 
 
 def test_unsaturated_user_with_a_cross_similarity_refuses_the_scope(
-    tmp_path: Path,
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    sizes: list[tuple[int, int]] = []
-    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+    sizes = recording(monkeypatch)
+    with sync_service(tmp_path) as service:
         home = service.post_event(1, [1.0, 1.0])
         hungry = service.register_user(2, [1.0, 1.0])
         assert service.request_assignment(hungry) == (home,)
@@ -212,10 +217,10 @@ def test_unsaturated_user_with_a_cross_similarity_refuses_the_scope(
 
 
 def test_cross_similarity_equal_to_a_home_seat_refuses_the_scope(
-    tmp_path: Path,
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    sizes: list[tuple[int, int]] = []
-    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+    sizes = recording(monkeypatch)
+    with sync_service(tmp_path) as service:
         left = service.post_event(1, [3.0, 5.0])
         right = service.post_event(1, [7.0, 5.0])
         torn = service.register_user(1, [5.0, 5.0])  # equidistant
@@ -228,9 +233,11 @@ def test_cross_similarity_equal_to_a_home_seat_refuses_the_scope(
         assert sizes[-1] == (2, 2)
 
 
-def test_cluster_whose_keep_better_was_rejected_stays_dirty(tmp_path: Path) -> None:
-    sizes: list[tuple[int, int]] = []
-    with sync_service(tmp_path, batch_solver=recording(sizes)) as service:
+def test_cluster_whose_keep_better_was_rejected_stays_dirty(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    sizes = recording(monkeypatch)
+    with sync_service(tmp_path) as service:
         a = service.post_event(1, [2.0, 5.0])
         b = service.post_event(1, [4.0, 5.0], conflicts=[a])
         near = service.register_user(1, [2.9, 5.0])
@@ -253,8 +260,9 @@ def test_cluster_whose_keep_better_was_rejected_stays_dirty(tmp_path: Path) -> N
         assert service.store.pairs() == kept
 
 
-def test_lower_rung_batch_leaves_its_clusters_dirty(tmp_path: Path) -> None:
-    sizes: list[tuple[int, int]] = []
+def test_lower_rung_batch_leaves_its_clusters_dirty(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     demote = [False]
 
     def answer(instance, ladder, *, timeout=None):
@@ -263,7 +271,8 @@ def test_lower_rung_batch_leaves_its_clusters_dirty(tmp_path: Path) -> None:
             result = dataclasses.replace(result, solver=ladder[1])
         return result
 
-    with sync_service(tmp_path, batch_solver=recording(sizes, answer)) as service:
+    sizes = recording(monkeypatch, answer)
+    with sync_service(tmp_path) as service:
         users = []
         for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
             service.post_event(1, corner)
@@ -278,11 +287,11 @@ def test_lower_rung_batch_leaves_its_clusters_dirty(tmp_path: Path) -> None:
         assert service.engine.stats["scoped"] == len(sizes) - 1
 
 
-def test_other_first_rungs_always_resolve_everything(tmp_path: Path) -> None:
-    sizes: list[tuple[int, int]] = []
-    with sync_service(
-        tmp_path, ladder=("mincostflow", "greedy"), batch_solver=recording(sizes)
-    ) as service:
+def test_other_first_rungs_always_resolve_everything(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    sizes = recording(monkeypatch)
+    with sync_service(tmp_path, ladder=("mincostflow", "greedy")) as service:
         for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
             service.post_event(1, corner)
             service.request_assignment(service.register_user(1, corner))
@@ -292,13 +301,15 @@ def test_other_first_rungs_always_resolve_everything(tmp_path: Path) -> None:
         }
 
 
-def test_rescaled_similarities_always_resolve_everything(tmp_path: Path) -> None:
+def test_rescaled_similarities_always_resolve_everything(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     # ``dot`` rescales by a peak that moves as entities arrive, so a
     # clean cluster's similarities do not stay put.
     config = StoreConfig(dimension=2, t=10.0, metric="dot")
-    sizes: list[tuple[int, int]] = []
+    sizes = recording(monkeypatch)
     with ArrangementService.create(
-        tmp_path / "j.jsonl", config, threaded=False, batch_solver=recording(sizes)
+        tmp_path / "j.jsonl", config, threaded=False
     ) as service:
         for corner in ([1.0, 2.0], [9.0, 8.0], [2.0, 9.0]):
             service.post_event(1, corner)
@@ -308,7 +319,9 @@ def test_rescaled_similarities_always_resolve_everything(tmp_path: Path) -> None
         service.check_invariants()
 
 
-def test_first_batch_after_recover_is_full(tmp_path: Path) -> None:
+def test_first_batch_after_recover_is_full(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     with sync_service(tmp_path) as service:
         users = []
         for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
@@ -316,10 +329,8 @@ def test_first_batch_after_recover_is_full(tmp_path: Path) -> None:
             users.append(service.register_user(1, corner))
             service.request_assignment(users[-1])
         assert service.engine.stats["scoped"] == 2
-    sizes: list[tuple[int, int]] = []
-    with ArrangementService.recover(
-        tmp_path / "j.jsonl", threaded=False, batch_solver=recording(sizes)
-    ) as service:
+    sizes = recording(monkeypatch)
+    with ArrangementService.recover(tmp_path / "j.jsonl", threaded=False) as service:
         service.request_assignment(users[0])
         service.request_assignment(users[1])
         assert sizes == [(3, 3), (1, 1)]
