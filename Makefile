@@ -10,11 +10,11 @@ install:
 # Tier-1 tests stay dependency-free and fast: `test` deliberately does
 # NOT depend on lint/typecheck (CI runs all three as separate jobs).
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # The anytime-harness fault-injection suite on its own (CI smoke step).
 test-robustness:
-	$(PYTHON) -m pytest tests/robustness -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/robustness -q
 
 # Serve (single service + 4-shard fleet), kill -9, recover (CI's
 # service-smoke job).
@@ -76,7 +76,7 @@ bench-figures-paper:
 	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 examples:
-	for script in examples/*.py; do echo "== $$script =="; $(PYTHON) $$script; done
+	for script in examples/*.py; do echo "== $$script =="; PYTHONPATH=src $(PYTHON) $$script || exit 1; done
 
 report:
 	$(PYTHON) -m repro.cli reproduce --output REPORT.md

@@ -10,27 +10,21 @@ import numpy as np
 from repro.core.algorithms import GreedyGEACC
 from repro.datagen.synthetic import generate_instance
 from repro.experiments.reporting import format_table
-from repro.simulation import (
-    GreedyArrivalPolicy,
-    RebatchPolicy,
-    Simulator,
-    random_timeline,
-)
+from repro.simulation import random_timeline, simulate
 
 
 def test_ablation_dynamic_policies(benchmark, scale, record_series):
     instance = generate_instance(scale.default, seed=3)
     timeline = random_timeline(instance, np.random.default_rng(3))
-    simulator = Simulator(instance, timeline)
 
     def run():
         offline = GreedyGEACC().solve(instance).max_sum()
         rows = [("offline (clairvoyant greedy)", offline, 100.0)]
-        for policy in (GreedyArrivalPolicy(), RebatchPolicy()):
-            result = simulator.run(policy)
+        for rebatch in (None, "greedy"):
+            result = simulate(instance, timeline, rebatch=rebatch)
             rows.append(
                 (
-                    policy.name,
+                    result.policy_name,
                     result.achieved_max_sum,
                     result.achieved_max_sum / offline * 100,
                 )

@@ -17,12 +17,7 @@ import numpy as np
 
 from repro import GreedyGEACC, SyntheticConfig, generate_instance
 from repro.core.analysis import analyze
-from repro.simulation import (
-    GreedyArrivalPolicy,
-    RebatchPolicy,
-    Simulator,
-    random_timeline,
-)
+from repro.simulation import random_timeline, simulate
 
 
 def main() -> None:
@@ -38,16 +33,15 @@ def main() -> None:
         f"users arrive over [0, {timeline.arrival_times.max():.1f}] days"
     )
 
-    simulator = Simulator(instance, timeline)
     offline = GreedyGEACC().solve(instance)
     print(f"\nclairvoyant offline greedy:  MaxSum={offline.max_sum():.2f}")
 
     results = {}
-    for policy in (GreedyArrivalPolicy(), RebatchPolicy(solver="greedy")):
-        result = simulator.run(policy)
-        results[policy.name] = result
+    for rebatch in (None, "greedy"):
+        result = simulate(instance, timeline, rebatch=rebatch)
+        results[result.policy_name] = result
         gap = (1 - result.achieved_max_sum / offline.max_sum()) * 100
-        print(f"{result.summary()}   ({gap:+.1f}% below offline)")
+        print(f"{result.summary()}   ({gap:.1f}% below offline)")
 
     best = results["rebatch"]
     stats = analyze(best.arrangement)

@@ -41,12 +41,12 @@ from repro.core.algorithms import (
     GreedyGEACC,
     LocalSearchGEACC,
     MinCostFlowGEACC,
-    OnlineArranger,
     OnlineGreedyGEACC,
     PruneGEACC,
     RandomU,
     RandomV,
     Solver,
+    fill_user,
     get_solver,
 )
 from repro.core.analysis import ArrangementStats, analyze
@@ -86,8 +86,8 @@ __all__ = [
     "RandomV",
     "RandomU",
     "LocalSearchGEACC",
-    "OnlineArranger",
     "OnlineGreedyGEACC",
+    "fill_user",
     "ArrangementStats",
     "analyze",
     "SyntheticConfig",

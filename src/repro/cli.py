@@ -319,25 +319,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.simulation import (
-        GreedyArrivalPolicy,
-        RebatchPolicy,
-        Simulator,
-        random_timeline,
-    )
+    from repro.simulation import random_timeline, simulate
 
     instance = _build_instance(args)
     print(instance)
     rng = np.random.default_rng(args.seed)
     timeline = random_timeline(instance, rng, horizon=args.horizon)
-    simulator = Simulator(instance, timeline)
-    policies = {
-        "greedy-arrival": GreedyArrivalPolicy(),
-        "rebatch": RebatchPolicy(solver=args.rebatch_solver),
-    }
     for name in args.policies:
-        result = simulator.run(policies[name])
-        print(result.summary())
+        rebatch = args.rebatch_solver if name == "rebatch" else None
+        print(simulate(instance, timeline, rebatch=rebatch).summary())
     return 0
 
 

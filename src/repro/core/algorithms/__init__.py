@@ -24,7 +24,7 @@ from repro.core.algorithms.mincostflow import MinCostFlowGEACC
 from repro.core.algorithms.prune import ExhaustiveGEACC, PruneGEACC, SearchStats
 from repro.core.algorithms.random_baselines import RandomU, RandomV
 from repro.core.algorithms.local_search import LocalSearchGEACC
-from repro.core.algorithms.incremental import OnlineArranger, OnlineGreedyGEACC
+from repro.core.algorithms.incremental import OnlineGreedyGEACC, fill_user
 from repro.core.algorithms.ilp import ILPGEACC
 from repro.core.algorithms.fair_greedy import FairGreedyGEACC
 
@@ -41,8 +41,8 @@ __all__ = [
     "RandomV",
     "RandomU",
     "LocalSearchGEACC",
-    "OnlineArranger",
     "OnlineGreedyGEACC",
+    "fill_user",
     "ILPGEACC",
     "FairGreedyGEACC",
 ]

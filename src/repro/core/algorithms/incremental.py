@@ -11,8 +11,10 @@ measurable "price of online-ness": the ablation benchmark
 (``benchmarks/test_ablation_online.py``) compares it against the offline
 algorithms on identical instances.
 
-:class:`OnlineArranger` also exposes the streaming API directly
-(:meth:`arrive`) so applications can interleave arrivals with queries.
+:func:`fill_user` is the one arrival step: :class:`OnlineGreedyGEACC`
+streams every user through it, and the dynamic-EBSN simulator
+(:func:`repro.simulation.simulate`) calls it on each arrival with the
+events open at that moment.
 """
 
 from __future__ import annotations
@@ -30,56 +32,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.budget import Budget
 
 
-class OnlineArranger:
-    """Streaming user-arrival arranger over a fixed event set.
+def fill_user(
+    arrangement: Arrangement, user: int, usable: np.ndarray | None = None
+) -> list[int]:
+    """Give ``user`` their most similar feasible events; returns them.
+
+    Events are tried best first (ties by index) until the user's capacity
+    is exhausted or no event with positive similarity remains; each is
+    taken if :meth:`~repro.core.model.Arrangement.can_add` allows it.
 
     Args:
-        instance: The full instance; only the *user* side is streamed.
-            (Events, capacities and conflicts are known upfront, as they
-            are on a real EBSN where organisers post events in advance.)
+        usable: Optional boolean mask over events; events outside it
+            (not yet posted, already frozen) are skipped.
     """
-
-    def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self.arrangement = Arrangement(instance)
-        self._arrived: set[int] = set()
-
-    @property
-    def arrived_users(self) -> frozenset[int]:
-        return frozenset(self._arrived)
-
-    def arrive(self, user: int) -> list[int]:
-        """Process one user's arrival; returns the events assigned.
-
-        The user greedily receives their most similar feasible events
-        until their capacity is exhausted or no feasible event remains.
-
-        Raises:
-            ValueError: If the user already arrived.
-        """
-        if user in self._arrived:
-            raise ValueError(f"user {user} already arrived")
-        self._arrived.add(user)
-        sims = self.instance.sim_col(user)
-        assigned: list[int] = []
-        for v in np.argsort(-sims, kind="stable"):
-            v = int(v)
-            if sims[v] <= 0:
-                break
-            if self.arrangement.user_remaining(user) <= 0:
-                break
-            if self.arrangement.can_add(v, user):
-                self.arrangement.add(v, user)
-                assigned.append(v)
-        return assigned
-
-    def max_sum(self) -> float:
-        return self.arrangement.max_sum()
+    sims = arrangement.instance.sim_col(user)
+    assigned: list[int] = []
+    for event in np.argsort(-sims, kind="stable"):
+        event = int(event)
+        if sims[event] <= 0 or arrangement.user_remaining(user) <= 0:
+            break
+        if (usable is None or usable[event]) and arrangement.can_add(event, user):
+            arrangement.add(event, user)
+            assigned.append(event)
+    return assigned
 
 
 @register_solver("online-greedy")
 class OnlineGreedyGEACC(Solver):
-    """Batch wrapper: stream all users through an :class:`OnlineArranger`.
+    """Batch wrapper: stream all users through :func:`fill_user`.
 
     Args:
         arrival_order: Permutation of user indices (default: index
@@ -88,6 +68,8 @@ class OnlineGreedyGEACC(Solver):
     """
 
     def __init__(self, arrival_order: Sequence[int] | None = None) -> None:
+        if arrival_order is not None and len(set(arrival_order)) != len(arrival_order):
+            raise ValueError("arrival_order lists a user who already arrived")
         self._arrival_order = arrival_order
 
     def solve(self, instance: Instance, budget: "Budget | None" = None) -> Arrangement:
@@ -96,7 +78,7 @@ class OnlineGreedyGEACC(Solver):
             if self._arrival_order is not None
             else range(instance.n_users)
         )
-        arranger = OnlineArranger(instance)
+        arrangement = Arrangement(instance)
         # One checkpoint per arrival; assignments are never revoked, so
         # on exhaustion the arrangement over the arrived prefix is the
         # (feasible) anytime answer.
@@ -104,7 +86,7 @@ class OnlineGreedyGEACC(Solver):
             for user in order:
                 if budget is not None:
                     budget.checkpoint()
-                arranger.arrive(int(user))
+                fill_user(arrangement, int(user))
         except BudgetExceededError:
             pass
-        return arranger.arrangement
+        return arrangement

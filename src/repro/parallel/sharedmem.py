@@ -47,14 +47,6 @@ _FIELDS = (
 )
 
 
-#: Supported similarity-matrix layouts: ``rows`` keeps event rows
-#: contiguous (C order; the solvers' row-tile pulls), ``cols`` keeps user
-#: columns contiguous (Fortran order; column-heavy consumers like
-#: Greedy-GEACC's user streams). Values are identical either way -- only
-#: the strides of the zero-copy views change.
-SIMS_LAYOUTS = ("rows", "cols")
-
-
 @dataclass(frozen=True)
 class _ArraySpec:
     """Placement of one array inside the shared segment."""
@@ -62,7 +54,6 @@ class _ArraySpec:
     dtype: str
     shape: tuple[int, ...]
     offset: int
-    order: str = "C"
 
     @property
     def nbytes(self) -> int:
@@ -160,7 +151,6 @@ def _view(segment, spec: _ArraySpec, writeable: bool = False) -> np.ndarray:  # 
         dtype=np.dtype(spec.dtype),
         buffer=segment.buf,
         offset=spec.offset,
-        order=spec.order,
     )
     array.flags.writeable = writeable
     return array
@@ -198,7 +188,6 @@ class SharedInstanceArchive:
         cls,
         instance: Instance,
         include_sims: bool = True,
-        sims_layout: str = "rows",
     ) -> "SharedInstanceArchive | None":
         """Pack ``instance`` into a fresh segment; None when unsupported.
 
@@ -207,15 +196,7 @@ class SharedInstanceArchive:
                 once, in the parent) and pack the similarity matrix.
                 Pass False for scalability-scale instances that solvers
                 stream through matrix-free index providers.
-            sims_layout: One of :data:`SIMS_LAYOUTS` -- ``rows`` packs
-                the matrix row-major (event tiles contiguous), ``cols``
-                column-major (user columns contiguous). Rehydrated values
-                are bit-identical either way.
         """
-        if sims_layout not in SIMS_LAYOUTS:
-            raise ValueError(
-                f"unknown sims_layout {sims_layout!r}; expected one of {SIMS_LAYOUTS}"
-            )
         arrays: dict[str, np.ndarray] = {
             "event_capacities": np.ascontiguousarray(
                 instance.event_capacities, dtype=np.int64
@@ -234,10 +215,7 @@ class SharedInstanceArchive:
                 instance.user_attributes, dtype=np.float64
             )
         if include_sims or instance.has_matrix:
-            pack = (
-                np.ascontiguousarray if sims_layout == "rows" else np.asfortranarray
-            )
-            arrays["sims"] = pack(instance.sims, dtype=np.float64)
+            arrays["sims"] = np.ascontiguousarray(instance.sims, dtype=np.float64)
 
         specs: list[tuple[str, _ArraySpec]] = []
         offset = 0
@@ -245,10 +223,7 @@ class SharedInstanceArchive:
             if name not in arrays:
                 continue
             array = arrays[name]
-            order = "F" if array.flags.f_contiguous and not array.flags.c_contiguous else "C"
-            spec = _ArraySpec(
-                dtype=array.dtype.str, shape=array.shape, offset=offset, order=order
-            )
+            spec = _ArraySpec(dtype=array.dtype.str, shape=array.shape, offset=offset)
             specs.append((name, spec))
             offset += spec.nbytes
 

@@ -2,11 +2,11 @@
 
 Assignment requests do not each pay for a solve: they queue, and every
 ``batch_ms`` the engine drains the queue and re-solves the *un-frozen
-remainder* of the live instance in one shot -- the
-:class:`~repro.simulation.policies.RebatchPolicy` idea applied at batch
-granularity, under a :class:`~repro.robustness.budget.Budget` with the
-degradation ladder (:func:`repro.robustness.harness.solve_with_ladder`)
-as the deadline fallback. The solved arrangement is compared against the
+remainder* of the live instance in one shot -- the simulator's rebatch
+(:func:`~repro.simulation.simulate`) applied at batch granularity,
+under a :class:`~repro.robustness.budget.Budget` with the degradation
+ladder (:func:`repro.robustness.harness.solve_with_ladder`) as the deadline
+fallback. The solved arrangement is compared against the
 standing one and committed only if it is at least as good, as a
 journaled ``commit_batch`` delta -- so replay never re-solves anything
 and the recovered state is independent of batch boundaries.
@@ -328,10 +328,9 @@ class MicroBatchEngine:
     ) -> Delta:
         """Re-solve the clusters that changed; never worsen the standing state.
 
-        The restricted instance is the one the
-        :class:`~repro.simulation.policies.RebatchPolicy` would build
-        (see :mod:`repro.service.remainder`). With Greedy as the first
-        rung, only the *scope* is re-solved: every cluster holding a
+        The restricted instance is the one the simulator's rebatch
+        (:func:`~repro.simulation.simulate`) builds (see
+        :mod:`repro.service.remainder`). With Greedy as the first rung, only the *scope* is re-solved: every cluster holding a
         changed event, a dirty event, or the best open event of a user
         who arrived, asked, or lost a seat. A vectorised check then
         proves that the full re-solve would have accepted no pair

@@ -18,7 +18,7 @@ achieved MaxSum over the clairvoyant bound of the *full* instance
 (:mod:`repro.core.bounds` -- the optimum a solver that knew every
 arrival in advance could not exceed), reported next to the same ratio
 for the pure first-come-first-served
-:class:`~repro.simulation.policies.GreedyArrivalPolicy` on the same
+:func:`~repro.simulation.simulate` (no ``rebatch``) on the same
 timeline -- the number the micro-batched engine must beat to justify
 existing.
 
@@ -45,9 +45,8 @@ from repro.service.frontend import ArrangementService
 from repro.service.journal import replay as replay_journal
 from repro.service.sharding import ShardCoordinator, ShardManager
 from repro.service.store import StoreConfig
-from repro.simulation.policies import GreedyArrivalPolicy
-from repro.simulation.simulator import Simulator
-from repro.simulation.workload import Timeline
+from repro.simulation.simulator import simulate
+from repro.simulation.workload import ARRIVE, POST, Timeline
 
 #: Per-request resolution allowance during replay (generous; a stuck
 #: engine should fail loudly, not hang the load generator).
@@ -225,16 +224,7 @@ def replay_timeline(
         t=instance.t,
         metric=instance.metric,
     )
-    moments: list[tuple[float, int, int]] = []
-    # Same intra-instant order as the simulator: posts, arrivals, freezes.
-    for event, t in enumerate(timeline.post_times):
-        moments.append((float(t), 0, event))
-    for user, t in enumerate(timeline.arrival_times):
-        moments.append((float(t), 1, user))
-    for event, t in enumerate(timeline.start_times):
-        moments.append((float(t), 2, event))
-    moments.sort()
-
+    moments = timeline.moments()
     event_ids: dict[int, int] = {}
     user_ids: dict[int, int] = {}
     futures: list[PendingRequest] = []
@@ -255,7 +245,7 @@ def replay_timeline(
     )
     with backend:
         for _, kind, entity in moments:
-            if kind == 0:
+            if kind == POST:
                 conflicts = [
                     event_ids[w]
                     for w in sorted(instance.conflicts.conflicts_with(entity))
@@ -266,7 +256,7 @@ def replay_timeline(
                     attributes=[float(x) for x in instance.event_attributes[entity]],
                     conflicts=conflicts,
                 )
-            elif kind == 1:
+            elif kind == ARRIVE:
                 user_ids[entity] = backend.register_user(
                     capacity=int(instance.user_capacities[entity]),
                     attributes=[float(x) for x in instance.user_attributes[entity]],
@@ -337,7 +327,7 @@ def replay_timeline(
     else:
         p50 = p90 = p99 = max_ms = 0.0
 
-    baseline = Simulator(instance, timeline).run(GreedyArrivalPolicy())
+    baseline = simulate(instance, timeline)
     bound_value = BOUNDS[bound](instance)
 
     return ReplayReport(

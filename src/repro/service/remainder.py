@@ -1,7 +1,7 @@
 """The open remainder of a live store, kept up to date between batches.
 
 Every engine batch solves the *restricted instance* the
-:class:`~repro.simulation.policies.RebatchPolicy` would build: open
+simulator's rebatch (:func:`~repro.simulation.simulate`) builds: open
 events keep their capacity, frozen and cancelled ones drop to zero, and
 a pair's similarity is zeroed when the user's frozen seats conflict with
 the event. :class:`OpenRemainder` holds that instance as persistent

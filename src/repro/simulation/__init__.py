@@ -3,39 +3,35 @@
 The paper arranges one static snapshot of events and users. Real EBSNs
 are dynamic: organisers post events ahead of their start times, users
 register over time, and once an event starts its attendee list is frozen.
-This subpackage provides a discrete-event simulator over that lifecycle
-plus pluggable arrangement policies, so the static algorithms can be
+This subpackage replays that lifecycle so the static algorithms can be
 evaluated *in situ*:
 
-* :class:`~repro.simulation.simulator.Simulator` -- replays a timeline of
-  event postings, user arrivals and event freezes over a GEACC instance;
-* :class:`~repro.simulation.policies.GreedyArrivalPolicy` -- first-come
-  first-served assignment at user arrival (the online extension);
-* :class:`~repro.simulation.policies.RebatchPolicy` -- periodically
-  re-arranges everything not yet frozen with any registered solver,
-  honouring commitments already frozen;
+* :func:`~repro.simulation.simulator.simulate` -- replays a timeline of
+  event postings, user arrivals and event freezes over a GEACC
+  instance, first-come-first-served or, with ``rebatch=<solver>``,
+  re-arranging everything not yet frozen just before each freeze;
 * :func:`~repro.simulation.workload.random_timeline` -- workload
   generator for posting/arrival/start times.
 
 The ablation benchmark ``benchmarks/test_ablation_policies.py`` compares
-policies against the clairvoyant offline optimum of the same instance.
+both against the clairvoyant offline optimum of the same instance.
 """
 
-from repro.simulation.simulator import SimulationResult, Simulator, SimulationState
-from repro.simulation.policies import (
-    GreedyArrivalPolicy,
-    Policy,
-    RebatchPolicy,
+from repro.simulation.simulator import SimulationResult, simulate
+from repro.simulation.workload import (
+    ARRIVE,
+    FREEZE,
+    POST,
+    Timeline,
+    random_timeline,
 )
-from repro.simulation.workload import Timeline, random_timeline
 
 __all__ = [
-    "Simulator",
+    "simulate",
     "SimulationResult",
-    "SimulationState",
-    "Policy",
-    "GreedyArrivalPolicy",
-    "RebatchPolicy",
     "Timeline",
     "random_timeline",
+    "POST",
+    "ARRIVE",
+    "FREEZE",
 ]

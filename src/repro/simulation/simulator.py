@@ -1,91 +1,31 @@
 """Discrete-event simulator for the EBSN arrangement lifecycle.
 
-The simulator replays a :class:`~repro.simulation.workload.Timeline` over
-a GEACC instance in chronological order. Three kinds of moments exist:
+:func:`simulate` walks :meth:`Timeline.moments
+<repro.simulation.workload.Timeline.moments>` over a GEACC instance.
+Three kinds of moments exist:
 
-* **event posted** -- the event becomes *visible* (assignable);
-* **user arrives** -- the user becomes visible; the policy may react;
+* **event posted** -- the event becomes *open* (assignable) and is
+  offered to already-arrived users, most interested first;
+* **user arrives** -- the user receives their best feasible open events
+  (:func:`~repro.core.algorithms.incremental.fill_user`);
 * **event starts** -- the event *freezes*: its attendee list at that
   instant is final and contributes to the achieved MaxSum.
 
-Policies mutate the arrangement only through :class:`SimulationState`,
-which enforces the lifecycle rules: pairs may only be added between
-visible, unfrozen events and arrived users, must satisfy every GEACC
-constraint, and pairs involving frozen events can never be removed.
+Seats are only ever given between open events and arrived users, and
+seats at frozen events are never revoked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.core.algorithms import Solver, get_solver
+from repro.core.algorithms.incremental import fill_user
 from repro.core.model import Arrangement, Instance
 from repro.core.validation import validate_arrangement
-from repro.exceptions import ReproError
-from repro.simulation.workload import Timeline
-
-
-class SimulationState:
-    """The policy-facing view of the running simulation."""
-
-    def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self.arrangement = Arrangement(instance)
-        self.now = 0.0
-        self._visible_events: set[int] = set()
-        self._frozen_events: set[int] = set()
-        self._arrived_users: set[int] = set()
-
-    @property
-    def open_events(self) -> frozenset[int]:
-        """Events currently posted and not yet frozen."""
-        return frozenset(self._visible_events - self._frozen_events)
-
-    @property
-    def frozen_events(self) -> frozenset[int]:
-        return frozenset(self._frozen_events)
-
-    @property
-    def arrived_users(self) -> frozenset[int]:
-        return frozenset(self._arrived_users)
-
-    def can_assign(self, event: int, user: int) -> bool:
-        """Lifecycle rules + the usual GEACC feasibility guard."""
-        return (
-            event in self._visible_events
-            and event not in self._frozen_events
-            and user in self._arrived_users
-            and self.instance.sim(event, user) > 0
-            and self.arrangement.can_add(event, user)
-        )
-
-    def assign(self, event: int, user: int) -> None:
-        """Add a pair; policies must only call this when allowed.
-
-        Raises:
-            ReproError: If the lifecycle or feasibility rules forbid it.
-        """
-        if not self.can_assign(event, user):
-            raise ReproError(
-                f"cannot assign event {event} to user {user} at t={self.now}"
-            )
-        self.arrangement.add(event, user)
-
-    def unassign(self, event: int, user: int) -> None:
-        """Remove a pair -- only while the event has not frozen."""
-        if event in self._frozen_events:
-            raise ReproError(f"event {event} is frozen; cannot revoke seats")
-        self.arrangement.remove(event, user)
-
-    # Internal lifecycle transitions (driven by the Simulator).
-
-    def _post_event(self, event: int) -> None:
-        self._visible_events.add(event)
-
-    def _freeze_event(self, event: int) -> None:
-        self._frozen_events.add(event)
-
-    def _arrive_user(self, user: int) -> None:
-        self._arrived_users.add(user)
+from repro.simulation.workload import ARRIVE, POST, Timeline
 
 
 @dataclass(frozen=True)
@@ -98,6 +38,9 @@ class SimulationResult:
     events_frozen: int
     timeline_horizon: float
     policy_name: str
+    #: Re-arrangements of the open sub-problem (one per freeze under
+    #: ``rebatch``, else 0).
+    rebatches: int = 0
 
     def summary(self) -> str:
         return (
@@ -107,66 +50,102 @@ class SimulationResult:
         )
 
 
-class Simulator:
-    """Replays a timeline over an instance under a policy.
+def simulate(
+    instance: Instance, timeline: Timeline, rebatch: Solver | str | None = None
+) -> SimulationResult:
+    """Replay ``timeline`` over ``instance`` and score the outcome.
 
-    Args:
-        instance: The full GEACC instance (entities become visible over
-            time per the timeline).
-        timeline: Posting/start/arrival times; validated against the
-            instance.
+    Without ``rebatch`` this is first-come-first-served (policy
+    ``greedy-arrival``): seats are given at arrivals and posts and never
+    moved. With ``rebatch`` (a solver or registry name; policy
+    ``rebatch``), just before each event freezes -- the last moment a
+    better arrangement still matters for it -- every seat at an open
+    event is torn down and the open sub-problem is re-solved from
+    scratch, honouring frozen seats (see :func:`_open_subproblem`).
+
+    The final arrangement is validated against the full instance before
+    scoring.
     """
+    timeline.validate_against(instance)
+    solver = get_solver(rebatch) if isinstance(rebatch, str) else rebatch
+    arrangement = Arrangement(instance)
+    open_events = np.zeros(instance.n_events, dtype=bool)
+    frozen = np.zeros(instance.n_events, dtype=bool)
+    arrived = np.zeros(instance.n_users, dtype=bool)
+    rebatches = 0
+    for _, kind, entity in timeline.moments():
+        if kind == POST:
+            open_events[entity] = True
+            # Offer the new event to already-arrived users, most
+            # interested first (ties by index), while seats allow.
+            sims = instance.sim_row(entity)
+            users = np.flatnonzero(arrived)
+            for user in users[np.argsort(-sims[users], kind="stable")]:
+                user = int(user)
+                if arrangement.event_remaining(entity) <= 0:
+                    break
+                if sims[user] > 0 and arrangement.can_add(entity, user):
+                    arrangement.add(entity, user)
+        elif kind == ARRIVE:
+            arrived[entity] = True
+            fill_user(arrangement, entity, usable=open_events)
+        else:
+            if solver is not None:
+                # Tear down every open seat, then re-solve the open part.
+                for event in np.flatnonzero(open_events):
+                    for user in arrangement.users_of(event):
+                        arrangement.remove(event, user)
+                sub_instance = _open_subproblem(
+                    arrangement, open_events, frozen, arrived
+                )
+                for event, user in solver.solve(sub_instance).pairs():
+                    arrangement.add(event, user)
+                rebatches += 1
+            open_events[entity] = False
+            frozen[entity] = True
 
-    def __init__(self, instance: Instance, timeline: Timeline) -> None:
-        timeline.validate_against(instance)
-        self.instance = instance
-        self.timeline = timeline
+    validate_arrangement(arrangement)
+    return SimulationResult(
+        achieved_max_sum=arrangement.max_sum(),
+        arrangement=arrangement,
+        n_assignments=len(arrangement),
+        events_frozen=int(frozen.sum()),
+        timeline_horizon=timeline.horizon,
+        policy_name="greedy-arrival" if solver is None else "rebatch",
+        rebatches=rebatches,
+    )
 
-    def run(self, policy: "Policy") -> SimulationResult:  # noqa: F821
-        """Run the simulation to the horizon and score the outcome.
 
-        The final arrangement (frozen events' seats plus any standing
-        assignments to never-started events -- none with the bundled
-        timelines, where every event starts) is validated against the
-        full instance before scoring.
-        """
-        from repro.simulation.policies import Policy  # cycle guard
+def _open_subproblem(
+    arrangement: Arrangement,
+    open_events: np.ndarray,
+    frozen: np.ndarray,
+    arrived: np.ndarray,
+) -> Instance:
+    """The instance a rebatch solves, given only frozen seats are held.
 
-        if not isinstance(policy, Policy):
-            raise ReproError(f"{policy!r} is not a simulation Policy")
-        state = SimulationState(self.instance)
-        moments: list[tuple[float, int, str, int]] = []
-        # Tie-break order within one instant: post events (0), arrivals
-        # (1), policy ticks happen via callbacks, freezes last (2) -- a
-        # user arriving exactly at start time still catches the event.
-        for event, t in enumerate(self.timeline.post_times):
-            moments.append((float(t), 0, "post", event))
-        for user, t in enumerate(self.timeline.arrival_times):
-            moments.append((float(t), 1, "arrive", user))
-        for event, t in enumerate(self.timeline.start_times):
-            moments.append((float(t), 2, "freeze", event))
-        moments.sort()
-
-        policy.on_start(state)
-        for t, _, kind, entity in moments:
-            state.now = t
-            if kind == "post":
-                state._post_event(entity)
-                policy.on_event_posted(state, entity)
-            elif kind == "arrive":
-                state._arrive_user(entity)
-                policy.on_user_arrival(state, entity)
-            else:
-                policy.before_event_freeze(state, entity)
-                state._freeze_event(entity)
-        policy.on_end(state)
-
-        validate_arrangement(state.arrangement)
-        return SimulationResult(
-            achieved_max_sum=state.arrangement.max_sum(),
-            arrangement=state.arrangement,
-            n_assignments=len(state.arrangement),
-            events_frozen=len(state.frozen_events),
-            timeline_horizon=self.timeline.horizon,
-            policy_name=policy.name,
-        )
+    Same events, users and conflicts as the full instance. A pair keeps
+    its similarity only if its event is open, its user has arrived, and
+    none of the user's frozen seats conflicts with the event; every
+    other pair is 0. Events that are not open get capacity 0, and users
+    keep the capacity their frozen seats leave.
+    """
+    instance = arrangement.instance
+    conflicts = instance.conflicts
+    blocked = np.zeros((instance.n_events, instance.n_users), dtype=bool)
+    held = np.zeros(instance.n_users, dtype=np.int64)
+    for event in np.flatnonzero(frozen):
+        users = sorted(arrangement.users_of(event))
+        held[users] += 1
+        blocked[np.ix_(sorted(conflicts.conflicts_with(event)), users)] = True
+    sims = np.zeros((instance.n_events, instance.n_users))
+    for event in np.flatnonzero(open_events):
+        row = instance.sim_row(event)
+        usable = arrived & ~blocked[event] & (row > 0)
+        sims[event, usable] = row[usable]
+    return Instance(
+        np.where(open_events, instance.event_capacities, 0),
+        instance.user_capacities - held,
+        conflicts,
+        sims=sims,
+    )

@@ -1,8 +1,9 @@
 """Timelines for the dynamic-EBSN simulator.
 
 A :class:`Timeline` assigns, for each event of an instance, a posting
-time and a start (freeze) time, and for each user an arrival time. The
-simulator replays these in time order.
+time and a start (freeze) time, and for each user an arrival time.
+:meth:`Timeline.moments` puts these in the one replay order that both
+the simulator and the service load generator walk.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ import numpy as np
 
 from repro.core.model import Instance
 from repro.exceptions import ReproError
+
+#: Moment kinds, in their tie-break order within one instant: posts,
+#: then arrivals, then freezes -- a user arriving exactly at an event's
+#: start time still catches it.
+POST, ARRIVE, FREEZE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,19 @@ class Timeline:
             float(self.arrival_times.max()) if self.arrival_times.size else 0.0
         )
         return max(last_start, last_arrival)
+
+    def moments(self) -> list[tuple[float, int, int]]:
+        """Every post, arrival and freeze as ``(time, kind, entity)``, in order.
+
+        ``kind`` is :data:`POST`, :data:`ARRIVE` or :data:`FREEZE`;
+        ``entity`` is the event or user index. Ties sort by kind, then
+        by index.
+        """
+        moments = [(float(t), POST, e) for e, t in enumerate(self.post_times)]
+        moments += [(float(t), ARRIVE, u) for u, t in enumerate(self.arrival_times)]
+        moments += [(float(t), FREEZE, e) for e, t in enumerate(self.start_times)]
+        moments.sort()
+        return moments
 
     def validate_against(self, instance: Instance) -> None:
         """Check the timeline covers exactly the instance's entities."""

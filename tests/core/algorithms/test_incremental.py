@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.algorithms import GreedyGEACC, PruneGEACC
-from repro.core.algorithms.incremental import OnlineArranger, OnlineGreedyGEACC
+from repro.core.algorithms.incremental import OnlineGreedyGEACC, fill_user
 from repro.core.conflicts import ConflictGraph
-from repro.core.model import Instance
+from repro.core.model import Arrangement, Instance
 from repro.core.validation import validate_arrangement
 from tests.conftest import random_matrix_instance
 
@@ -20,21 +20,18 @@ def test_feasible(small_instance):
 def test_streaming_api():
     sims = np.array([[0.9, 0.5], [0.7, 0.8]])
     instance = Instance.from_matrix(sims, np.array([1, 1]), np.array([1, 1]))
-    arranger = OnlineArranger(instance)
-    assert arranger.arrive(0) == [0]      # user 0 takes the 0.9 event
-    assert arranger.arrive(1) == [1]      # event 0 is full; user 1 gets 1
-    assert arranger.arrived_users == frozenset({0, 1})
-    assert arranger.max_sum() == pytest.approx(0.9 + 0.8)
+    arrangement = Arrangement(instance)
+    assert fill_user(arrangement, 0) == [0]  # user 0 takes the 0.9 event
+    assert fill_user(arrangement, 1) == [1]  # event 0 is full; user 1 gets 1
+    assert arrangement.max_sum() == pytest.approx(0.9 + 0.8)
 
 
 def test_double_arrival_rejected():
     instance = Instance.from_matrix(
         np.array([[0.5]]), np.array([1]), np.array([1])
     )
-    arranger = OnlineArranger(instance)
-    arranger.arrive(0)
     with pytest.raises(ValueError, match="already arrived"):
-        arranger.arrive(0)
+        OnlineGreedyGEACC(arrival_order=[0, 0]).solve(instance)
 
 
 def test_respects_conflicts():
@@ -43,10 +40,15 @@ def test_respects_conflicts():
     instance = Instance.from_matrix(
         sims, np.array([1, 1, 1]), np.array([3]), conflicts
     )
-    arranger = OnlineArranger(instance)
-    assigned = arranger.arrive(0)
     # Best event first (0), then 1 is blocked by conflict, then 2.
-    assert assigned == [0, 2]
+    assert fill_user(Arrangement(instance), 0) == [0, 2]
+
+
+def test_unusable_events_are_skipped():
+    sims = np.array([[0.9], [0.8], [0.7]])
+    instance = Instance.from_matrix(sims, np.array([1, 1, 1]), np.array([2]))
+    usable = np.array([False, True, True])
+    assert fill_user(Arrangement(instance), 0, usable=usable) == [1, 2]
 
 
 def test_arrival_order_matters():

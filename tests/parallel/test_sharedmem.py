@@ -104,39 +104,3 @@ def test_lease_close_is_idempotent() -> None:
         lease.close()  # no-op
     finally:
         archive.destroy()
-
-
-def test_cols_layout_round_trip_is_bit_identical() -> None:
-    # The Fortran-order packing changes strides only: rehydrated values
-    # must equal the row-major origin bit-for-bit, and user columns come
-    # back contiguous for column-heavy consumers.
-    instance = make_instance(seed=5)
-    expected = instance.sims.copy()
-    archive = SharedInstanceArchive.from_instance(instance, sims_layout="cols")
-    assert archive is not None
-    try:
-        with archive.handle.attach() as other:
-            assert other.sims.flags.f_contiguous
-            assert other.sims[:, 0].flags.c_contiguous
-            assert not other.sims.flags.writeable
-            np.testing.assert_array_equal(other.sims, expected)
-    finally:
-        archive.destroy()
-
-
-def test_solvers_agree_across_the_cols_layout() -> None:
-    instance = make_instance(seed=6)
-    instance.sims
-    expected = get_solver("greedy").solve(instance).pairs()
-    archive = SharedInstanceArchive.from_instance(instance, sims_layout="cols")
-    assert archive is not None
-    try:
-        with archive.handle.attach() as other:
-            assert get_solver("greedy").solve(other).pairs() == expected
-    finally:
-        archive.destroy()
-
-
-def test_unknown_sims_layout_is_rejected() -> None:
-    with pytest.raises(ValueError, match="sims_layout"):
-        SharedInstanceArchive.from_instance(make_instance(), sims_layout="diag")

@@ -1,6 +1,6 @@
 """Property-based tests for the extension modules.
 
-Covers the MILP oracle, fairness-aware greedy, the online arranger, the
+Covers the MILP oracle, fairness-aware greedy, online greedy, the
 matching substrate, and the dynamic simulator -- each against a paper
 invariant or an exact reference.
 """
@@ -19,12 +19,7 @@ from repro.core.algorithms.fair_greedy import FairGreedyGEACC
 from repro.core.analysis import analyze
 from repro.core.validation import validate_arrangement
 from repro.matching import max_weight_matching
-from repro.simulation import (
-    GreedyArrivalPolicy,
-    RebatchPolicy,
-    Simulator,
-    Timeline,
-)
+from repro.simulation import Timeline, simulate
 from tests.property.strategies import tiny_instances
 
 
@@ -83,10 +78,9 @@ def test_simulation_policies_feasible_and_bounded(instance, seed):
         start_times=rng.uniform(51, 100, instance.n_events),
         arrival_times=rng.uniform(0, 100, instance.n_users),
     )
-    simulator = Simulator(instance, timeline)
     optimum = PruneGEACC().solve(instance).max_sum()
-    for policy in (GreedyArrivalPolicy(), RebatchPolicy()):
-        result = simulator.run(policy)
+    for rebatch in (None, "greedy"):
+        result = simulate(instance, timeline, rebatch=rebatch)
         validate_arrangement(result.arrangement)
         assert result.achieved_max_sum <= optimum + 1e-9
 
@@ -111,7 +105,7 @@ def test_everyone_arrives_before_everything_starts_matches_static(instance):
         start_times=np.full(n_events, 100.0),
         arrival_times=np.full(instance.n_users, 1.0),
     )
-    result = Simulator(instance, timeline).run(RebatchPolicy())
+    result = simulate(instance, timeline, rebatch="greedy")
     validate_arrangement(result.arrangement)
     greedy = GreedyGEACC().solve(instance).max_sum()
     optimum = PruneGEACC().solve(instance).max_sum()

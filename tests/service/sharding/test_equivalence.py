@@ -26,19 +26,7 @@ from repro.service.sharding import (
     shardable_timeline,
 )
 from repro.service.store import StoreConfig
-
-
-def moments_of(instance, timeline):
-    """The replay's command stream: (time, kind, entity), time-ordered."""
-    moments = []
-    for event, t in enumerate(timeline.post_times):
-        moments.append((float(t), 0, event))
-    for user, t in enumerate(timeline.arrival_times):
-        moments.append((float(t), 1, user))
-    for event, t in enumerate(timeline.start_times):
-        moments.append((float(t), 2, event))
-    moments.sort()
-    return moments
+from repro.simulation import ARRIVE, POST
 
 
 def drive_unsharded(path: Path, instance, moments) -> str:
@@ -50,7 +38,7 @@ def drive_unsharded(path: Path, instance, moments) -> str:
     event_ids: dict[int, int] = {}
     with ArrangementService.create(path, config, threaded=False) as service:
         for _, kind, entity in moments:
-            if kind == 0:
+            if kind == POST:
                 conflicts = [
                     event_ids[w]
                     for w in sorted(instance.conflicts.conflicts_with(entity))
@@ -63,7 +51,7 @@ def drive_unsharded(path: Path, instance, moments) -> str:
                     ],
                     conflicts=conflicts,
                 )
-            elif kind == 1:
+            elif kind == ARRIVE:
                 user = service.register_user(
                     capacity=int(instance.user_capacities[entity]),
                     attributes=[
@@ -88,7 +76,7 @@ def drive_sharded(root: Path, instance, moments, shards: int) -> str:
         root, config, shards, threaded=False
     ) as coordinator:
         for _, kind, entity in moments:
-            if kind == 0:
+            if kind == POST:
                 conflicts = [
                     event_ids[w]
                     for w in sorted(instance.conflicts.conflicts_with(entity))
@@ -101,7 +89,7 @@ def drive_sharded(root: Path, instance, moments, shards: int) -> str:
                     ],
                     conflicts=conflicts,
                 )
-            elif kind == 1:
+            elif kind == ARRIVE:
                 user = coordinator.register_user(
                     capacity=int(instance.user_capacities[entity]),
                     attributes=[
@@ -138,7 +126,7 @@ def test_sharded_digest_equals_unsharded_digest(
         n_components, events_per, users_per, dimension=dimension, seed=seed
     )
     timeline = shardable_timeline(instance)
-    moments = moments_of(instance, timeline)
+    moments = timeline.moments()
     base = tmp_path_factory.mktemp("equiv")
     solo = drive_unsharded(base / "solo.jsonl", instance, moments)
     fleet = drive_sharded(base / "fleet", instance, moments, shards)
@@ -150,7 +138,7 @@ def test_single_shard_fleet_equals_unsharded(tmp_path: Path) -> None:
     # fair --shards 1 baseline used by the scaling comparisons.
     instance = shardable_instance(3, 2, 4, dimension=2, seed=7)
     timeline = shardable_timeline(instance)
-    moments = moments_of(instance, timeline)
+    moments = timeline.moments()
     solo = drive_unsharded(tmp_path / "solo.jsonl", instance, moments)
     fleet = drive_sharded(tmp_path / "fleet", instance, moments, 1)
     assert fleet == solo
