@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-robustness smoke lint typecheck check bench bench-check bench-check-xl bench-selftest bench-figures bench-figures-smoke bench-figures-paper examples report clean
+.PHONY: install test test-robustness smoke lint typecheck check bench bench-check bench-check-xl bench-selftest bench-gate bench-figures bench-figures-smoke bench-figures-paper examples report clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -41,6 +41,9 @@ typecheck:
 
 check: lint typecheck test bench-selftest
 
+# `geacc bench` times the paper's solvers (Figs. 3-5); the serving,
+# recovery and shard paths are timed by bench/ and gated by bench-gate.
+#
 # Regenerate the tracked solver baseline, both tiers (commit the result).
 # Each invocation rewrites only its own tier in the JSON and preserves
 # the other, so either line can also be rerun alone.
@@ -49,7 +52,7 @@ bench:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --scale xl \
 		--output BENCH_solvers.json
 
-# Quick run compared against the committed baseline (the CI gate).
+# Quick solver run compared against the committed baseline (CI's bench job).
 bench-check:
 	PYTHONPATH=src $(PYTHON) -m repro.cli bench --quick \
 		--output BENCH_solvers.current.json --compare BENCH_solvers.json
@@ -64,6 +67,31 @@ bench-check-xl:
 # catches src/ renames bench/ depends on).
 bench-selftest:
 	$(PYTHON) -m pytest bench -q
+
+# The end-to-end gate (CI's bench-gate job): `make bench-gate BASE=<commit>`
+# times this working tree against BASE with bench/run.py, all four
+# workloads, in 5 pairs (seeds 0-4) that alternate which side runs first,
+# and fails when bench/compare.py finds a regression or a failed run.
+# BASE is checked out into a temporary git worktree that gets this tree's
+# bench/ and BENCHMARK.json, so both sides run the same benchmark code.
+# About 25 minutes; run files and the table go to bench-gate-out/.
+bench-gate:
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<commit>" >&2; exit 2; }
+	rm -rf bench-gate-out && mkdir bench-gate-out
+	@out=$$(pwd)/bench-gate-out; tmp=$$(mktemp -d); base=$$tmp/base; \
+	trap 'git worktree remove --force "$$base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$base" "$(BASE)" || exit 1; \
+	rm -rf "$$base/bench" && cp -R bench BENCHMARK.json "$$base/" && rm -rf "$$base/bench/out" || exit 1; \
+	for seed in 0 1 2 3 4; do \
+		if [ $$((seed % 2)) -eq 0 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=$$base; else dir=.; fi; \
+			echo "== bench-gate: seed $$seed, $$side"; \
+			(cd "$$dir" && python3 bench/run.py --seed $$seed --out "$$out/$$side-$$seed.json") || exit 1; \
+		done; \
+	done; \
+	python3 bench/compare.py $$out/change-?.json --against $$out/base-?.json > "$$out/compare.txt"; \
+	status=$$?; cat "$$out/compare.txt"; exit $$status
 
 # pytest-benchmark micro-benchmarks (figure-level timings).
 bench-figures:
@@ -84,4 +112,5 @@ report:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .benchmarks
 	rm -f BENCH_solvers.current.json
+	rm -rf bench-gate-out
 	find . -name __pycache__ -type d -exec rm -rf {} +

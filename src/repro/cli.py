@@ -278,7 +278,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         quick=args.quick,
         scale=args.scale,
-        with_service=not args.no_service,
     )
     print(report.render())
     write_report(report, args.output)
@@ -608,7 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     bench = subparsers.add_parser(
-        "bench", help="time every solver and write BENCH_solvers.json"
+        "bench",
+        help="time every solver and write BENCH_solvers.json",
+        description="Time the paper's solvers (Figs. 3-5) on fixed "
+        "workloads and write BENCH_solvers.json. The serving, recovery "
+        "and shard paths are benchmarked by bench/run.py and gated by "
+        "'make bench-gate BASE=<commit>' (bench/README.md).",
     )
     bench.add_argument(
         "--output",
@@ -654,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         metavar="FACTOR",
         help="slowdown factor tolerated by --compare (default: 2.0)",
-    )
-    bench.add_argument(
-        "--no-service",
-        action="store_true",
-        help="skip the serving-path scenario (journal-append throughput "
-        "and request latency)",
     )
     bench.set_defaults(func=_cmd_bench)
 

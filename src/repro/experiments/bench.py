@@ -19,8 +19,7 @@ Tiers:
 
 * every :data:`~repro.experiments.config.SCALES` name is a one-workload
   tier over that scale's default synthetic instance (matrix
-  materialised before timing, service scenario included) -- ``scaled``
-  is the committed default;
+  materialised before timing) -- ``scaled`` is the committed default;
 * ``xl`` is the kernel stress tier: Greedy and the random baselines
   stream a 1000 x 100000 instance **matrix-free** (the 10^8-cell
   similarity matrix is never materialised; Greedy goes through the
@@ -57,12 +56,6 @@ from repro.exceptions import ReproError
 from repro.experiments.config import SCALES, get_scale
 from repro.experiments.reporting import format_table
 from repro.robustness.harness import run_with_budget
-from repro.service.bench import (
-    ServiceBench,
-    ShardScalingBench,
-    run_service_bench,
-    run_shard_scaling_bench,
-)
 
 #: Format marker of BENCH_*.json reports (v1 reports are still readable).
 BENCH_FORMAT = "geacc-bench-v2"
@@ -151,14 +144,12 @@ class SolverBench:
 
 @dataclass(frozen=True)
 class TierReport:
-    """All solvers' timings for one tier, plus the tier's scenario data."""
+    """All solvers' timings for one tier."""
 
     tier: str
     seed: int
     repeats: int
     results: tuple[SolverBench, ...]
-    service: ServiceBench | None = None
-    sharded: ShardScalingBench | None = None
 
     def result_for(self, solver: str) -> SolverBench | None:
         for result in self.results:
@@ -189,57 +180,19 @@ class TierReport:
             f"== solver bench: tier={self.tier} seed={self.seed} "
             f"repeats={self.repeats} =="
         )
-        rendered = title + "\n" + format_table(headers, rows)
-        if self.service is not None:
-            s = self.service
-            rendered += (
-                "\n== service bench =="
-                f"\njournal-append: {1e6 * s.append_seconds:.1f}us/op "
-                f"({s.appends_per_second:.0f} appends/s over {s.appends} ops)"
-                f"\nrequest:        p50={1000 * s.request_p50:.2f}ms "
-                f"p99={1000 * s.request_p99:.2f}ms over {s.requests} requests"
-            )
-            if s.recovery_records:
-                speedup = (
-                    s.recovery_full_seconds / s.recovery_snapshot_seconds
-                    if s.recovery_snapshot_seconds > 0
-                    else 0.0
-                )
-                rendered += (
-                    f"\nrecovery:       full-replay "
-                    f"{1000 * s.recovery_full_seconds:.2f}ms vs snapshot+tail "
-                    f"{1000 * s.recovery_snapshot_seconds:.2f}ms "
-                    f"({speedup:.1f}x, {s.recovery_records} records)"
-                )
-        if self.sharded is not None:
-            sweep = " ".join(
-                f"{run.shards}={run.seconds:.2f}s({run.aggregate_rps:.0f}rps)"
-                for run in self.sharded.runs
-            )
-            rendered += (
-                "\n== sharded service bench =="
-                f"\nshards:         {sweep} "
-                f"-> {self.sharded.speedup:.1f}x aggregate speedup "
-                f"({self.sharded.n_components} components, "
-                f"{self.sharded.runs[0].n_requests if self.sharded.runs else 0}"
-                " requests/run)"
-            )
-        return rendered
+        return title + "\n" + format_table(headers, rows)
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "seed": self.seed,
             "repeats": self.repeats,
             "solvers": {r.solver: r.to_json() for r in self.results},
         }
-        if self.service is not None:
-            data["service"] = self.service.to_json()
-        if self.sharded is not None:
-            data["sharded_service"] = self.sharded.to_json()
-        return data
 
     @classmethod
     def from_json(cls, tier: str, data: dict) -> "TierReport":
+        # Older reports may also carry ``service`` / ``sharded_service``
+        # sections; only the solver timings are read.
         return cls(
             tier=tier,
             seed=int(data["seed"]),
@@ -247,18 +200,6 @@ class TierReport:
             results=tuple(
                 SolverBench.from_json(name, entry)
                 for name, entry in sorted(data["solvers"].items())
-            ),
-            # Reports written before the service scenario existed simply
-            # lack the key; absence is legal in both directions.
-            service=(
-                ServiceBench.from_json(data["service"])
-                if "service" in data
-                else None
-            ),
-            sharded=(
-                ShardScalingBench.from_json(data["sharded_service"])
-                if "sharded_service" in data
-                else None
             ),
         )
 
@@ -322,11 +263,6 @@ class BenchReport:
                 SolverBench.from_json(name, {**shape, **entry})
                 for name, entry in sorted(data["solvers"].items())
             ),
-            service=(
-                ServiceBench.from_json(data["service"])
-                if "service" in data
-                else None
-            ),
         )
         return cls(python=str(data.get("python", "")), tiers=(tier,))
 
@@ -376,7 +312,6 @@ def run_bench(
     quick: bool = False,
     scale: str | None = None,
     seed: int = BENCH_SEED,
-    with_service: bool = True,
 ) -> BenchReport:
     """Time one tier's workloads and return a single-tier report.
 
@@ -386,13 +321,6 @@ def run_bench(
     kernel stress workloads. Similarity matrices are materialised before
     any timing wherever the tier says so -- and never for the xl
     streaming workload, whose whole point is staying matrix-free.
-
-    ``with_service`` additionally runs the serving-path scenarios
-    (:mod:`repro.service.bench`: journal-append throughput, request
-    latency, recovery, and the shard-scaling sweep, each on its own
-    fixed workload) on scale tiers -- the xl tier never includes them --
-    and records them in the report, where :func:`compare_reports` gates
-    them like any solver timing.
     """
     is_xl = scale == "xl"
     tier_name = "xl" if is_xl else get_scale(scale).name
@@ -425,16 +353,6 @@ def run_bench(
                 seed=seed,
                 repeats=repeats,
                 results=tuple(results),
-                service=(
-                    run_service_bench(quick=quick)
-                    if with_service and not is_xl
-                    else None
-                ),
-                sharded=(
-                    run_shard_scaling_bench(quick=quick)
-                    if with_service and not is_xl
-                    else None
-                ),
             ),
         ),
     )
@@ -533,11 +451,6 @@ def compare_reports(
     retired solver), but a baseline from a different workload shape is
     itself a finding -- timings from different instances must never be
     ratioed.
-
-    The serving-path numbers (journal-append seconds/op and request
-    p50) are gated by the same factor when both tiers carry a
-    ``service`` section; like solvers, a section present in only one
-    report is ignored.
     """
     if max_regression <= 0:
         raise ValueError(f"max_regression must be > 0, got {max_regression}")
@@ -581,82 +494,6 @@ def _compare_tier(
             messages.append(
                 f"{tier.tier}/{result.solver}: {result.seconds_min:.4f}s vs "
                 f"baseline {base.seconds_min:.4f}s "
-                f"({ratio:.2f}x > {max_regression:g}x)"
-            )
-    if tier.service is not None and base_tier.service is not None:
-        service_metrics = (
-            (
-                "service.journal-append",
-                tier.service.append_seconds,
-                base_tier.service.append_seconds,
-            ),
-            (
-                "service.request-p50",
-                tier.service.request_p50,
-                base_tier.service.request_p50,
-            ),
-            # Recovery timings gate like the rest; a pre-snapshot
-            # baseline reports 0.0 and is skipped by the <= 0 guard.
-            (
-                "service.recovery-full",
-                tier.service.recovery_full_seconds,
-                base_tier.service.recovery_full_seconds,
-            ),
-            (
-                "service.recovery-snapshot",
-                tier.service.recovery_snapshot_seconds,
-                base_tier.service.recovery_snapshot_seconds,
-            ),
-        )
-        for label, now, base_value in service_metrics:
-            if base_value <= 0:
-                continue
-            ratio = now / base_value
-            if ratio > max_regression:
-                messages.append(
-                    f"{tier.tier}/{label}: {now:.6f}s vs baseline "
-                    f"{base_value:.6f}s ({ratio:.2f}x > {max_regression:g}x)"
-                )
-    if tier.sharded is not None and base_tier.sharded is not None:
-        messages.extend(
-            _compare_sharded(tier.tier, tier.sharded, base_tier.sharded, max_regression)
-        )
-    return messages
-
-
-def _compare_sharded(
-    tier_name: str,
-    sharded: ShardScalingBench,
-    base: ShardScalingBench,
-    max_regression: float,
-) -> list[str]:
-    """Per-shard-count wall-clock gates for the scaling sweep.
-
-    Shard counts diff like solvers: a count present in only one report
-    is ignored (quick runs sweep a subset of the full counts), but a
-    baseline from a different clustered workload shape is a finding --
-    the sweep's whole claim is same-commands-fewer-entities-per-solve,
-    which only holds against the identical instance.
-    """
-    if sharded.workload_shape() != base.workload_shape() or (
-        sharded.seed != base.seed
-    ):
-        return [
-            f"{tier_name}/sharded-service: baseline workload mismatch "
-            f"(baseline shape={base.workload_shape()} seed={base.seed}, "
-            f"current shape={sharded.workload_shape()} "
-            f"seed={sharded.seed}) -- regenerate the baseline"
-        ]
-    messages = []
-    for run in sharded.runs:
-        base_run = base.run_for(run.shards)
-        if base_run is None or base_run.seconds <= 0:
-            continue
-        ratio = run.seconds / base_run.seconds
-        if ratio > max_regression:
-            messages.append(
-                f"{tier_name}/sharded-service.{run.shards}-shards: "
-                f"{run.seconds:.4f}s vs baseline {base_run.seconds:.4f}s "
                 f"({ratio:.2f}x > {max_regression:g}x)"
             )
     return messages

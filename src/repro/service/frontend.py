@@ -193,10 +193,17 @@ class ArrangementService:
                 self._compact_locked()
             return record
 
-    def _accept(self, cmd: str, args: dict) -> dict:
+    def _accept(self, cmd: str, args: dict) -> tuple[int, int]:
+        """Validate, journal and apply one command in one hold of the lock.
+
+        Returns the store's ``(n_events, n_users)`` as of that same hold,
+        so the id a post or registration created cannot be shifted by
+        another thread's command landing right after it.
+        """
         with self._lock:
             self.store.validate_command(cmd, args)
-            return self._journal_and_apply(cmd, args)
+            self._journal_and_apply(cmd, args)
+            return self.store.n_events, self.store.n_users
 
     # ------------------------------------------------------------------
     # Commands
@@ -209,7 +216,7 @@ class ArrangementService:
         conflicts: list[int] | None = None,
     ) -> int:
         """Post a new event; returns its (stable) id."""
-        self._accept(
+        n_events, _ = self._accept(
             CMD_POST_EVENT,
             {
                 "capacity": capacity,
@@ -217,17 +224,15 @@ class ArrangementService:
                 "conflicts": as_event_ids(conflicts),
             },
         )
-        with self._lock:
-            return self.store.n_events - 1
+        return n_events - 1
 
     def register_user(self, capacity: int, attributes: list[float]) -> int:
         """Register a new user; returns their (stable) id."""
-        self._accept(
+        _, n_users = self._accept(
             CMD_REGISTER_USER,
             {"capacity": capacity, "attributes": as_vector(attributes)},
         )
-        with self._lock:
-            return self.store.n_users - 1
+        return n_users - 1
 
     def request_assignment(
         self,

@@ -150,7 +150,14 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            # The body's end is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            raise ServiceError(
+                f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

@@ -252,52 +252,49 @@ def test_committed_baseline_is_loadable_and_current_format() -> None:
     assert scaled is not None and scaled.results, (
         "committed baseline must carry seed-scale solver timings"
     )
-    assert scaled.service is not None, (
-        "committed baseline must carry the serving-path scenario"
-    )
+    assert set(json.loads(baseline.read_text())["tiers"]["scaled"]) == {
+        "seed", "repeats", "solvers"
+    }, "the serving paths are benchmarked by bench/, not BENCH_solvers.json"
     xl = report.tier_for("xl")
     assert xl is not None and xl.result_for("greedy") is not None, (
         "committed baseline must carry the xl stress tier"
     )
 
 
-def test_service_scenario_is_recorded_and_round_trips(
+def test_reports_with_retired_service_sections_load_and_compare(
     quick_report: BenchReport, tmp_path: Path
 ) -> None:
-    service = _only_tier(quick_report).service
-    assert service is not None
-    assert service.append_seconds > 0
-    assert 0 < service.request_p50 <= service.request_p99
-    path = tmp_path / "bench.json"
-    write_report(quick_report, path)
-    loaded = load_report(path)
-    assert _only_tier(loaded).service == service
-    assert "journal-append" in quick_report.render()
-
-
-def test_service_slowdown_is_a_regression(quick_report: BenchReport) -> None:
-    data = quick_report.to_json()
-    data["tiers"]["smoke"]["service"]["append_seconds"] /= 10.0
-    data["tiers"]["smoke"]["service"]["request_p50"] /= 10.0
-    baseline = BenchReport.from_json(data)
-    messages = compare_reports(quick_report, baseline, max_regression=2.0)
-    assert any("service.journal-append" in m for m in messages)
-    assert any("service.request-p50" in m for m in messages)
-
-
-def test_pre_service_baselines_still_compare(quick_report: BenchReport) -> None:
-    # Reports written before the service scenario existed lack the key:
-    # loading and gating against them must both keep working.
-    data = quick_report.to_json()
-    del data["tiers"]["smoke"]["service"]
-    baseline = BenchReport.from_json(data)
-    assert _only_tier(baseline).service is None
-    assert compare_reports(quick_report, baseline) == []
-
-
-def test_bench_can_skip_the_service_scenario() -> None:
-    report = run_bench(
-        solvers=("random-v",), quick=True, scale="smoke", with_service=False
-    )
-    assert _only_tier(report).service is None
-    assert "service" not in report.to_json()["tiers"]["smoke"]
+    # Baselines written while geacc bench also timed the serving paths
+    # carry ``service`` / ``sharded_service`` keys (v2 per tier, v1 at the
+    # top level); they must still load and gate on their solver timings.
+    retired = {
+        "service": {"append_seconds": 1e-4, "request_p50": 4e-3},
+        "sharded_service": {"n_components": 24, "runs": {"1": {"seconds": 0.6}}},
+    }
+    v2 = quick_report.to_json()
+    v2["tiers"]["smoke"].update(retired)
+    tier = _only_tier(quick_report)
+    solver = tier.results[0]
+    v1 = {
+        "format": "geacc-bench-v1",
+        "scale": "smoke",
+        "seed": tier.seed,
+        "n_events": solver.n_events,
+        "n_users": solver.n_users,
+        "repeats": 1,
+        "solvers": {
+            solver.solver: {
+                key: value
+                for key, value in solver.to_json().items()
+                if key not in ("n_events", "n_users")
+            }
+        },
+        **retired,
+    }
+    for name, data in (("v2", v2), ("v1", v1)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        baseline = load_report(path)
+        assert _only_tier(baseline).result_for(solver.solver) == solver
+        assert compare_reports(quick_report, baseline) == []
+        assert speedup_summary(quick_report, baseline)

@@ -1,6 +1,7 @@
 """MicroBatchEngine: batching, admission control, quality guarantees."""
 
 import dataclasses
+import threading
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,39 @@ def test_threaded_engine_serves_and_drains_on_close(tmp_path: Path) -> None:
     assert request.done
     with pytest.raises(ServiceError, match="closed"):
         service.post_event(1, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("command", ["post_event", "register_user"])
+def test_concurrent_creations_get_distinct_ids(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, command: str
+) -> None:
+    # Thread A parks right after its command is journaled and applied;
+    # this thread's command (B) lands in that gap. Each gets its own id.
+    accepted, release = threading.Event(), threading.Event()
+    ids: dict[str, int] = {}
+    with sync_service(tmp_path) as service:
+        accept = service._accept
+
+        def parking_accept(cmd: str, args: dict) -> tuple[int, int]:
+            result = accept(cmd, args)
+            if not accepted.is_set():
+                accepted.set()
+                assert release.wait(timeout=30)
+            return result
+
+        monkeypatch.setattr(service, "_accept", parking_accept)
+
+        def create(name: str) -> None:
+            ids[name] = getattr(service, command)(capacity=1, attributes=[1.0, 1.0])
+
+        first = threading.Thread(target=create, args=("A",))
+        first.start()
+        assert accepted.wait(timeout=30)
+        create("B")
+        release.set()
+        first.join(timeout=30)
+        assert not first.is_alive()
+    assert ids == {"A": 0, "B": 1}
 
 
 def test_engine_parameter_validation(tmp_path: Path) -> None:

@@ -1,5 +1,6 @@
 """HTTP front-end: JSON API, status codes, overload shedding."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -76,6 +77,19 @@ def expect_http_error(base: str, method: str, path: str, payload=None) -> urllib
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         call(base, method, path, payload)
     return excinfo.value
+
+
+def post_with_content_length(port: int, path: str, length: str) -> tuple[int, dict]:
+    """POST with a raw ``Content-Length`` header and no body."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Length", length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def test_client_errors_are_400_with_reason(served) -> None:
@@ -158,11 +172,14 @@ def test_overload_is_503_with_retry_after(tmp_path: Path) -> None:
         ("/users", {"capacity": 1}),
         ("/users", {"capacity": 1, "attributes": None}),
         ("/assignments", {"user": "0"}),
+        pytest.param("/events", "abc", id="/events-content-length-abc"),
+        pytest.param("/events", "-5", id="/events-content-length-negative"),
     ],
 )
 def test_malformed_fields_are_400_on_both_backends(
-    tmp_path: Path, sharded: bool, path: str, payload: dict
+    tmp_path: Path, sharded: bool, path: str, payload: dict | str
 ) -> None:
+    # A str payload is sent as a raw, bad Content-Length with no body.
     backend = (
         ShardCoordinator.create(tmp_path / "fleet", CONFIG, 2, threaded=False)
         if sharded
@@ -176,8 +193,12 @@ def test_malformed_fields_are_400_on_both_backends(
         call(base, "POST", "/events", {"capacity": 1, "attributes": [1.0, 1.0]})
         call(base, "POST", "/users", {"capacity": 1, "attributes": [1.0, 1.0]})
         seq = call(base, "GET", "/state")["seq"]
-        error = expect_http_error(base, "POST", path, payload)
-        assert error.code == 400, json.loads(error.read())
+        if isinstance(payload, str):
+            status, reply = post_with_content_length(server.port, path, payload)
+            assert status == 400, reply
+        else:
+            error = expect_http_error(base, "POST", path, payload)
+            assert error.code == 400, json.loads(error.read())
         # Rejected before anything was journaled.
         assert call(base, "GET", "/state")["seq"] == seq
     finally:
