@@ -16,8 +16,8 @@ test:
 test-robustness:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/robustness -q
 
-# Serve (single service + 4-shard fleet), kill -9, recover (CI's
-# service-smoke job).
+# Serve (1-shard and 4-shard fleets, mid-compaction crash), kill -9,
+# recover (CI's service-smoke job).
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.service.smoke
 

@@ -29,17 +29,19 @@ reached its budget-limited best-so-far.
   available as the ``geacc-lint`` console script; see
   ``docs/static-analysis.md``).
 * ``geacc serve`` -- run the journaled online arrangement service: a
-  JSON-over-HTTP front-end over a write-ahead journal and the
+  JSON-over-HTTP front-end over a shard fleet (one shard unless
+  ``--shards`` says otherwise), each shard a write-ahead journal and a
   micro-batching solve engine (``--journal``, ``--batch-ms``,
-  ``--timeout``; see ``docs/service.md``). Restarting with an existing
-  journal recovers the exact pre-crash state -- via the newest intact
-  snapshot plus the journal tail when ``--snapshot-dir`` holds one, and
-  ``--compact-bytes`` arms automatic journal compaction on growth.
-* ``geacc compact`` -- offline snapshot + journal-trim of a service
-  journal (the same operation ``POST /compact`` runs on a live server).
-* ``geacc replay`` -- drive a simulated timeline through the service as
-  a load generator; reports request-latency percentiles and achieved
-  MaxSum versus the offline clairvoyant bound, next to the
+  ``--timeout``; see ``docs/service.md``). ``--journal`` names the
+  fleet's root directory; restarting on an existing root recovers the
+  exact pre-crash state -- each shard via its newest intact snapshot
+  plus its journal tail -- and ``--compact-bytes`` arms automatic
+  journal compaction on growth.
+* ``geacc compact`` -- offline snapshot + journal-trim of every shard of
+  a fleet (the same operation ``POST /compact`` runs on a live server).
+* ``geacc replay`` -- drive a simulated timeline through a synchronous
+  fleet as a load generator; reports request-latency percentiles and
+  achieved MaxSum versus the offline clairvoyant bound, next to the
   first-come-first-served baseline.
 """
 
@@ -332,7 +334,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.exceptions import JournalError
-    from repro.service.frontend import ArrangementService
     from repro.service.http import make_server
     from repro.service.sharding import ShardCoordinator
     from repro.service.store import StoreConfig
@@ -347,25 +348,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "ladder": tuple(args.ladder),
     }
     try:
-        if args.shards:
-            # --shards N: args.journal names the shard root directory
-            # (manifest + one journal/snapshot dir per shard).
-            service = ShardCoordinator.open(
-                args.journal, config, shards=args.shards, **options
-            )
-        else:
-            snapshot_dir = args.snapshot_dir or f"{args.journal}.snapshots"
-            service = ArrangementService.open(
-                args.journal, config, snapshot_dir=snapshot_dir, **options
-            )
+        # args.journal names the fleet root (manifest + one journal and
+        # snapshot directory per shard).
+        fleet = ShardCoordinator.open(
+            args.journal, config, shards=args.shards, **options
+        )
     except JournalError as exc:
         print(f"geacc serve: cannot recover: {exc}", file=sys.stderr)
         return 2
-    if not args.shards:
-        service._crash_after_snapshot = args.crash_after_snapshot
-    server = make_server(service, host=args.host, port=args.port)
-    summary = service.state_summary()
-    recovery = summary.get("last_recovery")
+    if args.crash_after_snapshot:
+        fleet._crash_after_snapshot()
+    server = make_server(fleet, host=args.host, port=args.port)
+    summary = fleet.state_summary()
+    recovery = summary["last_recovery"]
     print(
         f"geacc serve: journal={args.journal} seq={summary['seq']} "
         f"|V|={summary['n_events']} |U|={summary['n_users']} "
@@ -373,19 +368,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         + (f" recovery={recovery['rung']}" if recovery else ""),
         flush=True,
     )
-    topology = summary.get("sharding")
-    if topology:
-        per_shard = " ".join(
-            f"s{row['shard']}:|V|={row['n_events']},|U|={row['n_users']},"
-            f"seq={row['seq']}"
-            for row in topology["per_shard"]
-        )
-        print(
-            f"geacc serve: sharding shards={topology['shards']} "
-            f"components={topology['components']} "
-            f"rebalances={topology['rebalances']} {per_shard}",
-            flush=True,
-        )
+    topology = summary["sharding"]
+    per_shard = " ".join(
+        f"s{row['shard']}:|V|={row['n_events']},|U|={row['n_users']},"
+        f"seq={row['seq']}"
+        for row in topology["per_shard"]
+    )
+    print(
+        f"geacc serve: sharding shards={topology['shards']} "
+        f"components={topology['components']} "
+        f"rebalances={topology['rebalances']} {per_shard}",
+        flush=True,
+    )
     # The smoke driver and scripts parse this exact line for the port.
     print(f"listening on http://{args.host}:{server.port}", flush=True)
     try:
@@ -395,7 +389,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         server.shutdown()
         server.server_close()
-        service.close()
+        fleet.close()
     return 0
 
 
@@ -429,13 +423,11 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(instance)
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            default = Path(tmp) / ("fleet" if args.shards else "replay.jsonl")
             report = replay_timeline(
                 instance,
                 timeline,
-                Path(args.journal) if args.journal else default,
+                Path(args.journal) if args.journal else Path(tmp) / "fleet",
                 shards=args.shards,
-                batch_ms=args.batch_ms,
                 solve_timeout=args.timeout,
                 ladder=tuple(args.ladder),
                 bound=args.bound,
@@ -449,23 +441,24 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _cmd_compact(args: argparse.Namespace) -> int:
     from repro.exceptions import JournalError
-    from repro.service.journal import Journal
-    from repro.service.snapshot import compact
+    from repro.service.sharding import ShardCoordinator
 
-    snapshot_dir = args.snapshot_dir or f"{args.journal}.snapshots"
     try:
-        journal, store = Journal.recover(args.journal, snapshot_dir=snapshot_dir)
+        fleet = ShardCoordinator.recover(
+            args.journal, threaded=False, retain=args.retain
+        )
     except JournalError as exc:
         print(f"geacc compact: cannot recover: {exc}", file=sys.stderr)
         return 2
-    with journal:
-        stats = compact(journal, store, snapshot_dir, retain=args.retain)
-    print(
-        f"geacc compact: snapshot seq={stats.snapshot_seq} "
-        f"journal {stats.journal_bytes_before} -> {stats.journal_bytes_after} "
-        f"bytes (base seq {stats.base_seq}, "
-        f"retained {len(stats.retained)}, pruned {len(stats.pruned)})"
-    )
+    with fleet:
+        compacted = fleet.compact()
+    for shard, stats in enumerate(compacted.per_shard):
+        print(
+            f"geacc compact: shard {shard} snapshot seq={stats.snapshot_seq} "
+            f"journal {stats.journal_bytes_before} -> {stats.journal_bytes_after} "
+            f"bytes (base seq {stats.base_seq}, "
+            f"retained {len(stats.retained)}, pruned {len(stats.pruned)})"
+        )
     return 0
 
 
@@ -702,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal",
         required=True,
         metavar="PATH",
-        help="write-ahead journal (recovered if it already exists)",
+        help="fleet root directory: manifest plus one journal and snapshot "
+        "directory per shard (recovered if it already exists)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -750,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="similarity metric (new journals only)",
     )
     serve.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="snapshot/compaction directory (default: <journal>.snapshots)",
-    )
-    serve.add_argument(
         "--compact-bytes", type=int, default=1 << 20, metavar="BYTES",
         help="auto-compact when the journal exceeds this size "
         "(0 disables; default: 1 MiB)",
@@ -768,22 +758,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-after-snapshot", action="store_true", help=argparse.SUPPRESS,
     )
     serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="shard the service by conflict-graph components; --journal "
-        "then names the shard root directory (0 = unsharded)",
+        "--shards", type=int, default=None, metavar="N",
+        help="shard the service by conflict-graph components (default: 1 "
+        "for a new root, the manifest's count for an existing one)",
     )
     serve.set_defaults(func=_cmd_serve)
 
     compact = subparsers.add_parser(
-        "compact", help="snapshot a service journal and trim it to the tail"
+        "compact", help="snapshot every shard journal and trim it to the tail"
     )
     compact.add_argument(
         "--journal", required=True, metavar="PATH",
-        help="write-ahead journal to compact (recovered first)",
-    )
-    compact.add_argument(
-        "--snapshot-dir", default=None, metavar="DIR",
-        help="snapshot directory (default: <journal>.snapshots)",
+        help="fleet root directory to compact (recovered first)",
     )
     compact.add_argument(
         "--retain", type=int, default=2, metavar="N",
@@ -797,10 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_instance_arguments(replay)
     replay.add_argument("--horizon", type=float, default=100.0)
-    replay.add_argument(
-        "--batch-ms", type=float, default=10.0, metavar="MS",
-        help="engine coalescing window during the replay",
-    )
     replay.add_argument(
         "--timeout", type=float, default=0.25, metavar="SECONDS",
         help="per-batch solve deadline",
@@ -820,14 +802,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--journal", default=None, metavar="PATH",
-        help="keep the run's journal here (default: a temp file); with "
-        "--shards this is the shard root directory",
+        help="keep the run's fleet root here (default: a temp directory)",
     )
     replay.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="replay through a shard fleet driven synchronously; compare "
-        "--shards 1 vs --shards 8 for the scaling story (0 = classic "
-        "threaded single service)",
+        "--shards", type=int, default=1, metavar="N",
+        help="shard count of the synchronously driven fleet; compare "
+        "--shards 1 vs --shards 8 for the scaling story (default: 1)",
     )
     replay.add_argument(
         "--components", type=int, default=0, metavar="K",

@@ -262,6 +262,9 @@ class FaultFS:
         parent = str(Path(path).parent)
         return parent in self._dirs and Path(path).name in self._dirs[parent]
 
+    def is_dir(self, path: str | Path) -> bool:
+        return str(Path(path)) in self._dirs
+
     def listdir(self, path: str | Path) -> list[str]:
         key = str(Path(path))
         if key not in self._dirs:

@@ -2,7 +2,10 @@
 
 The serving layer that turns the batch solvers into a long-lived,
 crash-recoverable system (``docs/service.md``). Four layers, composed
-by :class:`~repro.service.frontend.ArrangementService`:
+once per shard by :class:`~repro.service.frontend.ArrangementService`;
+:class:`~repro.service.sharding.ShardCoordinator` routes over the
+shards and is the one object every front end holds (an unsharded
+deployment is a one-shard fleet):
 
 * **state** -- :class:`~repro.service.store.ArrangementStore`: a
   mutable live GEACC instance (events/users/assignments, O(1) delta

@@ -219,8 +219,10 @@ class MicroBatchEngine:
         shard dirty; the next batch -- background-thread or synchronous
         -- runs even if the request list is empty. Which clusters it
         re-solves does not depend on this flag: the store's change log
-        names them. The unsharded service never calls this, so its batch
-        cadence is unchanged.
+        names them. Every front end holds a fleet, so a threaded engine
+        behind one re-solves after every post, freeze and cancel, one
+        shard or many; an ``ArrangementService`` driven directly never
+        calls this.
         """
         with self._cond:
             self._dirty = True

@@ -1,7 +1,11 @@
-"""The service façade: journaled commands over a live store + engine.
+"""One shard's service stack: journaled commands over a store + engine.
 
-:class:`ArrangementService` is the single entry point both front-ends
-(the HTTP API and the ``geacc replay`` load generator) talk to. It owns
+:class:`ArrangementService` is what a
+:class:`~repro.service.sharding.ShardCoordinator` composes once per
+shard (through :class:`~repro.service.sharding.ShardManager`); an
+unsharded deployment is a one-shard fleet. Every front end -- the HTTP
+API, ``geacc replay``, ``geacc compact`` -- holds the coordinator, not
+this class. One service owns
 
 * the :class:`~repro.service.store.ArrangementStore` (live state),
 * the :class:`~repro.service.journal.Journal` (durability), and
@@ -32,7 +36,7 @@ from repro.service.engine import (
     MicroBatchEngine,
     PendingRequest,
 )
-from repro.service.journal import Journal
+from repro.service.journal import REAL_FS, FileSystem, Journal
 from repro.service.snapshot import (
     DEFAULT_RETAIN,
     CompactionStats,
@@ -61,7 +65,7 @@ DEFAULT_REQUEST_WAIT = 30.0
 
 
 class ArrangementService:
-    """A journaled online arrangement service over one GEACC universe.
+    """One shard's journaled arrangement service (see the module docstring).
 
     Build with :meth:`create` (fresh journal) or :meth:`recover`
     (existing journal -> reconstructed state); pass ``threaded=False``
@@ -118,10 +122,15 @@ class ArrangementService:
 
     @classmethod
     def create(
-        cls, journal_path: str | Path, config: StoreConfig, **kwargs: object
+        cls,
+        journal_path: str | Path,
+        config: StoreConfig,
+        *,
+        fs: FileSystem = REAL_FS,
+        **kwargs: object,
     ) -> "ArrangementService":
         """Start a brand-new service with an empty journal."""
-        journal = Journal.create(journal_path, config)
+        journal = Journal.create(journal_path, config, fs=fs)
         return cls(ArrangementStore(config), journal, **kwargs)  # type: ignore[arg-type]
 
     @classmethod
@@ -131,6 +140,7 @@ class ArrangementService:
         *,
         snapshot_dir: str | Path | None = None,
         config: StoreConfig | None = None,
+        fs: FileSystem = REAL_FS,
         **kwargs: object,
     ) -> "ArrangementService":
         """Restart from an existing journal (truncating any torn tail).
@@ -142,38 +152,9 @@ class ArrangementService:
         snapshots recovers to a fresh empty store instead of failing.
         """
         journal, store = Journal.recover(
-            journal_path, snapshot_dir=snapshot_dir, config=config
+            journal_path, snapshot_dir=snapshot_dir, config=config, fs=fs
         )
         return cls(store, journal, snapshot_dir=snapshot_dir, **kwargs)  # type: ignore[arg-type]
-
-    @classmethod
-    def open(
-        cls,
-        journal_path: str | Path,
-        config: StoreConfig | None = None,
-        *,
-        snapshot_dir: str | Path | None = None,
-        **kwargs: object,
-    ) -> "ArrangementService":
-        """Recover when anything durable exists, otherwise create fresh.
-
-        ``config`` is required for creation and is the empty-journal
-        safety net for recovery (the journal header wins when present).
-        A missing journal next to surviving snapshots still recovers --
-        the snapshot is durable state, not a cache.
-        """
-        durable = Path(journal_path).exists() or (
-            snapshot_dir is not None and bool(list_snapshots(snapshot_dir))
-        )
-        if durable:
-            return cls.recover(
-                journal_path, snapshot_dir=snapshot_dir, config=config, **kwargs
-            )
-        if config is None:
-            raise ServiceError(
-                f"{journal_path} does not exist and no config was given"
-            )
-        return cls.create(journal_path, config, snapshot_dir=snapshot_dir, **kwargs)
 
     # ------------------------------------------------------------------
     # The write-ahead spine
@@ -348,24 +329,17 @@ class ArrangementService:
 
     @property
     def seq(self) -> int:
-        """The store's journal sequence number (duck-typed for routing).
+        """The store's journal sequence number (this shard's alone).
 
-        The HTTP layer reads ``service.seq`` so the same handlers can
-        front either one service or a
-        :class:`~repro.service.sharding.ShardCoordinator` (whose ``seq``
-        aggregates its shards).
+        A :class:`~repro.service.sharding.ShardCoordinator` reports the
+        sum over its shards as the fleet's ``seq``.
         """
         with self._lock:
             return self.store.seq
 
-    def assignments_of(self, user: int) -> tuple[int, ...]:
-        with self._lock:
-            if not 0 <= user < self.store.n_users:
-                raise ServiceError(f"unknown user {user!r}")
-            return tuple(sorted(self.store.events_of(user)))
-
     def state_summary(self) -> dict:
-        """A compact, JSON-ready health/state view (the GET /state body)."""
+        """A compact, JSON-ready health/state view (one shard's row of
+        ``GET /state``'s ``sharding.per_shard``)."""
         with self._lock:
             store = self.store
             return {

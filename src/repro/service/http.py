@@ -1,9 +1,10 @@
 """Stdlib JSON-over-HTTP front-end for the arrangement service.
 
-A deliberately small API over :class:`~repro.service.frontend.
-ArrangementService`, served by ``http.server.ThreadingHTTPServer`` (one
-thread per connection; blocking assignment requests park their handler
-thread on the engine future, they do not hold the state lock):
+A deliberately small API over a
+:class:`~repro.service.sharding.ShardCoordinator` (one shard or many),
+served by ``http.server.ThreadingHTTPServer`` (one thread per
+connection; blocking assignment requests park their handler thread on
+the engine future, they do not hold the state lock):
 
 ====================================  =========================================
 ``POST /events``                      ``{"capacity", "attributes", "conflicts"?}`` -> ``201 {"event"}``
@@ -34,17 +35,8 @@ import json
 import re
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from typing import TYPE_CHECKING, Union
-
 from repro.exceptions import ServiceError, ServiceOverloadedError
-from repro.service.frontend import ArrangementService
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.sharding import ShardCoordinator
-
-#: Anything the handlers can front: one service, or a shard fleet behind
-#: its coordinator (same duck-typed command/read surface).
-Backend = Union[ArrangementService, "ShardCoordinator"]
+from repro.service.sharding import ShardCoordinator
 
 #: Retry-After hint (seconds) sent with 503 overload responses.
 RETRY_AFTER_S = 1
@@ -54,12 +46,12 @@ _USER_ASSIGNMENTS = re.compile(r"^/assignments/(\d+)$")
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the service for its handlers."""
+    """ThreadingHTTPServer carrying the coordinator for its handlers."""
 
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address: tuple[str, int], service: Backend):
+    def __init__(self, address: tuple[str, int], service: ShardCoordinator):
         super().__init__(address, _Handler)
         self.service = service
 
@@ -183,7 +175,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    service: Backend, host: str = "127.0.0.1", port: int = 0
+    service: ShardCoordinator, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceHTTPServer:
     """Bind the JSON API (port 0 = ephemeral; read ``server.port``)."""
     return ServiceHTTPServer((host, port), service)

@@ -94,6 +94,9 @@ class FileSystem:
     def exists(self, path: str | Path) -> bool:
         return Path(path).exists()
 
+    def is_dir(self, path: str | Path) -> bool:
+        return Path(path).is_dir()
+
     def listdir(self, path: str | Path) -> list[str]:
         return os.listdir(path)
 

@@ -5,13 +5,14 @@
 time order -- events post, users register and immediately request an
 assignment, events freeze -- with wall-clock compressed to "as fast as
 the service accepts commands". One driver, :func:`replay_timeline`,
-serves both deployments: a live
-:class:`~repro.service.frontend.ArrangementService`, or with
-``shards >= 1`` a :class:`~repro.service.sharding.ShardCoordinator`
-fleet, read back only through their shared ``state_summary()`` /
-``check_invariants()`` surface. Every assignment request is measured
-from submission to batch commit, giving the latency distribution of the
-micro-batching engine under a realistic arrival burst.
+runs it through a :class:`~repro.service.sharding.ShardCoordinator`
+fleet (one shard by default) driven *synchronously*: every request
+resolves in the caller's thread before the next command is issued, so
+every request is its own batch and runs at different shard counts
+execute the identical command sequence. Each request is measured from
+submission to batch commit. Batch-window coalescing under a burst is
+not measured here; the threaded engine is exercised by the crash smoke
+and the engine tests.
 
 Quality is scored the way the offline experiments score policies: the
 achieved MaxSum over the clairvoyant bound of the *full* instance
@@ -21,12 +22,6 @@ for the pure first-come-first-served
 :func:`~repro.simulation.simulate` (no ``rebatch``) on the same
 timeline -- the number the micro-batched engine must beat to justify
 existing.
-
-Freeze moments act as barriers: requests submitted before a freeze are
-resolved before the freeze is issued (an EBSN platform processes
-registrations in seconds; event lead times are hours). Without the
-barrier the comparison against the simulator baseline -- which serves
-every earlier arrival before freezing -- would be apples to oranges.
 """
 
 from __future__ import annotations
@@ -39,18 +34,13 @@ import numpy as np
 
 from repro.core.bounds import nn_capacity_bound, relaxation_bound
 from repro.core.model import Instance
-from repro.exceptions import ServiceError, ServiceOverloadedError
+from repro.exceptions import ServiceError
 from repro.service.engine import PendingRequest
-from repro.service.frontend import ArrangementService
 from repro.service.journal import replay as replay_journal
 from repro.service.sharding import ShardCoordinator, ShardManager
 from repro.service.store import StoreConfig
 from repro.simulation.simulator import simulate
 from repro.simulation.workload import ARRIVE, POST, Timeline
-
-#: Per-request resolution allowance during replay (generous; a stuck
-#: engine should fail loudly, not hang the load generator).
-REQUEST_WAIT_S = 60.0
 
 BOUNDS = {
     "relaxation": relaxation_bound,
@@ -66,7 +56,6 @@ class ReplayReport:
     n_users: int
     n_requests: int
     n_batches: int
-    overloaded: int
     p50_ms: float
     p90_ms: float
     p99_ms: float
@@ -78,14 +67,14 @@ class ReplayReport:
     seconds: float
     journal_path: str
     replay_verified: bool
-    #: Shard count of the deployment (None = classic unsharded service).
-    shards: int | None = None
+    #: Shard count of the fleet.
+    shards: int
     #: Per-shard ``{"shard", "requests", "batches", "events", "users",
-    #: "rps"}`` rows, set for sharded runs.
-    per_shard: tuple[dict, ...] | None = None
-    #: The deployment's ``engine`` block: batches that re-solved an open
+    #: "rps"}`` rows.
+    per_shard: tuple[dict, ...]
+    #: The fleet's ``engine`` block: batches that re-solved an open
     #: remainder, and how many of them re-solved only a scope.
-    engine: dict | None = None
+    engine: dict
 
     @property
     def aggregate_rps(self) -> float:
@@ -102,13 +91,18 @@ class ReplayReport:
         return self.baseline_max_sum / self.bound if self.bound > 0 else 1.0
 
     def render(self) -> str:
+        rows = ", ".join(
+            f"s{row['shard']}={row['rps']:.0f}rps({row['requests']}req)"
+            for row in self.per_shard
+        )
         lines = [
             "== geacc replay: micro-batched service vs clairvoyant bound ==",
             f"workload: |V|={self.n_events} |U|={self.n_users} "
             f"requests={self.n_requests} batches={self.n_batches} "
-            f"scoped={self.engine['scoped'] if self.engine else 0}/"
-            f"{self.engine['batches'] if self.engine else 0} "
-            f"overloaded={self.overloaded} wall={self.seconds:.2f}s",
+            f"scoped={self.engine['scoped']}/{self.engine['batches']} "
+            f"wall={self.seconds:.2f}s",
+            f"sharding: {self.shards} shards "
+            f"aggregate={self.aggregate_rps:.0f} req/s [{rows}]",
             f"latency:  p50={self.p50_ms:.2f}ms p90={self.p90_ms:.2f}ms "
             f"p99={self.p99_ms:.2f}ms max={self.max_ms:.2f}ms",
             f"quality:  MaxSum={self.achieved_max_sum:.3f} "
@@ -119,16 +113,6 @@ class ReplayReport:
             f"journal:  {self.journal_path} "
             f"(replay {'verified' if self.replay_verified else 'NOT verified'})",
         ]
-        if self.shards is not None:
-            rows = ", ".join(
-                f"s{row['shard']}={row['rps']:.0f}rps({row['requests']}req)"
-                for row in self.per_shard or ()
-            )
-            lines.insert(
-                2,
-                f"sharding: {self.shards} shards "
-                f"aggregate={self.aggregate_rps:.0f} req/s [{rows}]",
-            )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
@@ -137,7 +121,6 @@ class ReplayReport:
             "n_users": self.n_users,
             "n_requests": self.n_requests,
             "n_batches": self.n_batches,
-            "overloaded": self.overloaded,
             "latency_ms": {
                 "p50": self.p50_ms,
                 "p90": self.p90_ms,
@@ -153,17 +136,11 @@ class ReplayReport:
             "seconds": self.seconds,
             "replay_verified": self.replay_verified,
             "engine": self.engine,
-            **(
-                {}
-                if self.shards is None
-                else {
-                    "sharding": {
-                        "shards": self.shards,
-                        "aggregate_rps": self.aggregate_rps,
-                        "per_shard": list(self.per_shard or ()),
-                    }
-                }
-            ),
+            "sharding": {
+                "shards": self.shards,
+                "aggregate_rps": self.aggregate_rps,
+                "per_shard": list(self.per_shard),
+            },
         }
 
 
@@ -172,24 +149,18 @@ def replay_timeline(
     timeline: Timeline,
     journal_path: str | Path,
     *,
-    shards: int = 0,
-    batch_ms: float = 10.0,
+    shards: int = 1,
     solve_timeout: float = 0.25,
-    max_pending: int = 1024,
     ladder: tuple[str, ...] = ("greedy", "random-u"),
     bound: str = "relaxation",
     verify_replay: bool = True,
 ) -> ReplayReport:
-    """Drive ``timeline`` through a fresh deployment; measure and score it.
+    """Drive ``timeline`` through a fresh fleet; measure and score it.
 
-    ``shards=0`` runs one threaded
-    :class:`~repro.service.frontend.ArrangementService`. ``shards >= 1``
-    runs a :class:`~repro.service.sharding.ShardCoordinator` fleet driven
-    *synchronously* (every request resolves in the caller's thread
-    before the next command is issued), so two runs at different shard
-    counts execute the identical command sequence and the
-    aggregate-throughput comparison measures exactly the work sharding
-    removes. ``--shards 1`` is the fair baseline for that comparison.
+    The fleet is a synchronously driven
+    :class:`~repro.service.sharding.ShardCoordinator` (see the module
+    docstring); ``shards=1`` is the unsharded deployment and the fair
+    baseline for a shard-scaling comparison.
 
     Args:
         instance: Attribute-backed instance (the service recomputes
@@ -197,16 +168,15 @@ def replay_timeline(
             rejected).
         timeline: Post/arrival/start times, validated against the
             instance.
-        journal_path: Where the service journals (the fleet's root
-            directory when sharded); must not exist yet.
-        shards: Shard count (0 = one unsharded service).
+        journal_path: The fleet's root directory; must not exist yet.
+        shards: Shard count (at least 1).
         bound: Clairvoyant bound to score against (``relaxation`` =
             Corollary 1 via min-cost flow; ``nn`` = the cheaper Lemma 6
             capacity bound).
-        verify_replay: After the run, replay every journal and require
-            each reconstructed state digest to match the live one; a
-            fleet must also recover (manifest walk included) to the live
-            global arrangement digest.
+        verify_replay: After the run, replay every shard journal and
+            require each reconstructed state digest to match the live
+            one, then recover the fleet (manifest walk included) and
+            require the live global arrangement digest.
     """
     if instance.event_attributes is None or instance.user_attributes is None:
         raise ServiceError(
@@ -215,8 +185,8 @@ def replay_timeline(
         )
     if bound not in BOUNDS:
         raise ServiceError(f"unknown bound {bound!r} (choose from {sorted(BOUNDS)})")
-    if shards < 0:
-        raise ServiceError(f"shards must be >= 0, got {shards}")
+    if shards < 1:
+        raise ServiceError(f"shards must be >= 1, got {shards}")
     timeline.validate_against(instance)
 
     config = StoreConfig(
@@ -224,99 +194,67 @@ def replay_timeline(
         t=instance.t,
         metric=instance.metric,
     )
-    moments = timeline.moments()
     event_ids: dict[int, int] = {}
-    user_ids: dict[int, int] = {}
-    futures: list[PendingRequest] = []
-    overloaded = 0
+    requests: list[PendingRequest] = []
 
     path = Path(journal_path)
-    options = {
-        "batch_ms": batch_ms,
-        "solve_timeout": solve_timeout,
-        "max_pending": max_pending,
-        "ladder": ladder,
-    }
     started = time.perf_counter()
-    backend: ArrangementService | ShardCoordinator = (
-        ShardCoordinator.create(path, config, shards, threaded=False, **options)
-        if shards
-        else ArrangementService.create(path, config, threaded=True, **options)
-    )
-    with backend:
-        for _, kind, entity in moments:
+    with ShardCoordinator.create(
+        path,
+        config,
+        shards,
+        threaded=False,
+        solve_timeout=solve_timeout,
+        ladder=ladder,
+    ) as fleet:
+        for _, kind, entity in timeline.moments():
             if kind == POST:
                 conflicts = [
                     event_ids[w]
                     for w in sorted(instance.conflicts.conflicts_with(entity))
                     if w in event_ids
                 ]
-                event_ids[entity] = backend.post_event(
+                event_ids[entity] = fleet.post_event(
                     capacity=int(instance.event_capacities[entity]),
                     attributes=[float(x) for x in instance.event_attributes[entity]],
                     conflicts=conflicts,
                 )
             elif kind == ARRIVE:
-                user_ids[entity] = backend.register_user(
+                user = fleet.register_user(
                     capacity=int(instance.user_capacities[entity]),
                     attributes=[float(x) for x in instance.user_attributes[entity]],
                 )
-                try:
-                    request = backend.request_assignment(
-                        user_ids[entity], wait=False
-                    )
-                    assert isinstance(request, PendingRequest)
-                    futures.append(request)
-                except ServiceOverloadedError:
-                    overloaded += 1
+                request = fleet.request_assignment(user, wait=False)
+                assert isinstance(request, PendingRequest)
+                requests.append(request)
             else:
-                # Barrier: the engine sees every earlier registration
-                # before the freeze lands (see module docstring).
-                for request in futures:
-                    if not request.done:
-                        request.wait(REQUEST_WAIT_S)
-                backend.freeze_event(event_ids[entity])
-        for request in futures:
-            if not request.done:
-                request.wait(REQUEST_WAIT_S)
-        # A synchronous fleet re-solves the shards its last freezes left
-        # stale; the threaded service has nothing queued by now.
-        backend.run_pending_batch()
-        backend.check_invariants()
-        summary = backend.state_summary()
+                fleet.freeze_event(event_ids[entity])
+        # Re-solve the shards the last freezes left stale.
+        fleet.run_pending_batch()
+        fleet.check_invariants()
+        summary = fleet.state_summary()
     seconds = time.perf_counter() - started
 
-    topology = summary.get("sharding")
-    per_shard = topology["per_shard"] if topology else []
-    replay_verified = False
+    per_shard = summary["sharding"]["per_shard"]
     if verify_replay:
-        journals = (
-            [
-                (ShardManager.journal_path(path, row["shard"]), row["digest"])
-                for row in per_shard
-            ]
-            if topology
-            else [(path, summary["digest"])]
-        )
-        for journal, digest in journals:
+        for row in per_shard:
+            journal = ShardManager.journal_path(path, row["shard"])
             recovered, _ = replay_journal(journal)
-            if recovered.digest() != digest:
+            if recovered.digest() != row["digest"]:
                 raise ServiceError(
                     f"journal replay of {journal} does not reproduce the "
                     "live state (digest mismatch)"
                 )
-        if topology:
-            with ShardCoordinator.recover(path, threaded=False) as reopened:
-                if reopened.arrangement_digest() != summary["digest"]:
-                    raise ServiceError(
-                        f"coordinator recovery of {path} does not reproduce "
-                        "the live arrangement (digest mismatch)"
-                    )
-        replay_verified = True
+        with ShardCoordinator.recover(path, threaded=False) as reopened:
+            if reopened.arrangement_digest() != summary["digest"]:
+                raise ServiceError(
+                    f"coordinator recovery of {path} does not reproduce "
+                    "the live arrangement (digest mismatch)"
+                )
 
     latencies_ms = sorted(
         1000.0 * request.latency_s
-        for request in futures
+        for request in requests
         if request.latency_s is not None
     )
     if latencies_ms:
@@ -333,9 +271,8 @@ def replay_timeline(
     return ReplayReport(
         n_events=instance.n_events,
         n_users=instance.n_users,
-        n_requests=len(futures),
+        n_requests=len(requests),
         n_batches=summary["batches_committed"],
-        overloaded=overloaded,
         p50_ms=p50,
         p90_ms=p90,
         p99_ms=p99,
@@ -346,22 +283,18 @@ def replay_timeline(
         baseline_max_sum=baseline.achieved_max_sum,
         seconds=seconds,
         journal_path=str(path),
-        replay_verified=replay_verified,
-        shards=shards or None,
+        replay_verified=verify_replay,
+        shards=shards,
         engine=summary["engine"],
-        per_shard=(
-            tuple(
-                {
-                    "shard": row["shard"],
-                    "requests": row["requests_seen"],
-                    "batches": row["batches_committed"],
-                    "events": row["n_events"],
-                    "users": row["n_users"],
-                    "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
-                }
-                for row in per_shard
-            )
-            if topology
-            else None
+        per_shard=tuple(
+            {
+                "shard": row["shard"],
+                "requests": row["requests_seen"],
+                "batches": row["batches_committed"],
+                "events": row["n_events"],
+                "users": row["n_users"],
+                "rps": row["requests_seen"] / seconds if seconds > 0 else 0.0,
+            }
+            for row in per_shard
         ),
     )

@@ -13,10 +13,10 @@ graph (``docs/service.md``, "Sharding"). Four pieces:
   coordinator's fsync'd placement log (written ahead of every shard
   journal append);
 * :class:`~repro.service.sharding.coordinator.ShardCoordinator` -- the
-  thin routing layer that duck-types
-  :class:`~repro.service.frontend.ArrangementService` for the HTTP
-  front-end and the load generator, serialises the rare cross-shard
-  rebalance, and recovers each shard independently.
+  routing layer every front end holds (``geacc serve``, HTTP, ``geacc
+  replay``, ``geacc compact``; an unsharded deployment is one shard),
+  which serialises the rare cross-shard rebalance and recovers each
+  shard independently.
 
 :mod:`~repro.service.sharding.workload` generates the clustered,
 partition-respecting universes the scaling benchmarks and equivalence

@@ -1,11 +1,12 @@
 """The shard coordinator: global routing over per-shard service stacks.
 
-:class:`ShardCoordinator` is the sharded counterpart of
-:class:`~repro.service.frontend.ArrangementService` and duck-types its
-public surface (``post_event`` / ``register_user`` /
-``request_assignment`` / ``freeze_event`` / ``cancel_event`` /
-``compact`` / ``state_summary`` / ``seq`` / ``assignments_of``), so the
-HTTP layer and the load generator can front either one transparently.
+:class:`ShardCoordinator` is the service's one front door: ``geacc
+serve``, the HTTP layer, ``geacc replay``, ``geacc compact`` and the
+crash smoke all hold one. An unsharded deployment is a one-shard fleet,
+so every deployment runs the manifest, the per-shard recovery ladder
+and the routing below. Each shard is one
+:class:`~repro.service.frontend.ArrangementService` stack behind a
+:class:`~repro.service.sharding.manager.ShardManager`.
 
 Placement follows the conflict graph: every connected component of
 conflict edges lives wholly on one shard
@@ -48,20 +49,13 @@ from pathlib import Path
 
 from repro.exceptions import JournalError, ServiceError
 from repro.parallel.maplib import thread_map
-from repro.service.engine import (
-    DEFAULT_BATCH_MS,
-    DEFAULT_LADDER,
-    DEFAULT_MAX_PENDING,
-    DEFAULT_SOLVE_TIMEOUT,
-    PendingRequest,
-    fleet_engine_summary,
-)
+from repro.service.engine import PendingRequest, fleet_engine_summary
 from repro.service.frontend import DEFAULT_REQUEST_WAIT
 from repro.service.journal import RECOVERY_RUNGS, REAL_FS, FileSystem
 from repro.service.sharding.manager import ShardManager
 from repro.service.sharding.manifest import ShardManifest
 from repro.service.sharding.partitioner import ConflictPartitioner
-from repro.service.snapshot import DEFAULT_RETAIN, CompactionStats
+from repro.service.snapshot import CompactionStats
 from repro.service.store import Delta, StoreConfig, as_event_ids, as_vector
 
 #: The manifest's file name under the shard root directory.
@@ -121,29 +115,22 @@ class ShardCoordinator:
         *,
         fs: FileSystem = REAL_FS,
         threaded: bool = True,
-        batch_ms: float = DEFAULT_BATCH_MS,
-        solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        ladder: tuple[str, ...] = DEFAULT_LADDER,
-        retain: int = DEFAULT_RETAIN,
-        compact_bytes: int | None = None,
+        **options: object,
     ) -> "ShardCoordinator":
-        """Create a fresh shard fleet under ``root``."""
-        root = Path(root)
+        """Create a fresh shard fleet under ``root``.
+
+        ``options`` (``batch_ms``, ``solve_timeout``, ``max_pending``,
+        ``ladder``, ``retain``, ``compact_bytes``) configure every
+        shard's :class:`~repro.service.frontend.ArrangementService`.
+        """
+        root = _fleet_root(root, fs)
         if not fs.exists(root):
             fs.mkdir(root)
         manifest = ShardManifest.create(root / MANIFEST_NAME, config, shards, fs=fs)
-        kwargs = dict(
-            threaded=threaded,
-            batch_ms=batch_ms,
-            solve_timeout=solve_timeout,
-            max_pending=max_pending,
-            ladder=ladder,
-            retain=retain,
-            compact_bytes=compact_bytes,
-        )
         managers = [
-            ShardManager.create(root, shard, config, fs=fs, **kwargs)
+            ShardManager.create(
+                root, shard, config, fs=fs, threaded=threaded, **options
+            )
             for shard in range(shards)
         ]
         return cls(root, manifest, managers, threaded=threaded)
@@ -155,12 +142,7 @@ class ShardCoordinator:
         *,
         fs: FileSystem = REAL_FS,
         threaded: bool = True,
-        batch_ms: float = DEFAULT_BATCH_MS,
-        solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
-        max_pending: int = DEFAULT_MAX_PENDING,
-        ladder: tuple[str, ...] = DEFAULT_LADDER,
-        retain: int = DEFAULT_RETAIN,
-        compact_bytes: int | None = None,
+        **options: object,
     ) -> "ShardCoordinator":
         """Restart a shard fleet from its root directory.
 
@@ -170,23 +152,16 @@ class ShardCoordinator:
         filesystems get a deterministic serial walk). The manifest is
         then replayed to rebuild the id maps and the partitioner, redo
         any half-applied rebalance, and drop unacknowledged trailing
-        entries.
+        entries. ``options`` are :meth:`create`'s.
         """
-        root = Path(root)
+        root = _fleet_root(root, fs)
         manifest, entries = ShardManifest.load(root / MANIFEST_NAME, fs=fs)
         config = manifest.config
-        kwargs = dict(
-            threaded=threaded,
-            batch_ms=batch_ms,
-            solve_timeout=solve_timeout,
-            max_pending=max_pending,
-            ladder=ladder,
-            retain=retain,
-            compact_bytes=compact_bytes,
-        )
 
         def recover_one(shard: int) -> ShardManager:
-            return ShardManager.recover(root, shard, config, fs=fs, **kwargs)
+            return ShardManager.recover(
+                root, shard, config, fs=fs, threaded=threaded, **options
+            )
 
         if fs is REAL_FS and manifest.shards > 1:
             managers = thread_map(recover_one, range(manifest.shards))
@@ -206,16 +181,27 @@ class ShardCoordinator:
         fs: FileSystem = REAL_FS,
         **kwargs: object,
     ) -> "ShardCoordinator":
-        """Recover when a manifest exists, otherwise create fresh."""
-        root = Path(root)
-        if fs.exists(root / MANIFEST_NAME):
+        """Recover when a manifest exists, otherwise create fresh.
+
+        ``shards=None`` means one shard for a new root and the
+        manifest's count for an existing one; any other count must
+        match the manifest's.
+        """
+        manifest_path = Path(root) / MANIFEST_NAME
+        if fs.exists(manifest_path):
+            header = next(ShardManifest.scan(manifest_path, fs), None)
+            if header and shards is not None and shards != header[0]["shards"]:
+                raise ServiceError(
+                    f"{root} is a {header[0]['shards']}-shard fleet; "
+                    f"cannot open it with {shards} shards"
+                )
             return cls.recover(root, fs=fs, **kwargs)  # type: ignore[arg-type]
-        if config is None or shards is None:
+        if config is None:
             raise ServiceError(
-                f"{root / MANIFEST_NAME} does not exist and no config/shard "
-                "count was given"
+                f"{manifest_path} does not exist and no config was given"
             )
-        return cls.create(root, config, shards, fs=fs, **kwargs)  # type: ignore[arg-type]
+        count = 1 if shards is None else shards
+        return cls.create(root, config, count, fs=fs, **kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # Manifest replay (recovery)
@@ -479,7 +465,7 @@ class ShardCoordinator:
         return self._user_shard[user]
 
     # ------------------------------------------------------------------
-    # Commands (the ArrangementService duck-type surface)
+    # Commands
     # ------------------------------------------------------------------
 
     def post_event(
@@ -670,13 +656,22 @@ class ShardCoordinator:
                 [manager.service.compact() for manager in self.managers]
             )
 
+    def _crash_after_snapshot(self) -> None:
+        """Test hook: every shard's next compaction hard-exits mid-way.
+
+        The process dies between the snapshot write and the journal trim
+        (``geacc serve --crash-after-snapshot``, smoke scenario B).
+        """
+        for manager in self.managers:
+            manager.service._crash_after_snapshot = True
+
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
 
     @property
     def seq(self) -> int:
-        """Total journal sequence across shards (duck-typed for HTTP)."""
+        """Total journal sequence across shards."""
         with self._lock:
             return sum(manager.service.seq for manager in self.managers)
 
@@ -858,6 +853,18 @@ class ShardCoordinator:
             f"ShardCoordinator({self.root}, shards={len(self.managers)}, "
             f"events={len(self._event_shard)}, users={len(self._user_shard)})"
         )
+
+
+def _fleet_root(root: str | Path, fs: FileSystem) -> Path:
+    """``root`` as a path, refusing one that exists as a file.
+
+    A journal file written by a pre-fleet single service lands here
+    when passed as ``--journal``; it is not adopted.
+    """
+    root = Path(root)
+    if fs.exists(root) and not fs.is_dir(root):
+        raise JournalError(f"{root} is a file, not a fleet root")
+    return root
 
 
 def _seats_landed(target: ShardManager, source: ShardManager, move: dict) -> bool:

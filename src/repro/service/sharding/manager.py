@@ -3,10 +3,10 @@
 A :class:`ShardManager` owns everything one shard needs to run alone --
 an :class:`~repro.service.store.ArrangementStore`, an fsync'd
 :class:`~repro.service.journal.Journal`, a snapshot directory, and a
-:class:`~repro.service.engine.MicroBatchEngine` -- composed exactly as
-the unsharded :class:`~repro.service.frontend.ArrangementService` (it
-*is* one, so the write-ahead discipline, auto-compaction and the PR 6
-recovery ladder come for free and apply to each shard independently).
+:class:`~repro.service.engine.MicroBatchEngine` -- as one
+:class:`~repro.service.frontend.ArrangementService`, built by its own
+``create``/``recover``. So the write-ahead discipline, auto-compaction
+and the recovery ladder apply to each shard independently.
 
 On top of the service the manager keeps the global<->local id
 translation: shard journals speak local ids (dense, per-shard), the
@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.service.engine import PendingRequest
 from repro.service.frontend import ArrangementService
-from repro.service.journal import REAL_FS, FileSystem, Journal
+from repro.service.journal import REAL_FS, FileSystem
 from repro.service.store import (
     CMD_POST_EVENT,
     CMD_REGISTER_USER,
@@ -76,12 +76,12 @@ class ShardManager:
         **service_kwargs: object,
     ) -> "ShardManager":
         """Create a fresh shard under ``root`` (journal + snapshot dir)."""
-        journal = Journal.create(cls.journal_path(root, shard_id), config, fs=fs)
-        service = ArrangementService(
-            ArrangementStore(config),
-            journal,
+        service = ArrangementService.create(
+            cls.journal_path(root, shard_id),
+            config,
+            fs=fs,
             snapshot_dir=cls.snapshot_dir(root, shard_id),
-            **service_kwargs,  # type: ignore[arg-type]
+            **service_kwargs,
         )
         return cls(shard_id, service)
 
@@ -101,17 +101,12 @@ class ShardManager:
         journal here degrades *this* shard down its ladder without the
         other shards replaying a single record.
         """
-        journal, store = Journal.recover(
+        service = ArrangementService.recover(
             cls.journal_path(root, shard_id),
             snapshot_dir=cls.snapshot_dir(root, shard_id),
             config=config,
             fs=fs,
-        )
-        service = ArrangementService(
-            store,
-            journal,
-            snapshot_dir=cls.snapshot_dir(root, shard_id),
-            **service_kwargs,  # type: ignore[arg-type]
+            **service_kwargs,
         )
         return cls(shard_id, service)
 
@@ -138,12 +133,6 @@ class ShardManager:
             raise ServiceError(
                 f"user {gid} does not live on shard {self.shard_id}"
             ) from None
-
-    def global_event(self, local: int) -> int:
-        return self.events_g[local]
-
-    def global_user(self, local: int) -> int:
-        return self.users_g[local]
 
     def bind_event(self, gid: int, local: int) -> None:
         """Record that global event ``gid`` occupies local slot ``local``.

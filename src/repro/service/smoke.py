@@ -2,40 +2,38 @@
 
 Three scenarios, two drivers: CI runs ``python -m repro.service.smoke``
 (exit 0 = the crash-recovery invariant held in every scenario), and
-``tests/service/test_crash_smoke.py`` calls :func:`run_smoke` (with and
-without ``shards``) and :func:`run_compaction_smoke` so the same
-end-to-end paths are exercised by the tier-1 suite.
+``tests/service/test_crash_smoke.py`` calls :func:`run_smoke` (one
+shard and four) and :func:`run_compaction_smoke` so the same end-to-end
+paths are exercised by the tier-1 suite. Every ``geacc serve`` here
+fronts a shard fleet whose root is ``--journal``.
 
-Scenario A (:func:`run_smoke`) is the service's original acceptance criterion:
+Scenarios A (``run_smoke(shards=1)``) and C (``run_smoke(shards=4)``)
+share one body:
 
-1. start ``geacc serve`` on an ephemeral port with a fresh journal;
-2. post events (one with a conflict edge), register users, request
-   assignments over HTTP and assert every user got a seat;
+1. start ``geacc serve --shards N`` on an ephemeral port with a fresh
+   fleet root;
+2. post four corner events and a sibling conflicting with the first,
+   register users, request assignments over HTTP and assert every user
+   got a seat; check the topology in ``GET /state`` (N shards, four
+   conflict components, events on every shard up to four);
 3. ``kill -9`` the server mid-stream (an un-acknowledged command may be
    in flight -- that is the point);
-4. restart ``geacc serve`` from the same journal;
-5. assert the recovered state digest equals an independent
-   :func:`repro.service.journal.replay` of the journal and the
-   pre-crash digest, that the restart reports its recovery rung, that
-   the assignments from step 2 survived, and that the service still
-   seats a new user.
+4. restart ``geacc serve`` from the same root;
+5. assert every shard's recovered digest equals an independent
+   :func:`repro.service.journal.replay` of its journal, that the
+   recovered global digest equals the pre-crash one, that the restart
+   reports its recovery rung and keeps its topology, that the
+   assignments from step 2 survived, and that a new user near the
+   conflicting sibling is seated on its component.
 
-Scenario B (:func:`run_compaction_smoke`) kills the server in the
-widest compaction crash window -- after the snapshot is durably written
-but before the journal is trimmed (the hidden
+Scenario B (:func:`run_compaction_smoke`, one shard) kills the server
+in the widest compaction crash window -- after the snapshot is durably
+written but before the journal is trimmed (the hidden
 ``--crash-after-snapshot`` serve flag hard-exits there) -- then
 restarts and requires the recovered digest to equal the pre-crash one
 via the snapshot + tail ladder rung. A second pass compacts for real,
 kill -9s immediately after, and requires the same equality from the
 trimmed journal.
-
-Scenario C (``run_smoke(shards=4)``) is scenario A against
-``geacc serve --shards 4``: the same commands spread events and users
-across every shard, and the coordinator's manifest-walk recovery must
-reproduce the pre-crash global digest. Only here does the smoke also
-check the live 4-shard topology in ``GET /state``, that the conflicting
-sibling joined its component, and that a post-recovery user near it is
-seated on that component.
 
 Uses ``urllib`` (a client, not a server -- rule R8 bans server-side
 socket primitives outside this package, and the subprocess boundary is
@@ -57,6 +55,7 @@ from pathlib import Path
 
 from repro.exceptions import ServiceError
 from repro.service.journal import replay as replay_journal
+from repro.service.sharding import ShardManager
 
 #: How long to wait for the server to print its listening line.
 STARTUP_TIMEOUT_S = 30.0
@@ -77,7 +76,7 @@ def _request(base: str, method: str, path: str, payload: dict | None = None) -> 
 class ServeProcess:
     """A ``geacc serve`` subprocess plus its parsed base URL."""
 
-    def __init__(self, journal: Path, extra_args: tuple[str, ...] = ()) -> None:
+    def __init__(self, root: Path, extra_args: tuple[str, ...] = ()) -> None:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -88,7 +87,7 @@ class ServeProcess:
                 "repro.cli",
                 "serve",
                 "--journal",
-                str(journal),
+                str(root),
                 "--host",
                 "127.0.0.1",
                 "--port",
@@ -136,13 +135,11 @@ class ServeProcess:
 
 
 def run_smoke(
-    workdir: str | Path | None = None, verbose: bool = False, shards: int = 0
+    workdir: str | Path | None = None, verbose: bool = False, shards: int = 1
 ) -> None:
     """Run the kill -9 scenario; raises :class:`ServiceError` on failure.
 
-    ``shards=0`` is scenario A against one service; ``shards >= 1`` is
-    scenario C, the same body against a ``--shards N`` fleet, plus its
-    topology checks.
+    ``shards=1`` is scenario A, ``shards=4`` scenario C.
     """
 
     def say(message: str) -> None:
@@ -158,13 +155,12 @@ def run_smoke(
         [1000.0, 9000.0],
         [9000.0, 9000.0],
     ]
-    serve_args = ("--shards", str(shards)) if shards else ()
+    serve_args = ("--shards", str(shards))
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        # With --shards the --journal path names the fleet's root directory.
-        journal = Path(tmp) / ("fleet" if shards else "service.jsonl")
-        server = ServeProcess(journal, serve_args)
+        root = Path(tmp) / "fleet"
+        server = ServeProcess(root, serve_args)
         try:
-            say(f"serving at {server.base} (journal {journal}, shards {shards})")
+            say(f"serving at {server.base} (fleet {root}, shards {shards})")
             events = [
                 _request(
                     server.base,
@@ -202,39 +198,34 @@ def run_smoke(
             seated = _request(server.base, "GET", f"/assignments/{users[0]}")
             pre_crash = _request(server.base, "GET", "/state")
             say(f"pre-crash state: {pre_crash}")
-            if shards:
-                topology = pre_crash.get("sharding")
-                if not topology or topology["shards"] != shards:
-                    raise ServiceError(
-                        f"expected a {shards}-shard topology: {topology}"
-                    )
-                # rival joined events[0]'s component: 5 events, 4 components.
-                if topology["components"] != len(corners):
-                    raise ServiceError(
-                        f"expected {len(corners)} conflict components, got "
-                        f"{topology}"
-                    )
-                populated = sum(
-                    1 for shard in topology["per_shard"] if shard["n_events"] > 0
+            topology = pre_crash["sharding"]
+            if topology["shards"] != shards:
+                raise ServiceError(f"expected a {shards}-shard topology: {topology}")
+            # rival joined events[0]'s component: 5 events, 4 components.
+            if topology["components"] != len(corners):
+                raise ServiceError(
+                    f"expected {len(corners)} conflict components, got {topology}"
                 )
-                if populated != min(shards, len(corners)):
-                    raise ServiceError(
-                        f"expected events on every shard, got {topology}"
-                    )
+            populated = sum(
+                1 for shard in topology["per_shard"] if shard["n_events"] > 0
+            )
+            if populated != min(shards, len(corners)):
+                raise ServiceError(f"expected events on every shard, got {topology}")
         finally:
             server.kill9()
-        say("killed -9; restarting from the journal")
+        say("killed -9; restarting from the fleet root")
 
-        server = ServeProcess(journal, serve_args)
+        server = ServeProcess(root, serve_args)
         try:
             post_crash = _request(server.base, "GET", "/state")
             say(f"post-crash state: {post_crash}")
-            if not shards:
+            for row in post_crash["sharding"]["per_shard"]:
+                journal = ShardManager.journal_path(root, row["shard"])
                 recovered_store, _ = replay_journal(journal)
-                if post_crash["digest"] != recovered_store.digest():
+                if row["digest"] != recovered_store.digest():
                     raise ServiceError(
-                        "recovered server state diverges from reference replay: "
-                        f"{post_crash['digest']} != {recovered_store.digest()}"
+                        f"recovered shard {row['shard']} diverges from reference "
+                        f"replay: {row['digest']} != {recovered_store.digest()}"
                     )
             if post_crash["digest"] != pre_crash["digest"]:
                 raise ServiceError(
@@ -243,10 +234,8 @@ def run_smoke(
                 )
             if not post_crash.get("last_recovery"):
                 raise ServiceError(f"restart reported no recovery rung: {post_crash}")
-            if shards and post_crash.get("sharding", {}).get("shards") != shards:
-                raise ServiceError(
-                    f"topology did not survive the crash: {post_crash}"
-                )
+            if post_crash["sharding"]["shards"] != shards:
+                raise ServiceError(f"topology did not survive the crash: {post_crash}")
             survived = _request(server.base, "GET", f"/assignments/{users[0]}")
             if survived != seated:
                 raise ServiceError(
@@ -263,13 +252,9 @@ def run_smoke(
             late_assigned = _request(
                 server.base, "POST", "/assignments", {"user": late}
             )
-            if not late_assigned["events"]:
+            if not {rival, events[0]} & set(late_assigned["events"]):
                 raise ServiceError(
-                    f"post-recovery user {late} got no seat: {late_assigned}"
-                )
-            if shards and not {rival, events[0]} & set(late_assigned["events"]):
-                raise ServiceError(
-                    f"post-recovery user {late} was seated off its corner: "
+                    f"post-recovery user {late} was not seated on its corner: "
                     f"{late_assigned}"
                 )
         finally:
@@ -287,15 +272,15 @@ def run_compaction_smoke(
             print(message, flush=True)
 
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
-        journal = Path(tmp) / "service.jsonl"
+        root = Path(tmp) / "fleet"
         # --compact-bytes 0 disables the automatic trigger so the POST
         # /compact below is the only compaction; --crash-after-snapshot
         # hard-exits between the snapshot write and the journal trim.
         server = ServeProcess(
-            journal, extra_args=("--compact-bytes", "0", "--crash-after-snapshot")
+            root, extra_args=("--compact-bytes", "0", "--crash-after-snapshot")
         )
         try:
-            say(f"serving at {server.base} (journal {journal})")
+            say(f"serving at {server.base} (fleet {root})")
             event = _request(
                 server.base,
                 "POST",
@@ -328,7 +313,7 @@ def run_compaction_smoke(
 
         # Restart (no crash flag): the snapshot is durable, the journal
         # untrimmed -- recovery must take the snapshot + tail rung.
-        server = ServeProcess(journal, extra_args=("--compact-bytes", "0"))
+        server = ServeProcess(root, extra_args=("--compact-bytes", "0"))
         try:
             post_crash = _request(server.base, "GET", "/state")
             say(f"post-crash state: {post_crash}")
@@ -342,7 +327,7 @@ def run_compaction_smoke(
                 raise ServiceError(
                     f"expected snapshot+tail recovery, got {recovery}"
                 )
-            snapshots = post_crash["snapshots"]
+            snapshots = post_crash["sharding"]["per_shard"][0]["snapshots"]
             if not snapshots or snapshots["count"] < 1:
                 raise ServiceError(
                     f"mid-compaction snapshot did not survive: {snapshots}"
@@ -363,7 +348,7 @@ def run_compaction_smoke(
             server.kill9()
         say("killed -9 after compaction; restarting")
 
-        server = ServeProcess(journal, extra_args=("--compact-bytes", "0"))
+        server = ServeProcess(root, extra_args=("--compact-bytes", "0"))
         try:
             final = _request(server.base, "GET", "/state")
             say(f"final state: {final}")
@@ -372,10 +357,11 @@ def run_compaction_smoke(
                     "state after post-compaction crash diverges: "
                     f"{final['digest']} != {pre_kill['digest']}"
                 )
-            if final["journal_base_seq"] != stats["base_seq"]:
+            base_seq = final["sharding"]["per_shard"][0]["journal_base_seq"]
+            if base_seq != stats["shards"][0]["base_seq"]:
                 raise ServiceError(
-                    f"journal base seq {final['journal_base_seq']} does not "
-                    f"match the compaction's {stats['base_seq']}"
+                    f"journal base seq {base_seq} does not match the "
+                    f"compaction's {stats['shards'][0]['base_seq']}"
                 )
         finally:
             server.terminate()
@@ -384,7 +370,7 @@ def run_compaction_smoke(
 
 def main() -> int:
     try:
-        run_smoke(verbose=True)
+        run_smoke(verbose=True, shards=1)
         run_compaction_smoke(verbose=True)
         run_smoke(verbose=True, shards=4)
     except ServiceError as exc:

@@ -130,6 +130,33 @@ def test_open_creates_then_recovers(tmp_path: Path) -> None:
         ShardCoordinator.open(tmp_path / "nowhere", threaded=False)
 
 
+def test_open_refuses_a_shard_count_the_manifest_disagrees_with(
+    tmp_path: Path,
+) -> None:
+    root = tmp_path / "fleet"
+    ShardCoordinator.create(root, CONFIG, 2, threaded=False).close()
+    with pytest.raises(ServiceError, match="2-shard fleet.*with 4 shards"):
+        ShardCoordinator.open(root, CONFIG, 4, threaded=False)
+    # No count: the manifest's; a new root gets one shard.
+    with ShardCoordinator.open(root, CONFIG, threaded=False) as coordinator:
+        assert len(coordinator.managers) == 2
+    with ShardCoordinator.open(tmp_path / "new", CONFIG, threaded=False) as fresh:
+        assert len(fresh.managers) == 1
+
+
+def test_a_file_is_not_a_fleet_root(tmp_path: Path) -> None:
+    root = tmp_path / "service.jsonl"
+    root.write_bytes(b"not a directory")
+    for opener in (
+        lambda: ShardCoordinator.open(root, CONFIG, threaded=False),
+        lambda: ShardCoordinator.create(root, CONFIG, 2, threaded=False),
+        lambda: ShardCoordinator.recover(root, threaded=False),
+    ):
+        with pytest.raises(JournalError, match="is a file, not a fleet root"):
+            opener()
+    assert root.read_bytes() == b"not a directory"
+
+
 def test_trailing_unacked_manifest_entry_is_dropped(tmp_path: Path) -> None:
     root = tmp_path / "fleet"
     with make_fleet(root) as coordinator:

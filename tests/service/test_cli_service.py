@@ -1,9 +1,9 @@
 """CLI surfaces of the durability layer: diagnostics and ``geacc compact``.
 
-Satellite guarantees: ``geacc serve`` / ``geacc replay`` exit nonzero
-with a one-line diagnostic on a :class:`JournalError` (no traceback for
-an operational error), and ``geacc compact`` snapshots + trims a
-journal offline.
+``geacc serve`` / ``geacc replay`` exit nonzero with a one-line
+diagnostic on a :class:`JournalError` (no traceback for an operational
+error), and ``geacc compact`` snapshots + trims every shard journal of
+a fleet offline.
 """
 
 import json
@@ -11,6 +11,7 @@ from pathlib import Path
 
 from repro.cli import main
 from repro.service.journal import Journal
+from repro.service.sharding import ShardCoordinator, ShardManager
 from repro.service.snapshot import list_snapshots
 from repro.service.store import ArrangementStore, StoreConfig
 
@@ -67,42 +68,74 @@ def test_replay_exits_2_with_one_line_diagnostic(tmp_path: Path, capsys) -> None
     assert "Traceback" not in captured.err
 
 
-def test_compact_trims_and_reports(tmp_path: Path, capsys) -> None:
+def test_serve_refuses_a_single_service_journal_file(
+    tmp_path: Path, capsys
+) -> None:
+    # A journal file written by the pre-fleet single service is not
+    # adopted as a fleet root.
     journal = tmp_path / "j.jsonl"
-    live = write_journal(journal, users=5)
-    bytes_before = len(journal.read_bytes())
-    code = main(["compact", "--journal", str(journal)])
+    write_journal(journal)
+    code = main(
+        ["serve", "--journal", str(journal), "--port", "0", "--shards", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("geacc serve: cannot recover:")
+    assert "is a file, not a fleet root" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert "listening" not in captured.out
+
+
+def write_fleet(root: Path, shards: int) -> ShardCoordinator:
+    """Events and seated users on every shard; returns the closed fleet."""
+    corners = [[1.0, 1.0], [9.0, 9.0], [1.0, 9.0], [9.0, 1.0]][:shards]
+    with ShardCoordinator.create(root, CONFIG, shards, threaded=False) as fleet:
+        for corner in corners:
+            fleet.post_event(capacity=2, attributes=corner)
+        for corner in corners:
+            user = fleet.register_user(capacity=1, attributes=corner)
+            fleet.request_assignment(user)
+    return fleet
+
+
+def shard_seqs(fleet: ShardCoordinator) -> list[int]:
+    return [row["seq"] for row in fleet.state_summary()["sharding"]["per_shard"]]
+
+
+def test_compact_trims_and_reports(tmp_path: Path, capsys) -> None:
+    root = tmp_path / "fleet"
+    fleet = write_fleet(root, shards=2)
+    live, seqs = fleet.arrangement_digest(), shard_seqs(fleet)
+    journals = [ShardManager.journal_path(root, shard) for shard in range(2)]
+    bytes_before = [len(journal.read_bytes()) for journal in journals]
+    code = main(["compact", "--journal", str(root)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "geacc compact: snapshot seq=5" in out
-    snaps = list_snapshots(f"{journal}.snapshots")
-    assert [seq for seq, _ in snaps] == [5]
-    assert len(journal.read_bytes()) < bytes_before
-    # The compacted journal + snapshot still recover the exact state.
-    recovered_journal, store = Journal.recover(
-        journal, snapshot_dir=f"{journal}.snapshots"
-    )
-    recovered_journal.close()
-    assert store == live
+    for shard, seq in enumerate(seqs):
+        assert f"geacc compact: shard {shard} snapshot seq={seq}" in out
+        snaps = list_snapshots(ShardManager.snapshot_dir(root, shard))
+        assert [snap_seq for snap_seq, _ in snaps] == [seq]
+        assert len(journals[shard].read_bytes()) < bytes_before[shard]
+    # The compacted journals + snapshots still recover the exact state.
+    with ShardCoordinator.recover(root, threaded=False) as recovered:
+        assert recovered.arrangement_digest() == live
+        rows = recovered.state_summary()["sharding"]["per_shard"]
+        assert [row["last_recovery"]["rung"] for row in rows] == ["snapshot+tail"] * 2
 
 
 def test_compact_twice_honours_retention(tmp_path: Path, capsys) -> None:
-    journal = tmp_path / "j.jsonl"
-    write_journal(journal, users=2)
-    assert main(["compact", "--journal", str(journal)]) == 0
+    root = tmp_path / "fleet"
+    write_fleet(root, shards=1)
+    assert main(["compact", "--journal", str(root)]) == 0
     # Grow the journal so the second snapshot lands on a later seq.
-    recovered, store = Journal.recover(
-        journal, snapshot_dir=f"{journal}.snapshots"
-    )
-    with recovered:
-        store.apply(
-            recovered.append(
-                "register_user", {"capacity": 1, "attributes": [9.0, 9.0]}
-            )
-        )
-    assert main(["compact", "--journal", str(journal), "--retain", "1"]) == 0
+    with ShardCoordinator.recover(root, threaded=False) as fleet:
+        fleet.register_user(capacity=1, attributes=[5.0, 5.0])
+        (seq,) = shard_seqs(fleet)
+    assert main(["compact", "--journal", str(root), "--retain", "1"]) == 0
     capsys.readouterr()
-    assert [seq for seq, _ in list_snapshots(f"{journal}.snapshots")] == [3]
+    snaps = list_snapshots(ShardManager.snapshot_dir(root, 0))
+    assert [snap_seq for snap_seq, _ in snaps] == [seq]
 
 
 def test_compact_exits_2_on_journal_error(tmp_path: Path, capsys) -> None:

@@ -25,12 +25,17 @@ def sync_service(tmp_path: Path, **kwargs) -> ArrangementService:
     )
 
 
+def assignments_of(service: ArrangementService, user: int) -> tuple[int, ...]:
+    """The user's standing events, ascending."""
+    return tuple(sorted(service.store.events_of(user)))
+
+
 def test_blocking_request_is_assigned(tmp_path: Path) -> None:
     with sync_service(tmp_path) as service:
         event = service.post_event(2, [1.0, 1.0])
         user = service.register_user(1, [1.5, 1.5])
         assert service.request_assignment(user) == (event,)
-        assert service.assignments_of(user) == (event,)
+        assert assignments_of(service, user) == (event,)
         assert service.engine.batches_solved == 1
 
 
@@ -84,7 +89,7 @@ def test_rebatching_may_reshuffle_open_seats_only(tmp_path: Path) -> None:
         # A better-matched user shows up: the engine may move the seat.
         near = service.register_user(1, [5.5, 5.5])
         assert service.request_assignment(near) == (scarce,)
-        assert service.assignments_of(far) == ()
+        assert assignments_of(service, far) == ()
         service.check_invariants()
 
 
@@ -97,7 +102,7 @@ def test_frozen_events_are_untouchable(tmp_path: Path) -> None:
         # The perfectly-matched latecomer cannot displace the frozen seat.
         near = service.register_user(1, [5.0, 5.0])
         assert service.request_assignment(near) == ()
-        assert service.assignments_of(keeper) == (frozen,)
+        assert assignments_of(service, keeper) == (frozen,)
 
 
 def test_frozen_commitments_block_conflicting_open_events(tmp_path: Path) -> None:
@@ -110,7 +115,7 @@ def test_frozen_commitments_block_conflicting_open_events(tmp_path: Path) -> Non
         # must never be handed to them, however good the similarity.
         rival = service.post_event(1, [5.0, 5.0], conflicts=[first])
         assert service.request_assignment(user) == (first,)
-        assert service.assignments_of(user) == (first,)
+        assert assignments_of(service, user) == (first,)
         service.check_invariants()
 
 

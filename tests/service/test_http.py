@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.frontend import ArrangementService
 from repro.service.http import make_server
 from repro.service.sharding import ShardCoordinator
 from repro.service.store import StoreConfig
@@ -19,9 +18,7 @@ CONFIG = StoreConfig(dimension=2, t=10.0)
 
 @pytest.fixture()
 def served(tmp_path: Path):
-    service = ArrangementService.create(
-        tmp_path / "j.jsonl", CONFIG, batch_ms=1.0
-    )
+    service = ShardCoordinator.create(tmp_path / "fleet", CONFIG, 1, batch_ms=1.0)
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -123,8 +120,8 @@ def test_unknown_routes_are_404(served) -> None:
 def test_overload_is_503_with_retry_after(tmp_path: Path) -> None:
     # One queue slot and a long coalescing window: the second request
     # arrives while the first still occupies the slot.
-    service = ArrangementService.create(
-        tmp_path / "j.jsonl", CONFIG, batch_ms=1500.0, max_pending=1
+    service = ShardCoordinator.create(
+        tmp_path / "fleet", CONFIG, 1, batch_ms=1500.0, max_pending=1
     )
     server = make_server(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -144,7 +141,7 @@ def test_overload_is_503_with_retry_after(tmp_path: Path) -> None:
         deadline = threading.Event()
         # Wait until the first request owns the queue slot.
         for _ in range(200):
-            if service.engine.pending:
+            if service.state_summary()["pending"]:
                 break
             deadline.wait(0.01)
         error = expect_http_error(
@@ -180,10 +177,8 @@ def test_malformed_fields_are_400_on_both_backends(
     tmp_path: Path, sharded: bool, path: str, payload: dict | str
 ) -> None:
     # A str payload is sent as a raw, bad Content-Length with no body.
-    backend = (
-        ShardCoordinator.create(tmp_path / "fleet", CONFIG, 2, threaded=False)
-        if sharded
-        else ArrangementService.create(tmp_path / "j.jsonl", CONFIG, batch_ms=1.0)
+    backend = ShardCoordinator.create(
+        tmp_path / "fleet", CONFIG, 2 if sharded else 1, threaded=False
     )
     server = make_server(backend)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -212,10 +207,8 @@ def test_malformed_fields_are_400_on_both_backends(
 def test_state_reports_the_engine_block_on_both_backends(
     tmp_path: Path, sharded: bool
 ) -> None:
-    backend = (
-        ShardCoordinator.create(tmp_path / "fleet", CONFIG, 2, threaded=False)
-        if sharded
-        else ArrangementService.create(tmp_path / "j.jsonl", CONFIG, batch_ms=1.0)
+    backend = ShardCoordinator.create(
+        tmp_path / "fleet", CONFIG, 2 if sharded else 1, threaded=False
     )
     server = make_server(backend)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -235,10 +228,9 @@ def test_state_reports_the_engine_block_on_both_backends(
         assert engine["batches"] == engine["scoped"] + engine["full"] == 4
         assert engine["scoped"] >= 2
         assert engine["last_outcome"] == "optimal"
-        if sharded:
-            rows = [row["engine"] for row in state["sharding"]["per_shard"]]
-            for key in ("batches", "scoped", "full", "scope_refused"):
-                assert engine[key] == sum(row[key] for row in rows)
+        rows = [row["engine"] for row in state["sharding"]["per_shard"]]
+        for key in ("batches", "scoped", "full", "scope_refused"):
+            assert engine[key] == sum(row[key] for row in rows)
     finally:
         server.shutdown()
         server.server_close()

@@ -25,10 +25,8 @@ def small_workload(seed: int = 0):
 
 def test_replay_reports_latency_and_quality(tmp_path: Path) -> None:
     instance, timeline = small_workload()
-    report = replay_timeline(
-        instance, timeline, tmp_path / "replay.jsonl", batch_ms=1.0
-    )
-    assert report.n_requests == instance.n_users - report.overloaded
+    report = replay_timeline(instance, timeline, tmp_path / "fleet")
+    assert report.n_requests == instance.n_users
     assert report.n_batches >= 1
     assert report.replay_verified
     assert 0 < report.p50_ms <= report.p99_ms <= report.max_ms
@@ -47,9 +45,7 @@ def test_micro_batching_beats_greedy_arrival_baseline(tmp_path: Path) -> None:
     # re-solving engine must be at least as good as first-come
     # first-served greedy on the same timeline and seed.
     instance, timeline = small_workload(seed=0)
-    report = replay_timeline(
-        instance, timeline, tmp_path / "replay.jsonl", batch_ms=1.0
-    )
+    report = replay_timeline(instance, timeline, tmp_path / "fleet")
     assert report.ratio >= report.baseline_ratio - 1e-12
 
 
@@ -62,19 +58,19 @@ def test_matrix_only_instances_are_rejected(tmp_path: Path) -> None:
     )
     timeline = random_timeline(instance, np.random.default_rng(0), horizon=50.0)
     with pytest.raises(ServiceError, match="attribute-backed"):
-        replay_timeline(instance, timeline, tmp_path / "replay.jsonl")
+        replay_timeline(instance, timeline, tmp_path / "fleet")
 
 
 def test_unknown_bound_is_rejected(tmp_path: Path) -> None:
     instance, timeline = small_workload()
     with pytest.raises(ServiceError, match="unknown bound"):
         replay_timeline(
-            instance, timeline, tmp_path / "replay.jsonl", bound="psychic"
+            instance, timeline, tmp_path / "fleet", bound="psychic"
         )
 
 
 def test_cli_replay_runs_and_gates_on_baseline(tmp_path: Path, capsys) -> None:
-    journal = tmp_path / "replay.jsonl"
+    journal = tmp_path / "fleet"
     code = main(
         [
             "replay",
@@ -82,7 +78,6 @@ def test_cli_replay_runs_and_gates_on_baseline(tmp_path: Path, capsys) -> None:
             "--users", "40",
             "--seed", "0",
             "--horizon", "50",
-            "--batch-ms", "1",
             "--journal", str(journal),
         ]
     )
