@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-robustness smoke lint typecheck check bench bench-check bench-check-xl bench-selftest bench-gate bench-figures bench-figures-smoke bench-figures-paper examples report clean
+.PHONY: install test test-robustness smoke lint lint-report typecheck check bench bench-check bench-check-xl bench-selftest bench-gate bench-figures bench-figures-smoke bench-figures-paper examples report clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -27,10 +27,18 @@ smoke:
 # which exist to be flagged.
 LINT_TEST_RULES = R1,R3,R4,R6,R7,R11,R12,R13
 
+LINT = PYTHONPATH=src $(PYTHON) -m repro.analysis.cli --jobs 0
+LINT_TESTS = --select $(LINT_TEST_RULES) --exclude analysis/fixtures tests
+
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.cli --statistics src/repro
-	PYTHONPATH=src $(PYTHON) -m repro.analysis.cli --statistics \
-		--select $(LINT_TEST_RULES) --exclude analysis/fixtures tests
+	$(LINT) --statistics src/repro
+	$(LINT) --statistics $(LINT_TESTS)
+
+# The same two passes as JSON lines, suppressed findings included (CI's
+# lint artifact); findings do not fail this target, `lint` gates them.
+lint-report:
+	$(LINT) --format json src/repro > lint-report.json || true
+	$(LINT) --format json $(LINT_TESTS) >> lint-report.json || true
 
 typecheck:
 	@if $(PYTHON) -c "import mypy" >/dev/null 2>&1; then \

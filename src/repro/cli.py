@@ -462,27 +462,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    argv: list[str] = list(args.paths)
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.statistics:
-        argv.append("--statistics")
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    for pattern in args.exclude or ():
-        argv += ["--exclude", pattern]
-    return lint_main(argv)
-
-
 def _cmd_info(_: argparse.Namespace) -> int:
     print("solvers:    " + ", ".join(sorted(SOLVERS)))
     print("figures:    " + ", ".join(sorted(ALL_FIGURES)))
@@ -816,21 +795,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.set_defaults(func=_cmd_replay)
 
-    lint = subparsers.add_parser(
-        "lint", help="run the GEACC-aware static-analysis pass"
+    # Listed for --help only: main() hands `geacc lint ARGS` to
+    # geacc-lint unchanged, so the two front ends share one parser.
+    subparsers.add_parser(
+        "lint",
+        help="run the GEACC-aware static-analysis pass",
+        add_help=False,
     )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument("--select", default=None, metavar="IDS")
-    lint.add_argument("--ignore", default=None, metavar="IDS")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--statistics", action="store_true")
-    lint.add_argument("--format", choices=["text", "json"], default="text")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N")
-    lint.add_argument("--exclude", action="append", default=None, metavar="GLOB")
-    lint.set_defaults(func=_cmd_lint)
 
     info = subparsers.add_parser("info", help="list solvers/figures/scales")
     info.set_defaults(func=_cmd_info)
@@ -838,6 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from repro.analysis.cli import main as lint_main
+
+        return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import threading
 import time
+import traceback
 import weakref
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -271,7 +272,12 @@ class MicroBatchEngine:
             # batch instead of paying one solve each.
             if self.batch_ms > 0:
                 time.sleep(self.batch_ms / 1000.0)
-            self.run_pending_batch()
+            try:
+                self.run_pending_batch()
+            except Exception:
+                # The failed batch's requests already carry the error;
+                # the thread stays up for the requests queued after it.
+                traceback.print_exc()
 
     def run_pending_batch(self) -> int:
         """Drain the queue and solve one batch synchronously.

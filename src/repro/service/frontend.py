@@ -1,9 +1,8 @@
 """One shard's service stack: journaled commands over a store + engine.
 
 :class:`ArrangementService` is what a
-:class:`~repro.service.sharding.ShardCoordinator` composes once per
-shard (through :class:`~repro.service.sharding.ShardManager`); an
-unsharded deployment is a one-shard fleet. Every front end -- the HTTP
+:class:`~repro.service.sharding.ShardCoordinator` composes and drives
+once per shard; an unsharded deployment is a one-shard fleet. Every front end -- the HTTP
 API, ``geacc replay``, ``geacc compact`` -- holds the coordinator, not
 this class. One service owns
 

@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import IO, Iterator
 
 from repro.exceptions import JournalError
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import ArrangementStore, StoreConfig, canonical_json
 
 #: First-line format marker of every service journal.
 JOURNAL_FORMAT = "geacc-service-v1"
@@ -132,9 +132,7 @@ def atomic_write_bytes(
 
 def encode_line(record: dict) -> bytes:
     """One log line: compact, key-sorted JSON plus a newline."""
-    return (json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n").encode(
-        "utf-8"
-    )
+    return canonical_json(record) + b"\n"
 
 
 class JsonlLog:

@@ -5,8 +5,16 @@ serve``, the HTTP layer, ``geacc replay``, ``geacc compact`` and the
 crash smoke all hold one. An unsharded deployment is a one-shard fleet,
 so every deployment runs the manifest, the per-shard recovery ladder
 and the routing below. Each shard is one
-:class:`~repro.service.frontend.ArrangementService` stack behind a
-:class:`~repro.service.sharding.manager.ShardManager`.
+:class:`~repro.service.frontend.ArrangementService` stack -- store,
+fsync'd journal, snapshot directory, engine -- that the coordinator
+drives through its command methods, laid out on disk as
+:class:`~repro.service.sharding.manager.ShardManager` says.
+
+Shard journals speak local ids (dense, per shard); clients speak global
+ids. The coordinator alone holds the translation: per shard, an
+append-only local -> global list and a global -> local dict of live
+entities. The tables are not persisted -- recovery rebuilds them from
+the manifest.
 
 Placement follows the conflict graph: every connected component of
 conflict edges lives wholly on one shard
@@ -33,15 +41,13 @@ manifest ``rebalance`` entry carrying the full redo payload, migrate
 then admits the merging event, now against a single shard.
 
 Each shard recovers through its own snapshot+tail ladder
-(:meth:`~repro.service.sharding.manager.ShardManager.recover`), so a
+(:meth:`~repro.service.frontend.ArrangementService.recover`), so a
 corrupt shard degrades alone; the coordinator then replays the manifest
 to rebuild routing and finish any half-applied rebalance.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections.abc import Iterable
 from contextlib import ExitStack
@@ -50,16 +56,28 @@ from pathlib import Path
 from repro.exceptions import JournalError, ServiceError
 from repro.parallel.maplib import thread_map
 from repro.service.engine import PendingRequest, fleet_engine_summary
-from repro.service.frontend import DEFAULT_REQUEST_WAIT
+from repro.service.frontend import DEFAULT_REQUEST_WAIT, ArrangementService
 from repro.service.journal import RECOVERY_RUNGS, REAL_FS, FileSystem
 from repro.service.sharding.manager import ShardManager
 from repro.service.sharding.manifest import ShardManifest
 from repro.service.sharding.partitioner import ConflictPartitioner
 from repro.service.snapshot import CompactionStats
-from repro.service.store import Delta, StoreConfig, as_event_ids, as_vector
+from repro.service.store import (
+    CMD_POST_EVENT,
+    CMD_REGISTER_USER,
+    Delta,
+    StoreConfig,
+    as_event_ids,
+    as_vector,
+    canonical_digest,
+    is_int,
+)
 
 #: The manifest's file name under the shard root directory.
 MANIFEST_NAME = "manifest.jsonl"
+
+#: The placed entity kinds, as manifest entries name them.
+KINDS = ("event", "user")
 
 
 class ShardedCompactionStats:
@@ -85,17 +103,30 @@ class ShardCoordinator:
         self,
         root: Path,
         manifest: ShardManifest,
-        managers: list[ShardManager],
+        shards: list[ArrangementService],
         *,
         threaded: bool = True,
     ) -> None:
         self.root = root
         self.manifest = manifest
-        self.managers = managers
+        self.shards = shards
         self.partitioner = ConflictPartitioner()
+        # Every table is keyed by kind ("event" / "user").
         #: Global id -> owning shard (dense; rebalance rewrites in place).
-        self._event_shard: list[int] = []
-        self._user_shard: list[int] = []
+        self._owner: dict[str, list[int]] = {kind: [] for kind in KINDS}
+        #: Per shard, local id -> global id, append-only (tombstoned
+        #: slots keep their last gid; liveness is tracked by ``_local``).
+        self._gids: dict[str, list[list[int]]] = {
+            kind: [[] for _ in shards] for kind in KINDS
+        }
+        #: Per shard, global id -> local id, live entities only.
+        self._local: dict[str, list[dict[int, int]]] = {
+            kind: [{} for _ in shards] for kind in KINDS
+        }
+        #: Per shard, entities tombstoned out of it by a rebalance.
+        self._retired: dict[str, list[int]] = {
+            kind: [0] * len(shards) for kind in KINDS
+        }
         self.rebalances = 0
         self.last_rebalance: dict | None = None
         self._threaded = threaded
@@ -127,13 +158,18 @@ class ShardCoordinator:
         if not fs.exists(root):
             fs.mkdir(root)
         manifest = ShardManifest.create(root / MANIFEST_NAME, config, shards, fs=fs)
-        managers = [
-            ShardManager.create(
-                root, shard, config, fs=fs, threaded=threaded, **options
+        services = [
+            ArrangementService.create(
+                ShardManager.journal_path(root, shard),
+                config,
+                fs=fs,
+                snapshot_dir=ShardManager.snapshot_dir(root, shard),
+                threaded=threaded,
+                **options,
             )
             for shard in range(shards)
         ]
-        return cls(root, manifest, managers, threaded=threaded)
+        return cls(root, manifest, services, threaded=threaded)
 
     @classmethod
     def recover(
@@ -149,25 +185,31 @@ class ShardCoordinator:
         Every shard recovers through its own snapshot+tail ladder
         (concurrently, via :func:`~repro.parallel.maplib.thread_map`,
         when running on the real filesystem -- fault-injecting
-        filesystems get a deterministic serial walk). The manifest is
-        then replayed to rebuild the id maps and the partitioner, redo
-        any half-applied rebalance, and drop unacknowledged trailing
-        entries. ``options`` are :meth:`create`'s.
+        filesystems get a deterministic serial walk), so a corrupt
+        snapshot or torn journal degrades *that* shard alone. The
+        manifest is then replayed to rebuild the id tables and the
+        partitioner, redo any half-applied rebalance, and drop
+        unacknowledged trailing entries. ``options`` are :meth:`create`'s.
         """
         root = _fleet_root(root, fs)
         manifest, entries = ShardManifest.load(root / MANIFEST_NAME, fs=fs)
         config = manifest.config
 
-        def recover_one(shard: int) -> ShardManager:
-            return ShardManager.recover(
-                root, shard, config, fs=fs, threaded=threaded, **options
+        def recover_one(shard: int) -> ArrangementService:
+            return ArrangementService.recover(
+                ShardManager.journal_path(root, shard),
+                snapshot_dir=ShardManager.snapshot_dir(root, shard),
+                config=config,
+                fs=fs,
+                threaded=threaded,
+                **options,
             )
 
         if fs is REAL_FS and manifest.shards > 1:
-            managers = thread_map(recover_one, range(manifest.shards))
+            services = thread_map(recover_one, range(manifest.shards))
         else:
-            managers = [recover_one(shard) for shard in range(manifest.shards)]
-        coordinator = cls(root, manifest, managers, threaded=threaded)
+            services = [recover_one(shard) for shard in range(manifest.shards)]
+        coordinator = cls(root, manifest, services, threaded=threaded)
         coordinator._replay_manifest(entries)
         return coordinator
 
@@ -204,6 +246,61 @@ class ShardCoordinator:
         return cls.create(root, config, count, fs=fs, **kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
+    # Id tables
+    # ------------------------------------------------------------------
+
+    def _shard_of(self, kind: str, gid: object) -> int:
+        """The shard owning global ``kind`` id ``gid`` (client input)."""
+        owner = self._owner[kind]
+        if not is_int(gid) or not 0 <= gid < len(owner):
+            raise ServiceError(f"unknown {kind} {gid!r}")
+        return owner[gid]
+
+    def _local_id(self, kind: str, shard: int, gid: int) -> int:
+        try:
+            return self._local[kind][shard][gid]
+        except KeyError:
+            raise ServiceError(
+                f"{kind} {gid} does not live on shard {shard}"
+            ) from None
+
+    def _bind(self, kind: str, shard: int, gid: int, local: int) -> None:
+        """Record that global ``kind`` ``gid`` occupies ``local`` on ``shard``.
+
+        Placement appends (``local`` is the next slot); re-applying a
+        rebalance re-binds the slots it bound before. Any other slot
+        means the manifest and the shard journal disagree.
+        """
+        gids = self._gids[kind][shard]
+        if local == len(gids):
+            gids.append(gid)
+        elif not (0 <= local < len(gids) and gids[local] == gid):
+            raise ServiceError(
+                f"shard {shard}: {kind} bind ({gid} -> local {local}) "
+                "does not match the journal's arrival order"
+            )
+        self._local[kind][shard][gid] = local
+
+    def _unbind(self, kind: str, shard: int, gid: int) -> None:
+        """Drop a migrated-away entity from the live map (its slot stays)."""
+        del self._local[kind][shard][gid]
+        self._retired[kind][shard] += 1
+
+    def _post(
+        self,
+        shard: int,
+        gid: int,
+        capacity: int,
+        attributes: list[float],
+        local_conflicts: list[int],
+    ) -> None:
+        """Post global event ``gid`` on ``shard`` and mark the shard dirty."""
+        service = self.shards[shard]
+        local = service.post_event(capacity, attributes, local_conflicts)
+        self._bind("event", shard, gid, local)
+        service.engine.mark_dirty()
+
+    # ------------------------------------------------------------------
     # Manifest replay (recovery)
     # ------------------------------------------------------------------
 
@@ -218,216 +315,201 @@ class ShardCoordinator:
         payload (:meth:`_apply_rebalance`), finishing any migration the
         crash interrupted.
         """
-        managers = self.managers
-        expected_events = [0] * len(managers)
-        expected_users = [0] * len(managers)
         kept: list[dict] = []
         dropped = 0
         for index, entry in enumerate(entries):
-            last = index == len(entries) - 1
             kind = entry["kind"]
             if kind == "rebalance":
-                self._apply_rebalance(entry, expected_events, expected_users)
+                self._apply_rebalance(entry)
                 kept.append(entry)
                 self.rebalances += 1
                 self.last_rebalance = self._rebalance_summary(entry)
                 continue
             gid = int(entry["gid"])
             shard = int(entry["shard"])
-            if not 0 <= shard < len(managers):
+            if not 0 <= shard < len(self.shards):
                 raise JournalError(
                     f"manifest routes {kind} {gid} to unknown shard {shard}"
                 )
-            manager = managers[shard]
+            owner = self._owner[kind]
+            if gid != len(owner):
+                raise JournalError(f"manifest {kind} gids out of order at {gid}")
+            store = self.shards[shard].store
+            local = len(self._gids[kind][shard])
+            if local >= (store.n_events if kind == "event" else store.n_users):
+                # The crash hit between the manifest append and the
+                # shard-journal append: the command never took effect
+                # and was never acknowledged.
+                if index != len(entries) - 1:
+                    raise JournalError(
+                        f"manifest entry {entry['n']} has no shard-side "
+                        "effect but is not the trailing entry"
+                    )
+                dropped += 1
+                continue
+            self._bind(kind, shard, gid, local)
+            owner.append(shard)
             if kind == "event":
-                if gid != len(self._event_shard):
-                    raise JournalError(
-                        f"manifest event gids out of order at {gid}"
-                    )
-                local = expected_events[shard]
-                if local >= manager.store.n_events:
-                    # The crash hit between the manifest append and the
-                    # shard-journal append: the command never took
-                    # effect and was never acknowledged.
-                    if not last:
-                        raise JournalError(
-                            f"manifest entry {entry['n']} has no shard-side "
-                            "effect but is not the trailing entry"
-                        )
-                    dropped += 1
-                    continue
-                manager.bind_event(gid, local)
-                expected_events[shard] += 1
-                self._event_shard.append(shard)
                 self.partitioner.add_event(gid)
-            else:
-                if gid != len(self._user_shard):
-                    raise JournalError(
-                        f"manifest user gids out of order at {gid}"
-                    )
-                local = expected_users[shard]
-                if local >= manager.store.n_users:
-                    if not last:
-                        raise JournalError(
-                            f"manifest entry {entry['n']} has no shard-side "
-                            "effect but is not the trailing entry"
-                        )
-                    dropped += 1
-                    continue
-                manager.bind_user(gid, local)
-                expected_users[shard] += 1
-                self._user_shard.append(shard)
             kept.append(entry)
-        for shard, manager in enumerate(managers):
-            if (
-                expected_events[shard] != manager.store.n_events
-                or expected_users[shard] != manager.store.n_users
-            ):
+        for shard, service in enumerate(self.shards):
+            events, users = (len(self._gids[kind][shard]) for kind in KINDS)
+            store = service.store
+            if (events, users) != (store.n_events, store.n_users):
                 raise JournalError(
                     f"shard {shard} journal disagrees with the manifest "
-                    f"(expected {expected_events[shard]} events / "
-                    f"{expected_users[shard]} users, shard has "
-                    f"{manager.store.n_events} / {manager.store.n_users})"
+                    f"(expected {events} events / {users} users, shard has "
+                    f"{store.n_events} / {store.n_users})"
                 )
         if dropped:
             self.manifest.rewrite(kept)
         # Conflict edges are not in the manifest; rebuild them from the
         # live shard stores (every edge is intra-shard by construction).
-        for manager in managers:
-            for gid in manager.live_events():
-                local = manager.local_event(gid)
+        for shard, service in enumerate(self.shards):
+            gids = self._gids["event"][shard]
+            for gid, local in sorted(self._local["event"][shard].items()):
                 self.partitioner.add_edges(
-                    gid,
-                    [
-                        manager.events_g[other]
-                        for other in manager.store.event_conflicts(local)
-                    ],
+                    gid, [gids[other] for other in service.store.event_conflicts(local)]
                 )
 
-    def _apply_rebalance(
-        self,
-        entry: dict,
-        placed_events: list[int],
-        placed_users: list[int],
-    ) -> None:
+    def _apply_rebalance(self, entry: dict) -> None:
         """Migrate what a rebalance entry records: the one migration path.
 
         The live rebalance runs it right after appending the entry;
-        recovery runs it for every rebalance entry in the manifest.
-        ``placed_events``/``placed_users`` count each shard's bound local
-        slots (the target's advance as the movers bind). The involved
-        shards' state locks are held throughout, so no batch -- not even
-        a recovered fleet's engine thread -- runs mid-migration. Every
-        step checks whether its effect already exists before issuing
-        its command, so a migration interrupted at *any* point (after
-        the manifest append, mid-import, mid-retire) and one applied
-        twice converge to the same state.
+        recovery runs it for every rebalance entry in the manifest. The
+        involved shards' state locks are held throughout, so no batch --
+        not even a recovered fleet's engine thread -- runs mid-migration.
+        Every step checks whether its effect already exists before
+        issuing its command, so a migration interrupted at *any* point
+        (after the manifest append, mid-import, mid-retire) and one
+        applied twice converge to the same state.
         """
         involved = {int(entry["target"]), *(int(m["shard"]) for m in entry["moves"])}
         with self._shard_locks(involved):
-            self._migrate(entry, placed_events, placed_users)
+            self._migrate(entry)
 
-    def _migrate(
-        self,
-        entry: dict,
-        placed_events: list[int],
-        placed_users: list[int],
-    ) -> None:
+    def _migrate(self, entry: dict) -> None:
         """:meth:`_apply_rebalance`'s steps, per move in journal order.
 
-        The target posts the events open (conflicts bind to movers
-        already posted, symmetry fills the rest), registers the users,
-        commits the seats as one ``commit_batch`` delta and replays the
-        lifecycle flags (a cancelled event never held seats, a frozen
-        one gets its seats before freezing); the source then retires
-        the events, releasing every seat, and the now seatless users.
+        The movers take the target's local slots from the entry's
+        ``target_*_before`` counts on, in order. The target posts the
+        events open (conflicts bind to movers already posted, symmetry
+        fills the rest), registers the users, commits the seats as one
+        ``commit_batch`` delta and replays the lifecycle flags (a
+        cancelled event never held seats, a frozen one gets its seats
+        before freezing); the source then retires the events, releasing
+        every seat, and the now seatless users.
         """
         target_id = int(entry["target"])
-        target = self.managers[target_id]
-        if (
-            int(entry["target_events_before"]) != placed_events[target_id]
-            or int(entry["target_users_before"]) != placed_users[target_id]
+        target = self.shards[target_id]
+        next_event = int(entry["target_events_before"])
+        next_user = int(entry["target_users_before"])
+        if next_event > len(self._gids["event"][target_id]) or next_user > len(
+            self._gids["user"][target_id]
         ):
             raise JournalError(
                 f"rebalance entry {entry.get('n')} disagrees with shard "
                 f"{target_id}'s placement history"
             )
         for move in entry["moves"]:
-            source = self.managers[int(move["shard"])]
+            source_id = int(move["shard"])
+            source = self.shards[source_id]
             posted: set[int] = set()
             for spec in move["events"]:
                 gid = int(spec["gid"])
-                if not 0 <= gid < len(self._event_shard):
+                if not 0 <= gid < len(self._owner["event"]):
                     raise JournalError(
                         f"rebalance entry {entry.get('n')} moves unplaced "
                         f"event {gid}"
                     )
-                local = placed_events[target_id]
-                if local < target.store.n_events:
-                    target.bind_event(gid, local)
+                if next_event < target.store.n_events:
+                    self._bind("event", target_id, gid, next_event)
                 else:
-                    target.post_event(
+                    self._post(
+                        target_id,
                         gid,
                         int(spec["capacity"]),
                         [float(x) for x in spec["attributes"]],
-                        [int(g) for g in spec["conflicts"] if int(g) in posted],
+                        [
+                            self._local_id("event", target_id, int(g))
+                            for g in spec["conflicts"]
+                            if int(g) in posted
+                        ],
                     )
                 posted.add(gid)
-                self._event_shard[gid] = target_id
-                placed_events[target_id] += 1
+                self._owner["event"][gid] = target_id
+                next_event += 1
             for spec in move["users"]:
                 gid = int(spec["gid"])
-                if not 0 <= gid < len(self._user_shard):
+                if not 0 <= gid < len(self._owner["user"]):
                     raise JournalError(
                         f"rebalance entry {entry.get('n')} moves unplaced "
                         f"user {gid}"
                     )
-                local = placed_users[target_id]
-                if local < target.store.n_users:
-                    target.bind_user(gid, local)
+                if next_user < target.store.n_users:
+                    local = next_user
                 else:
-                    target.register_user(
-                        gid,
-                        int(spec["capacity"]),
-                        [float(x) for x in spec["attributes"]],
+                    local = target.register_user(
+                        int(spec["capacity"]), [float(x) for x in spec["attributes"]]
                     )
-                self._user_shard[gid] = target_id
-                placed_users[target_id] += 1
+                self._bind("user", target_id, gid, local)
+                self._owner["user"][gid] = target_id
+                next_user += 1
             pairs = [(int(e), int(u)) for e, u in move["assignments"]]
-            if pairs and not _seats_landed(target, source, move):
+            if pairs and not self._seats_landed(target_id, source_id, move):
+                users = [self._local_id("user", target_id, u) for _, u in pairs]
                 delta = Delta(
                     assigns=tuple(
                         sorted(
-                            (target.local_event(e), target.local_user(u))
-                            for e, u in pairs
+                            (self._local_id("event", target_id, e), user)
+                            for (e, _), user in zip(pairs, users)
                         )
                     )
                 )
-                target.service.commit_delta(
-                    delta, users=[target.local_user(u) for _, u in pairs]
-                )
+                target.commit_delta(delta, users=users)
             for spec in move["events"]:
-                gid = int(spec["gid"])
-                local = target.local_event(gid)
+                local = self._local_id("event", target_id, int(spec["gid"]))
                 if spec["frozen"] and not target.store.is_frozen(local):
-                    target.freeze_event(gid)
+                    target.freeze_event(local)
+                    target.engine.mark_dirty()
                 elif spec["cancelled"] and not target.store.is_cancelled(local):
-                    target.cancel_event(gid)
+                    target.cancel_event(local)
+                    target.engine.mark_dirty()
             for spec in move["events"]:
                 gid = int(spec["gid"])
-                if source.owns_event(gid):
-                    local = source.local_event(gid)
+                local = self._local["event"][source_id].get(gid)
+                if local is not None:
                     if not source.store.is_cancelled(local):
-                        source.service.retire_event(local)
-                        source.service.engine.mark_dirty()
-                    source.unbind_event(gid)
+                        source.retire_event(local)
+                        source.engine.mark_dirty()
+                    self._unbind("event", source_id, gid)
             for spec in move["users"]:
                 gid = int(spec["gid"])
-                if source.owns_user(gid):
-                    local = source.local_user(gid)
+                local = self._local["user"][source_id].get(gid)
+                if local is not None:
                     if source.store.user_capacity(local) != 0:
-                        source.service.retire_user(local)
-                    source.unbind_user(gid)
+                        source.retire_user(local)
+                    self._unbind("user", source_id, gid)
+
+    def _seats_landed(self, target: int, source: int, move: dict) -> bool:
+        """Whether a rebalance move's seat delta is already on the target.
+
+        The source retires the moved users only after the target
+        committed their seats. Until then nothing but the migration has
+        touched those seats (it holds both shards' locks), so one pair
+        tells; from then on later batches may have moved them, and the
+        retire is the answer.
+        """
+        first = self._local["user"][source].get(int(move["users"][0]["gid"]))
+        if first is None:
+            return True  # retired by this process
+        if self.shards[source].store.user_capacity(first) == 0:
+            return True  # retired before the crash
+        event, user = move["assignments"][0]
+        seated = self.shards[target].store.users_of(
+            self._local_id("event", target, int(event))
+        )
+        return self._local_id("user", target, int(user)) in seated
 
     @staticmethod
     def _rebalance_summary(entry: dict) -> dict:
@@ -447,22 +529,12 @@ class ShardCoordinator:
         """Hold the state locks of ``shards`` (ascending, so no deadlock)."""
         stack = ExitStack()
         for shard in sorted(shards):
-            stack.enter_context(self.managers[shard].service._lock)
+            stack.enter_context(self.shards[shard]._lock)
         return stack
 
     def _check_open(self) -> None:
         if self._closed:
             raise ServiceError("coordinator is closed")
-
-    def _shard_of_event(self, event: int) -> int:
-        if not isinstance(event, int) or not 0 <= event < len(self._event_shard):
-            raise ServiceError(f"unknown event {event!r}")
-        return self._event_shard[event]
-
-    def _shard_of_user(self, user: int) -> int:
-        if not isinstance(user, int) or not 0 <= user < len(self._user_shard):
-            raise ServiceError(f"unknown user {user!r}")
-        return self._user_shard[user]
 
     # ------------------------------------------------------------------
     # Commands
@@ -484,29 +556,41 @@ class ShardCoordinator:
             self._check_open()
             attributes = as_vector(attributes)
             conflict_gids = as_event_ids(conflicts)
+            owner = self._owner["event"]
             for g in conflict_gids:
-                if not 0 <= g < len(self._event_shard):
+                if not is_int(g) or not 0 <= g < len(owner):
                     raise ServiceError(f"unknown conflict event {g!r}")
             if conflict_gids:
                 components = self.partitioner.merge_targets(conflict_gids)
-                shards = sorted(
-                    {self._event_shard[comp] for comp in components}
-                )
+                shards = sorted({owner[comp] for comp in components})
                 if len(shards) > 1:
                     target = self._rebalance(components)
                 else:
                     target = shards[0]
             else:
                 target = min(
-                    range(len(self.managers)),
-                    key=lambda s: (self.managers[s].n_live_events, s),
+                    range(len(self.shards)),
+                    key=lambda s: (len(self._local["event"][s]), s),
                 )
-            manager = self.managers[target]
-            gid = len(self._event_shard)
-            manager.validate_post_event(capacity, attributes, conflict_gids)
+            service = self.shards[target]
+            gid = len(owner)
+            local_conflicts = [
+                self._local_id("event", target, g) for g in conflict_gids
+            ]
+            # Validate before the manifest entry, so a rejected command
+            # leaves no durable trace anywhere.
+            with service._lock:
+                service.store.validate_command(
+                    CMD_POST_EVENT,
+                    {
+                        "capacity": capacity,
+                        "attributes": attributes,
+                        "conflicts": local_conflicts,
+                    },
+                )
             self.manifest.append("event", {"gid": gid, "shard": target})
-            manager.post_event(gid, capacity, attributes, conflict_gids)
-            self._event_shard.append(target)
+            self._post(target, gid, capacity, attributes, local_conflicts)
+            owner.append(target)
             self.partitioner.add_event(gid)
             self.partitioner.add_edges(gid, conflict_gids)
             return gid
@@ -521,18 +605,26 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             attributes = as_vector(attributes)
-            self.managers[0].validate_register_user(capacity, attributes)
+            with self.shards[0]._lock:
+                self.shards[0].store.validate_command(
+                    CMD_REGISTER_USER,
+                    {"capacity": capacity, "attributes": attributes},
+                )
             attrs = tuple(float(x) for x in attributes)
-            scores = [m.best_similarity(attrs) for m in self.managers]
+            scores = []
+            for service in self.shards:
+                with service._lock:
+                    scores.append(service.store.best_similarity(attrs))
             best = max(scores)
             target = min(
                 (s for s, score in enumerate(scores) if score == best),
-                key=lambda s: (self.managers[s].n_live_users, s),
+                key=lambda s: (len(self._local["user"][s]), s),
             )
-            gid = len(self._user_shard)
+            gid = len(self._owner["user"])
             self.manifest.append("user", {"gid": gid, "shard": target})
-            self.managers[target].register_user(gid, capacity, attributes)
-            self._user_shard.append(target)
+            local = self.shards[target].register_user(capacity, attributes)
+            self._bind("user", target, gid, local)
+            self._owner["user"].append(target)
             return gid
 
     def request_assignment(
@@ -554,36 +646,41 @@ class ShardCoordinator:
         """
         with self._lock:
             self._check_open()
-            manager = self.managers[self._shard_of_user(user)]
-            request = manager.request_assignment(user)
+            shard = self._shard_of("user", user)
+            service = self.shards[shard]
+            request = service.request_assignment(
+                self._local_id("user", shard, user), wait=False
+            )
+            assert isinstance(request, PendingRequest)
+            request.global_ids = self._gids["event"][shard]
             stale = (
                 []
                 if self._threaded
-                else [
-                    m
-                    for m in self.managers
-                    if m is not manager and m.service.engine.dirty
-                ]
+                else [s for s in self.shards if s is not service and s.engine.dirty]
             )
         if not self._threaded:
             for other in stale:
-                other.service.run_pending_batch()
-            manager.service.run_pending_batch()
+                other.run_pending_batch()
+            service.run_pending_batch()
         return request.wait(timeout) if wait else request
 
     def freeze_event(self, event: int) -> None:
         with self._lock:
             self._check_open()
-            self.managers[self._shard_of_event(event)].freeze_event(event)
+            shard = self._shard_of("event", event)
+            self.shards[shard].freeze_event(self._local_id("event", shard, event))
+            self.shards[shard].engine.mark_dirty()
 
     def cancel_event(self, event: int) -> None:
         with self._lock:
             self._check_open()
-            self.managers[self._shard_of_event(event)].cancel_event(event)
+            shard = self._shard_of("event", event)
+            self.shards[shard].cancel_event(self._local_id("event", shard, event))
+            self.shards[shard].engine.mark_dirty()
 
     def run_pending_batch(self) -> int:
         """Drive one batch on every shard synchronously (tests, replay)."""
-        return sum(manager.service.run_pending_batch() for manager in self.managers)
+        return sum(service.run_pending_batch() for service in self.shards)
 
     # ------------------------------------------------------------------
     # Rebalancing (the one cross-shard mutation)
@@ -600,27 +697,27 @@ class ShardCoordinator:
         recovery applies it with, so a crash anywhere in the tail is
         finished exactly as the live run would have.
         """
-        managers = self.managers
+        owner = self._owner["event"]
         members = self.partitioner.components()
         involved: dict[int, int] = {}
         for comp in components:
-            shard = self._event_shard[comp]
+            shard = owner[comp]
             involved[shard] = involved.get(shard, 0) + len(members[comp])
         target = max(sorted(involved), key=lambda s: involved[s])
         for shard in sorted(involved):
-            managers[shard].service.run_pending_batch()
+            self.shards[shard].run_pending_batch()
         with self._shard_locks(involved):
             moves = []
             for comp in sorted(components):
-                source_id = self._event_shard[comp]
-                if source_id == target:
+                source = owner[comp]
+                if source == target:
                     continue
-                events, users, assignments = managers[
-                    source_id
-                ].export_component(members[comp])
+                events, users, assignments = self._export_component(
+                    source, members[comp]
+                )
                 moves.append(
                     {
-                        "shard": source_id,
+                        "shard": source,
                         "events": events,
                         "users": users,
                         "assignments": assignments,
@@ -630,19 +727,56 @@ class ShardCoordinator:
                 "rebalance",
                 {
                     "target": target,
-                    "target_events_before": len(managers[target].events_g),
-                    "target_users_before": len(managers[target].users_g),
+                    "target_events_before": len(self._gids["event"][target]),
+                    "target_users_before": len(self._gids["user"][target]),
                     "moves": moves,
                 },
             )
-            self._apply_rebalance(
-                entry,
-                [len(manager.events_g) for manager in managers],
-                [len(manager.users_g) for manager in managers],
-            )
+            self._apply_rebalance(entry)
         self.rebalances += 1
         self.last_rebalance = self._rebalance_summary(entry)
         return target
+
+    def _export_component(
+        self, shard: int, event_gids: list[int]
+    ) -> tuple[list[dict], list[dict], list[list[int]]]:
+        """Snapshot the moving events, their seated users, and the seats.
+
+        Everything is expressed in global ids -- the payload goes into
+        the manifest's rebalance entry verbatim, so recovery can redo
+        the migration without consulting this (possibly lost) process.
+        Users move with the component only when *all* their seats are on
+        moving events and they hold at least one; capacity they may have
+        on other shards' user records is unaffected.
+        """
+        store = self.shards[shard].store
+        event_gids_of = self._gids["event"][shard]
+        user_gids_of = self._gids["user"][shard]
+        moving = set(event_gids)
+        events: list[dict] = []
+        movers: set[int] = set()
+        for gid in sorted(moving):
+            local = self._local_id("event", shard, gid)
+            record = store.event_record(local)
+            record["conflicts"] = sorted(
+                event_gids_of[other]
+                for other in record["conflicts"]
+                if event_gids_of[other] in moving
+            )
+            events.append({"gid": gid, **record})
+            for user in store.users_of(local):
+                if all(event_gids_of[e] in moving for e in store.events_of(user)):
+                    movers.add(user_gids_of[user])
+        users = [
+            {"gid": gid, **store.user_record(self._local_id("user", shard, gid))}
+            for gid in sorted(movers)
+        ]
+        assignments = sorted(
+            [event_gids_of[e], user_gids_of[u]]
+            for e, u in store.pairs()
+            if event_gids_of[e] in moving and user_gids_of[u] in movers
+        )
+        return events, users, assignments
 
     # ------------------------------------------------------------------
     # Snapshots & compaction
@@ -653,7 +787,7 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             return ShardedCompactionStats(
-                [manager.service.compact() for manager in self.managers]
+                [service.compact() for service in self.shards]
             )
 
     def _crash_after_snapshot(self) -> None:
@@ -662,8 +796,8 @@ class ShardCoordinator:
         The process dies between the snapshot write and the journal trim
         (``geacc serve --crash-after-snapshot``, smoke scenario B).
         """
-        for manager in self.managers:
-            manager.service._crash_after_snapshot = True
+        for service in self.shards:
+            service._crash_after_snapshot = True
 
     # ------------------------------------------------------------------
     # Read side
@@ -673,16 +807,30 @@ class ShardCoordinator:
     def seq(self) -> int:
         """Total journal sequence across shards."""
         with self._lock:
-            return sum(manager.service.seq for manager in self.managers)
+            return sum(service.seq for service in self.shards)
 
     def assignments_of(self, user: int) -> tuple[int, ...]:
+        """The user's standing events, as sorted global ids."""
         with self._lock:
-            return self.managers[self._shard_of_user(user)].events_of(user)
+            shard = self._shard_of("user", user)
+            service = self.shards[shard]
+            gids = self._gids["event"][shard]
+            with service._lock:
+                local = self._local_id("user", shard, user)
+                return tuple(sorted(gids[e] for e in service.store.events_of(local)))
 
     def state_summary(self) -> dict:
         """The ``GET /state`` body, plus the ``sharding`` topology block."""
         with self._lock:
-            shard_stats = [manager.stats() for manager in self.managers]
+            shard_stats = [
+                {
+                    "shard": shard,
+                    **service.state_summary(),
+                    "retired_events": self._retired["event"][shard],
+                    "retired_users": self._retired["user"][shard],
+                }
+                for shard, service in enumerate(self.shards)
+            ]
             sizes = self.partitioner.component_sizes()
             # A recovered fleet reports its slowest shard's ladder rung.
             rungs = [
@@ -690,8 +838,8 @@ class ShardCoordinator:
             ]
             return {
                 "seq": sum(s["seq"] for s in shard_stats),
-                "n_events": len(self._event_shard),
-                "n_users": len(self._user_shard),
+                "n_events": len(self._owner["event"]),
+                "n_users": len(self._owner["user"]),
                 "n_assignments": sum(s["n_assignments"] for s in shard_stats),
                 "open_events": sum(s["open_events"] for s in shard_stats),
                 "requests_seen": sum(s["requests_seen"] for s in shard_stats),
@@ -707,7 +855,7 @@ class ShardCoordinator:
                     {"rung": max(rungs, key=RECOVERY_RUNGS.index)} if rungs else None
                 ),
                 "sharding": {
-                    "shards": len(self.managers),
+                    "shards": len(self.shards),
                     "components": len(sizes),
                     "component_sizes": sorted(sizes.values(), reverse=True),
                     "merges": self.partitioner.merges,
@@ -731,44 +879,30 @@ class ShardCoordinator:
         across sharded and unsharded runs is the sharding equivalence
         contract.
         """
-        with self._lock, self._shard_locks(range(len(self.managers))):
+        with self._lock, self._shard_locks(range(len(self.shards))):
             events = []
             event_remaining = []
-            for gid, shard in enumerate(self._event_shard):
-                manager = self.managers[shard]
-                store = manager.store
-                local = manager.local_event(gid)
-                events.append(
-                    {
-                        "capacity": store.event_capacity(local),
-                        "attributes": list(store.event_attributes(local)),
-                        "frozen": store.is_frozen(local),
-                        "cancelled": store.is_cancelled(local),
-                        "conflicts": sorted(
-                            manager.events_g[other]
-                            for other in store.event_conflicts(local)
-                        ),
-                    }
+            for gid, shard in enumerate(self._owner["event"]):
+                store = self.shards[shard].store
+                gids = self._gids["event"][shard]
+                local = self._local_id("event", shard, gid)
+                record = store.event_record(local)
+                record["conflicts"] = sorted(
+                    gids[other] for other in record["conflicts"]
                 )
+                events.append(record)
                 event_remaining.append(store.event_remaining(local))
             users = []
             user_remaining = []
-            for gid, shard in enumerate(self._user_shard):
-                manager = self.managers[shard]
-                local = manager.local_user(gid)
-                users.append(
-                    {
-                        "capacity": manager.store.user_capacity(local),
-                        "attributes": list(
-                            manager.store.user_attributes(local)
-                        ),
-                    }
-                )
-                user_remaining.append(manager.store.user_remaining(local))
+            for gid, shard in enumerate(self._owner["user"]):
+                store = self.shards[shard].store
+                local = self._local_id("user", shard, gid)
+                users.append(store.user_record(local))
+                user_remaining.append(store.user_remaining(local))
             assignments = sorted(
-                (manager.events_g[e], manager.users_g[u])
-                for manager in self.managers
-                for e, u in manager.store.pairs()
+                (self._gids["event"][shard][e], self._gids["user"][shard][u])
+                for shard, service in enumerate(self.shards)
+                for e, u in service.store.pairs()
             )
             return {
                 "config": self.manifest.config.to_json(),
@@ -781,48 +915,51 @@ class ShardCoordinator:
 
     def arrangement_digest(self) -> str:
         """SHA-256 over :meth:`arrangement_state` (matches the store's)."""
-        payload = json.dumps(
-            self.arrangement_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.arrangement_state())
 
     def check_invariants(self) -> None:
         """Per-shard invariants plus the cross-shard routing contract."""
         with self._lock:
-            for manager in self.managers:
-                manager.check_invariants()
-            for gid, shard in enumerate(self._event_shard):
-                if not self.managers[shard].owns_event(gid):
-                    raise ServiceError(
-                        f"event {gid} routed to shard {shard} which does not "
-                        "own it"
-                    )
-            for gid, shard in enumerate(self._user_shard):
-                if not self.managers[shard].owns_user(gid):
-                    raise ServiceError(
-                        f"user {gid} routed to shard {shard} which does not "
-                        "own it"
-                    )
-            for shard, manager in enumerate(self.managers):
-                for gid in manager.live_events():
-                    if self._event_shard[gid] != shard:
+            for shard, service in enumerate(self.shards):
+                service.check_invariants()
+                store = service.store
+                for kind, n_local in (
+                    ("event", store.n_events),
+                    ("user", store.n_users),
+                ):
+                    live = self._local[kind][shard]
+                    retired = self._retired[kind][shard]
+                    if len(live) + retired != n_local:
                         raise ServiceError(
-                            f"event {gid} lives on shard {shard} but routes "
-                            f"to {self._event_shard[gid]}"
+                            f"shard {shard}: {kind} map drift ({len(live)} live "
+                            f"+ {retired} retired != {n_local})"
                         )
-                for gid in manager.live_users():
-                    if self._user_shard[gid] != shard:
+                    gids = self._gids[kind][shard]
+                    for gid, local in live.items():
+                        if gids[local] != gid:
+                            raise ServiceError(
+                                f"shard {shard}: {kind} map inversion broken "
+                                f"at {gid}"
+                            )
+                        if self._owner[kind][gid] != shard:
+                            raise ServiceError(
+                                f"{kind} {gid} lives on shard {shard} but "
+                                f"routes to {self._owner[kind][gid]}"
+                            )
+            for kind, owner in self._owner.items():
+                for gid, shard in enumerate(owner):
+                    if gid not in self._local[kind][shard]:
                         raise ServiceError(
-                            f"user {gid} lives on shard {shard} but routes "
-                            f"to {self._user_shard[gid]}"
+                            f"{kind} {gid} routed to shard {shard} which does "
+                            "not own it"
                         )
             for comp, member_gids in self.partitioner.components().items():
-                owners = {self._event_shard[gid] for gid in member_gids}
+                owners = {self._owner["event"][gid] for gid in member_gids}
                 if len(owners) != 1:
                     raise ServiceError(
                         f"component {comp} spans shards {sorted(owners)}"
                     )
-            if len(self.partitioner) != len(self._event_shard):
+            if len(self.partitioner) != len(self._owner["event"]):
                 raise ServiceError(
                     "partitioner tracks a different event universe than the "
                     "routing table"
@@ -836,8 +973,8 @@ class ShardCoordinator:
         """Stop every shard (flushing final batches) and the manifest."""
         if self._closed:
             return
-        for manager in self.managers:
-            manager.close()
+        for service in self.shards:
+            service.close()
         with self._lock:
             self._closed = True
             self.manifest.close()
@@ -850,8 +987,9 @@ class ShardCoordinator:
 
     def __repr__(self) -> str:
         return (
-            f"ShardCoordinator({self.root}, shards={len(self.managers)}, "
-            f"events={len(self._event_shard)}, users={len(self._user_shard)})"
+            f"ShardCoordinator({self.root}, shards={len(self.shards)}, "
+            f"events={len(self._owner['event'])}, "
+            f"users={len(self._owner['user'])})"
         )
 
 
@@ -865,21 +1003,3 @@ def _fleet_root(root: str | Path, fs: FileSystem) -> Path:
     if fs.exists(root) and not fs.is_dir(root):
         raise JournalError(f"{root} is a file, not a fleet root")
     return root
-
-
-def _seats_landed(target: ShardManager, source: ShardManager, move: dict) -> bool:
-    """Whether a rebalance move's seat delta is already on the target.
-
-    The source retires the moved users only after the target committed
-    their seats. Until then nothing but the migration has touched those
-    seats (it holds both shards' locks), so one pair tells; from then on
-    later batches may have moved them, and the retire is the answer.
-    """
-    first = int(move["users"][0]["gid"])
-    if not source.owns_user(first):
-        return True  # retired by this process
-    if source.store.user_capacity(source.local_user(first)) == 0:
-        return True  # retired before the crash
-    event, user = move["assignments"][0]
-    seated = target.store.users_of(target.local_event(int(event)))
-    return target.local_user(int(user)) in seated

@@ -60,7 +60,7 @@ from repro.service.journal import (
     read_header,
     replay,
 )
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import ArrangementStore, StoreConfig, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (journal imports us lazily)
     from repro.service.journal import Journal
@@ -92,18 +92,14 @@ def write_snapshot(
     """
     directory = Path(directory)
     fs.mkdir(directory)
-    payload = json.dumps(
-        store.canonical_state(), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = canonical_json(store.canonical_state())
     header = {
         "format": SNAPSHOT_FORMAT,
         "seq": store.seq,
         "crc32": zlib.crc32(payload),
         "digest": store.digest(),
     }
-    header_line = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    header_line = canonical_json(header)
     path = snapshot_path(directory, store.seq)
     atomic_write_bytes(path, header_line + b"\n" + payload + b"\n", fs)
     return path

@@ -59,6 +59,15 @@ ALL_COMMANDS = frozenset(
 )
 
 
+#: The largest capacity the engine's ``int64`` capacity arrays can hold.
+MAX_CAPACITY = int(np.iinfo(np.int64).max)
+
+
+def is_int(value: object) -> bool:
+    """True for an ``int`` that is not a ``bool`` (JSON ``true`` parses as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def as_vector(attributes: object) -> list:
     """Copy a client attribute vector (a missing one is a client error)."""
     if not isinstance(attributes, (list, tuple)):
@@ -73,9 +82,19 @@ def as_event_ids(conflicts: object) -> list[int]:
     if not isinstance(conflicts, (list, tuple)):
         raise ServiceError("conflicts must be a list of event ids")
     for other in conflicts:
-        if not isinstance(other, int):
+        if not is_int(other):
             raise ServiceError(f"conflict references unknown event {other!r}")
     return sorted(set(conflicts))
+
+
+def canonical_json(state: dict) -> bytes:
+    """``state`` as canonical JSON: sorted keys, no whitespace, UTF-8."""
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def canonical_digest(state: dict) -> str:
+    """SHA-256 over :func:`canonical_json` (stable across processes)."""
+    return hashlib.sha256(canonical_json(state)).hexdigest()
 
 
 def grown_to(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -289,6 +308,22 @@ class ArrangementStore:
 
     def user_attributes(self, user: int) -> tuple[float, ...]:
         return self._users[user].attributes
+
+    def event_record(self, event: int) -> dict:
+        """One event as its canonical-state entry (conflicts ascending)."""
+        record = self._events[event]
+        return {
+            "capacity": record.capacity,
+            "attributes": list(record.attributes),
+            "frozen": record.frozen,
+            "cancelled": record.cancelled,
+            "conflicts": sorted(record.conflicts),
+        }
+
+    def user_record(self, user: int) -> dict:
+        """One user as its canonical-state entry."""
+        record = self._users[user]
+        return {"capacity": record.capacity, "attributes": list(record.attributes)}
 
     def event_conflicts(self, event: int) -> frozenset[int]:
         """Events conflicting with ``event`` (the live adjacency set)."""
@@ -527,13 +562,13 @@ class ArrangementStore:
             if not isinstance(conflicts, (list, tuple)):
                 raise ServiceError("conflicts must be a list of event ids")
             for other in conflicts:
-                if not isinstance(other, int) or not 0 <= other < self.n_events:
+                if not is_int(other) or not 0 <= other < self.n_events:
                     raise ServiceError(f"conflict references unknown event {other!r}")
         elif cmd == CMD_REGISTER_USER:
             self._validate_entity_args(args)
         elif cmd == CMD_REQUEST_ASSIGNMENT:
             user = args.get("user")
-            if not isinstance(user, int) or not 0 <= user < self.n_users:
+            if not is_int(user) or not 0 <= user < self.n_users:
                 raise ServiceError(f"unknown user {user!r}")
         elif cmd == CMD_FREEZE_EVENT:
             event = self._validate_event_ref(args)
@@ -554,7 +589,7 @@ class ArrangementStore:
                 raise ServiceError(f"event {event} is already retired/cancelled")
         elif cmd == CMD_RETIRE_USER:
             user = args.get("user")
-            if not isinstance(user, int) or not 0 <= user < self.n_users:
+            if not is_int(user) or not 0 <= user < self.n_users:
                 raise ServiceError(f"unknown user {user!r}")
             if self._events_of_user[user]:
                 raise ServiceError(
@@ -565,8 +600,11 @@ class ArrangementStore:
 
     def _validate_entity_args(self, args: dict) -> None:
         capacity = args.get("capacity")
-        if not isinstance(capacity, int) or capacity < 0:
-            raise ServiceError(f"capacity must be a non-negative int, got {capacity!r}")
+        if not is_int(capacity) or not 0 <= capacity <= MAX_CAPACITY:
+            raise ServiceError(
+                f"capacity must be a non-negative int up to {MAX_CAPACITY}, "
+                f"got {capacity!r}"
+            )
         attributes = args.get("attributes")
         if not isinstance(attributes, (list, tuple)) or len(attributes) != (
             self.config.dimension
@@ -575,7 +613,11 @@ class ArrangementStore:
                 f"attributes must be a length-{self.config.dimension} vector"
             )
         for value in attributes:
-            if not isinstance(value, (int, float)) or not np.isfinite(value):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not np.isfinite(value)
+            ):
                 raise ServiceError(f"attribute {value!r} is not a finite number")
             if not 0 <= value <= self.config.t:
                 raise ServiceError(
@@ -584,7 +626,7 @@ class ArrangementStore:
 
     def _validate_event_ref(self, args: dict) -> int:
         event = args.get("event")
-        if not isinstance(event, int) or not 0 <= event < self.n_events:
+        if not is_int(event) or not 0 <= event < self.n_events:
             raise ServiceError(f"unknown event {event!r}")
         return event
 
@@ -873,20 +915,8 @@ class ArrangementStore:
             "seq": self.seq,
             "requests_seen": self.requests_seen,
             "batches_committed": self.batches_committed,
-            "events": [
-                {
-                    "capacity": e.capacity,
-                    "attributes": list(e.attributes),
-                    "frozen": e.frozen,
-                    "cancelled": e.cancelled,
-                    "conflicts": sorted(e.conflicts),
-                }
-                for e in self._events
-            ],
-            "users": [
-                {"capacity": u.capacity, "attributes": list(u.attributes)}
-                for u in self._users
-            ],
+            "events": [self.event_record(event) for event in range(self.n_events)],
+            "users": [self.user_record(user) for user in range(self.n_users)],
             "assignments": [[e, u] for e, u in self.pairs()],
             "event_remaining": list(self._event_remaining),
             "user_remaining": list(self._user_remaining),
@@ -957,10 +987,7 @@ class ArrangementStore:
 
     def digest(self) -> str:
         """SHA-256 over the canonical state (stable across processes)."""
-        payload = json.dumps(
-            self.canonical_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.canonical_state())
 
     def arrangement_state(self) -> dict:
         """Canonical state minus the journal counters.
@@ -982,10 +1009,7 @@ class ArrangementStore:
 
     def arrangement_digest(self) -> str:
         """SHA-256 over :meth:`arrangement_state`."""
-        payload = json.dumps(
-            self.arrangement_state(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canonical_digest(self.arrangement_state())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrangementStore):

@@ -74,6 +74,17 @@ def test_an_unwaited_request_answers_in_global_ids(tmp_path: Path) -> None:
         assert coordinator.assignments_of(user) == (1,)
 
 
+def test_boolean_ids_are_not_event_or_user_ids(tmp_path: Path) -> None:
+    with make_fleet(tmp_path / "fleet", shards=2) as coordinator:
+        populate(coordinator)
+        seq = coordinator.seq
+        with pytest.raises(ServiceError, match="unknown event False"):
+            coordinator.freeze_event(False)
+        with pytest.raises(ServiceError, match="unknown user True"):
+            coordinator.assignments_of(True)
+        assert coordinator.seq == seq
+
+
 def test_conflicting_event_lands_on_its_components_shard(tmp_path: Path) -> None:
     with make_fleet(tmp_path / "fleet") as coordinator:
         events, _users = populate(coordinator)
@@ -139,9 +150,9 @@ def test_open_refuses_a_shard_count_the_manifest_disagrees_with(
         ShardCoordinator.open(root, CONFIG, 4, threaded=False)
     # No count: the manifest's; a new root gets one shard.
     with ShardCoordinator.open(root, CONFIG, threaded=False) as coordinator:
-        assert len(coordinator.managers) == 2
+        assert len(coordinator.shards) == 2
     with ShardCoordinator.open(tmp_path / "new", CONFIG, threaded=False) as fresh:
-        assert len(fresh.managers) == 1
+        assert len(fresh.shards) == 1
 
 
 def test_a_file_is_not_a_fleet_root(tmp_path: Path) -> None:

@@ -125,23 +125,22 @@ def test_recovery_after_rebalance_is_digest_exact(tmp_path: Path) -> None:
 def test_applying_a_rebalance_entry_twice_journals_nothing_more(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    applied: list[tuple[dict, list[int], list[int]]] = []
+    applied: list[dict] = []
     apply = ShardCoordinator._apply_rebalance
 
-    def spy(self, entry, placed_events, placed_users):
-        applied.append((entry, list(placed_events), list(placed_users)))
-        apply(self, entry, placed_events, placed_users)
+    def spy(self, entry):
+        applied.append(entry)
+        apply(self, entry)
 
     monkeypatch.setattr(ShardCoordinator, "_apply_rebalance", spy)
     coordinator, events, _users = build_split_fleet(tmp_path / "fleet")
     with coordinator:
         coordinator.post_event(capacity=1, attributes=[5.0, 5.0], conflicts=events)
         assert len(applied) == 1
-        seqs = [manager.service.seq for manager in coordinator.managers]
+        seqs = [shard.seq for shard in coordinator.shards]
         digest = coordinator.arrangement_digest()
-        entry, placed_events, placed_users = applied[0]
-        apply(coordinator, entry, placed_events, placed_users)
-        assert [manager.service.seq for manager in coordinator.managers] == seqs
+        apply(coordinator, applied[0])
+        assert [shard.seq for shard in coordinator.shards] == seqs
         assert coordinator.arrangement_digest() == digest
         coordinator.check_invariants()
 

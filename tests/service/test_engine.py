@@ -162,6 +162,29 @@ def test_threaded_engine_serves_and_drains_on_close(tmp_path: Path) -> None:
         service.post_event(1, [1.0, 1.0])
 
 
+def test_threaded_engine_survives_a_failed_batch(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    failures = [RuntimeError("ladder blew up")]
+
+    def fail_once(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return solve_with_ladder(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "solve_with_ladder", fail_once)
+    service = ArrangementService.create(
+        tmp_path / "j.jsonl", CONFIG, threaded=True, batch_ms=1.0
+    )
+    with service:
+        event = service.post_event(2, [1.0, 1.0])
+        first = service.register_user(1, [1.0, 1.0])
+        with pytest.raises(RuntimeError, match="ladder blew up"):
+            service.request_assignment(first, timeout=30.0)
+        second = service.register_user(1, [1.2, 1.2])
+        assert service.request_assignment(second, timeout=10.0) == (event,)
+
+
 @pytest.mark.parametrize("command", ["post_event", "register_user"])
 def test_concurrent_creations_get_distinct_ids(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, command: str

@@ -169,6 +169,11 @@ def test_overload_is_503_with_retry_after(tmp_path: Path) -> None:
         ("/users", {"capacity": 1}),
         ("/users", {"capacity": 1, "attributes": None}),
         ("/assignments", {"user": "0"}),
+        ("/events", {"capacity": True, "attributes": [1.0, 1.0]}),
+        ("/events", {"capacity": 1, "attributes": [True, 1.0]}),
+        ("/assignments", {"user": True}),
+        ("/events", {"capacity": 1, "attributes": [1.0, 1.0], "conflicts": [False]}),
+        ("/events", {"capacity": 2**63, "attributes": [1.0, 1.0]}),
         pytest.param("/events", "abc", id="/events-content-length-abc"),
         pytest.param("/events", "-5", id="/events-content-length-negative"),
     ],
@@ -186,7 +191,9 @@ def test_malformed_fields_are_400_on_both_backends(
     base = f"http://127.0.0.1:{server.port}"
     try:
         call(base, "POST", "/events", {"capacity": 1, "attributes": [1.0, 1.0]})
-        call(base, "POST", "/users", {"capacity": 1, "attributes": [1.0, 1.0]})
+        # Two users, so a boolean user id (``true`` == 1) names a real one.
+        for _ in range(2):
+            call(base, "POST", "/users", {"capacity": 1, "attributes": [1.0, 1.0]})
         seq = call(base, "GET", "/state")["seq"]
         if isinstance(payload, str):
             status, reply = post_with_content_length(server.port, path, payload)
