@@ -1,10 +1,10 @@
 """Intra-procedural control-flow graphs over :mod:`ast`.
 
-The typestate rules (R9-R12) need *paths*, not nodes: "is every store
-mutation preceded by a journal append on **every** path", "does this
-shared-memory lease reach ``close()`` even when the statement between
-acquire and release raises".  This module builds, per function, a CFG
-precise enough to answer those questions:
+The typestate rules (R9, R12) need *paths*, not nodes: "is every store
+mutation preceded by a journal append on **every** path", "can a
+success response go out while a write is still unflushed on **any**
+path".  This module builds, per function, a CFG precise enough to
+answer those questions:
 
 * basic blocks of **simple** statements, with compound statements
   (``if``/``while``/``for``/``try``/``with``/``match``) lowered to
@@ -20,25 +20,17 @@ precise enough to answer those questions:
   ``finally`` -- normal completion, ``return``, ``break``,
   ``continue``, an unhandled exception -- flows through a per-exit-kind
   copy of the ``finally`` body, the same duplication CPython's compiler
-  performs;
-* **branch refinements**: edges out of ``if x is None`` / ``if x`` /
-  ``while x is not None`` tests carry a ``(name, "none"|"notnone")``
-  tag so a typestate analysis can drop a handle on the branch where it
-  is provably ``None`` (the ``if lease is not None: lease.close()``
-  idiom in :mod:`repro.parallel.executor`).
+  performs.
 
 Loop headers hold synthetic statements (the ``for`` target assignment,
-the loop/branch test expression) so a statement-folding transfer
-function sees every evaluation the interpreter performs; the synthetic
-nodes are tagged ``_geacc_for`` / ``_geacc_with`` so rules can
-special-case iteration rebinding and context-managed acquisition.
+the loop/branch test expression, each ``with`` item's context
+expression) so a statement-folding transfer function sees every
+evaluation the interpreter performs.
 
 The graph is deliberately intra-procedural: calls are opaque events.
 That is the right altitude for protocol linting -- the protocols
-(journal-before-mutate, acquire-release, fsync-before-ack) are local
-contracts of one function's body, and the escape analysis in
-:mod:`repro.analysis.typestate` hands responsibility over at call
-boundaries.
+(journal-before-mutate, fsync-before-ack) are local contracts of one
+function's body.
 """
 
 from __future__ import annotations
@@ -49,10 +41,6 @@ from dataclasses import dataclass, field
 #: Edge kinds.
 NORMAL = "normal"
 EXC = "exc"
-
-#: Refinement tags attached to branch edges.
-REFINE_NONE = "none"
-REFINE_NOT_NONE = "notnone"
 
 _FunctionDef = ast.FunctionDef | ast.AsyncFunctionDef
 
@@ -80,13 +68,11 @@ class Edge:
         dst: Destination block index.
         kind: ``"normal"`` or ``"exc"`` (exception propagation; dataflow
             engines propagate the source block's *entry* fact along it).
-        refine: Optional ``(variable, "none"|"notnone")`` branch fact.
     """
 
     src: int
     dst: int
     kind: str = NORMAL
-    refine: tuple[str, str] | None = None
 
 
 class CFG:
@@ -112,14 +98,8 @@ class CFG:
         self._pred[block.idx] = []
         return block.idx
 
-    def add_edge(
-        self,
-        src: int,
-        dst: int,
-        kind: str = NORMAL,
-        refine: tuple[str, str] | None = None,
-    ) -> None:
-        edge = Edge(src, dst, kind, refine)
+    def add_edge(self, src: int, dst: int, kind: str = NORMAL) -> None:
+        edge = Edge(src, dst, kind)
         if edge in self._succ[src]:
             return
         self.edges.append(edge)
@@ -213,32 +193,6 @@ def _const_truth(test: ast.expr) -> bool | None:
     return None
 
 
-def _branch_refinements(
-    test: ast.expr,
-) -> tuple[tuple[str, str] | None, tuple[str, str] | None]:
-    """``(true_edge_refine, false_edge_refine)`` for a branch test."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        true_ref, false_ref = _branch_refinements(test.operand)
-        return false_ref, true_ref
-    if isinstance(test, ast.Name):
-        # Truthiness: on the false edge the object is None-or-empty;
-        # either way it cannot be a live resource handle.
-        return (test.id, REFINE_NOT_NONE), (test.id, REFINE_NONE)
-    if (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.left, ast.Name)
-        and len(test.comparators) == 1
-        and isinstance(test.comparators[0], ast.Constant)
-        and test.comparators[0].value is None
-    ):
-        if isinstance(test.ops[0], ast.Is):
-            return (test.left.id, REFINE_NONE), (test.left.id, REFINE_NOT_NONE)
-        if isinstance(test.ops[0], ast.IsNot):
-            return (test.left.id, REFINE_NOT_NONE), (test.left.id, REFINE_NONE)
-    return None, None
-
-
 def _is_catch_all(handlers: list[ast.ExceptHandler]) -> bool:
     for handler in handlers:
         if handler.type is None:
@@ -254,22 +208,19 @@ def _is_catch_all(handlers: list[ast.ExceptHandler]) -> bool:
 
 
 def _synthetic_assign(
-    target: ast.expr, value: ast.expr, origin: ast.stmt, tag: str
+    target: ast.expr, value: ast.expr, origin: ast.stmt
 ) -> ast.stmt:
     """A location-preserving ``target = value`` stand-in statement."""
     stmt = ast.Assign(targets=[target], value=value)
     ast.copy_location(stmt, origin)
     ast.fix_missing_locations(stmt)
-    setattr(stmt, tag, True)
     return stmt
 
 
-def _synthetic_expr(value: ast.expr, origin: ast.stmt, tag: str | None = None) -> ast.stmt:
+def _synthetic_expr(value: ast.expr, origin: ast.stmt) -> ast.stmt:
     stmt = ast.Expr(value=value)
     ast.copy_location(stmt, origin)
     ast.fix_missing_locations(stmt)
-    if tag is not None:
-        setattr(stmt, tag, True)
     return stmt
 
 
@@ -482,14 +433,13 @@ class _Builder:
 
     def _if(self, node: ast.If) -> None:
         source = self._branch_source(node.test, node)
-        ref_true, ref_false = _branch_refinements(node.test)
         const = _const_truth(node.test)
         after = self.cfg.new_block()
 
         ends: list[int] = []
         if const is not False:
             then_entry = self.cfg.new_block()
-            self.cfg.add_edge(source, then_entry, refine=ref_true)
+            self.cfg.add_edge(source, then_entry)
             self.current = then_entry
             self._stmts(node.body)
             if self.current is not None:
@@ -497,13 +447,13 @@ class _Builder:
         if const is not True:
             if node.orelse:
                 else_entry = self.cfg.new_block()
-                self.cfg.add_edge(source, else_entry, refine=ref_false)
+                self.cfg.add_edge(source, else_entry)
                 self.current = else_entry
                 self._stmts(node.orelse)
                 if self.current is not None:
                     ends.append(self.current)
             else:
-                self.cfg.add_edge(source, after, refine=ref_false)
+                self.cfg.add_edge(source, after)
                 ends.append(-1)  # placeholder: after already wired
         reachable = False
         for end in ends:
@@ -521,23 +471,22 @@ class _Builder:
             self.cfg.add_edge(self.current, header)
         self.current = header
         source = self._branch_source(node.test, node)
-        ref_true, ref_false = _branch_refinements(node.test)
         const = _const_truth(node.test)
         after = self.cfg.new_block()
 
         body_entry = self.cfg.new_block()
         if const is not False:
-            self.cfg.add_edge(source, body_entry, refine=ref_true)
+            self.cfg.add_edge(source, body_entry)
         if const is not True:
             if node.orelse:
                 else_entry = self.cfg.new_block()
-                self.cfg.add_edge(source, else_entry, refine=ref_false)
+                self.cfg.add_edge(source, else_entry)
                 self.current = else_entry
                 self._stmts(node.orelse)
                 if self.current is not None:
                     self.cfg.add_edge(self.current, after)
             else:
-                self.cfg.add_edge(source, after, refine=ref_false)
+                self.cfg.add_edge(source, after)
 
         self.frames.append(_LoopFrame(header=header, after=after))
         self.current = body_entry
@@ -553,7 +502,7 @@ class _Builder:
             self.cfg.add_edge(self.current, header)
         # The header evaluates the iterable / advances the iterator and
         # rebinds the target on every entry.
-        assign = _synthetic_assign(node.target, node.iter, node, "_geacc_for")
+        assign = _synthetic_assign(node.target, node.iter, node)
         self.current = header
         if stmt_can_raise(assign):
             source = self._emit_test(assign)
@@ -639,10 +588,10 @@ class _Builder:
         for item in node.items:
             if item.optional_vars is not None:
                 stmt = _synthetic_assign(
-                    item.optional_vars, item.context_expr, node, "_geacc_with"
+                    item.optional_vars, item.context_expr, node
                 )
             else:
-                stmt = _synthetic_expr(item.context_expr, node, "_geacc_with")
+                stmt = _synthetic_expr(item.context_expr, node)
             self._emit(stmt)
         self._stmts(node.body)
 

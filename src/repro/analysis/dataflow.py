@@ -1,9 +1,8 @@
-"""A small worklist fixpoint engine over :class:`repro.analysis.cfg.CFG`.
+"""A forward worklist fixpoint engine over :class:`repro.analysis.cfg.CFG`.
 
-The engine is parameterised by an :class:`Analysis`: direction
-(forward/backward), join flavour (may = union over any path, must =
-intersection over all paths), a per-statement transfer function, and an
-optional edge-refinement hook.  Facts are opaque to the engine except
+The engine is parameterised by an :class:`Analysis`: join flavour (may
+= union over any path, must = intersection over all paths) and a
+per-statement transfer function.  Facts are opaque to the engine except
 for one convention: ``None`` is the *unreachable* bottom -- blocks no
 path reaches keep ``None`` and their statements are never transferred,
 so rules do not report on dead code.
@@ -11,19 +10,18 @@ so rules do not report on dead code.
 Exceptional edges get special treatment.  The CFG builder isolates each
 possibly-raising statement in its own block, so the fact flowing along
 an ``exc`` edge is the source block's **entry** fact: the exception
-fired mid-statement, before any binding the statement would have
-performed.  That is exactly what resource-leak analysis needs -- in ::
+fired mid-statement, before any effect the statement would have had.
+In ::
 
-    segment = shared_memory.SharedMemory(create=True, size=n)
+    record = self.journal.append(cmd, args)
 
-a raise inside the constructor means the caller never held the segment,
-while a raise in the *next* statement means it did.  Normal edges carry
-the source block's exit fact as usual.
+a raise inside the append means the command was never journaled, while
+a raise in the *next* statement means it was.  Normal edges carry the
+source block's exit fact as usual.
 
 Typical use (see :mod:`repro.analysis.typestate` for real ones)::
 
     class Reaching(Analysis):
-        direction = FORWARD
         def initial(self, cfg):
             return frozenset()
         def join(self, left, right):
@@ -45,10 +43,6 @@ from typing import Generic, TypeVar
 
 from repro.analysis.cfg import CFG, EXC, Block, Edge
 
-#: Analysis directions.
-FORWARD = "forward"
-BACKWARD = "backward"
-
 #: Join flavours (documentation-level; ``Analysis.join`` implements one).
 MAY = "may"
 MUST = "must"
@@ -57,7 +51,7 @@ FactT = TypeVar("FactT")
 
 
 class Analysis(Generic[FactT]):
-    """One dataflow problem: direction, lattice, transfer.
+    """One forward dataflow problem: lattice and transfer.
 
     Subclasses override :meth:`initial`, :meth:`join` and
     :meth:`transfer_stmt` (or :meth:`transfer_block` for block-at-a-time
@@ -65,13 +59,11 @@ class Analysis(Generic[FactT]):
     the hooks.
     """
 
-    #: :data:`FORWARD` or :data:`BACKWARD`.
-    direction: str = FORWARD
     #: :data:`MAY` or :data:`MUST`; informational (``join`` is the law).
     mode: str = MAY
 
     def initial(self, cfg: CFG) -> FactT:
-        """The boundary fact (function entry, or exit when backward)."""
+        """The boundary fact at the function entry."""
         raise NotImplementedError
 
     def join(self, left: FactT, right: FactT) -> FactT:
@@ -84,33 +76,9 @@ class Analysis(Generic[FactT]):
         return fact
 
     def transfer_block(self, block: Block, fact: FactT) -> FactT:
-        """Fact after a whole block; default folds :meth:`transfer_stmt`.
-
-        Backward analyses fold statements in reverse source order.
-        """
-        stmts = block.stmts if self.direction == FORWARD else block.stmts[::-1]
-        for stmt in stmts:
+        """Fact after a whole block; default folds :meth:`transfer_stmt`."""
+        for stmt in block.stmts:
             fact = self.transfer_stmt(stmt, fact)
-        return fact
-
-    def refine(self, edge: Edge, fact: FactT) -> FactT:
-        """Adjust the fact flowing along a refined branch edge.
-
-        Called (forward direction only) for edges carrying a
-        ``(name, "none"|"notnone")`` tag; the default keeps the fact.
-        """
-        return fact
-
-    def transfer_exc(self, block: Block, fact: FactT) -> FactT:
-        """The fact flowing along an ``exc`` edge out of ``block``.
-
-        ``fact`` is the block's *entry* fact (the raise happened
-        mid-statement).  The default propagates it unchanged; analyses
-        may apply the non-binding parts of the statement -- e.g.
-        resource tracking counts ``lease.close()`` as released even on
-        its own exceptional edge, else every release inside a
-        ``finally`` would look like a leak path.
-        """
         return fact
 
 
@@ -129,40 +97,28 @@ class Solution(Generic[FactT]):
     def stmt_facts(self) -> Iterator[tuple[Block, ast.stmt, FactT, FactT]]:
         """Yield ``(block, stmt, fact_before, fact_after)`` per statement.
 
-        Statements in unreachable blocks are skipped; iteration follows
-        the analysis direction so diagnostics come out in execution
-        order for forward problems.
+        Statements in unreachable blocks are skipped; blocks come in
+        reverse postorder so diagnostics come out in execution order.
         """
-        forward = self.analysis.direction == FORWARD
         for idx in self.cfg.rpo():
             block = self.cfg.blocks[idx]
-            fact = self.in_facts[idx] if forward else self.out_facts[idx]
+            fact = self.in_facts[idx]
             if fact is None:
                 continue
-            stmts = block.stmts if forward else block.stmts[::-1]
-            for stmt in stmts:
+            for stmt in block.stmts:
                 after = self.analysis.transfer_stmt(stmt, fact)
                 yield block, stmt, fact, after
                 fact = after
 
 
 def _edge_value(
-    cfg: CFG,
-    analysis: Analysis[FactT],
     edge: Edge,
     in_facts: dict[int, FactT | None],
     out_facts: dict[int, FactT | None],
 ) -> FactT | None:
-    """The fact flowing along ``edge`` in a forward analysis."""
-    if edge.kind == EXC:
-        value = in_facts[edge.src]
-        if value is not None:
-            value = analysis.transfer_exc(cfg.blocks[edge.src], value)
-    else:
-        value = out_facts[edge.src]
-    if value is not None and edge.refine is not None:
-        value = analysis.refine(edge, value)
-    return value
+    """The fact flowing along ``edge``: the source block's entry fact
+    for an exceptional edge, its exit fact otherwise."""
+    return in_facts[edge.src] if edge.kind == EXC else out_facts[edge.src]
 
 
 def _join_all(analysis: Analysis[FactT], values: list[FactT]) -> FactT | None:
@@ -176,12 +132,6 @@ def _join_all(analysis: Analysis[FactT], values: list[FactT]) -> FactT | None:
 
 def solve(cfg: CFG, analysis: Analysis[FactT]) -> Solution[FactT]:
     """Run ``analysis`` to fixpoint over ``cfg``."""
-    if analysis.direction == FORWARD:
-        return _solve_forward(cfg, analysis)
-    return _solve_backward(cfg, analysis)
-
-
-def _solve_forward(cfg: CFG, analysis: Analysis[FactT]) -> Solution[FactT]:
     solution: Solution[FactT] = Solution(cfg, analysis)
     order = cfg.rpo()
     for idx in order:
@@ -204,7 +154,7 @@ def _solve_forward(cfg: CFG, analysis: Analysis[FactT]) -> Solution[FactT]:
                     for edge in cfg.preds(idx)
                     if (
                         value := _edge_value(
-                            cfg, analysis, edge, solution.in_facts, solution.out_facts
+                            edge, solution.in_facts, solution.out_facts
                         )
                     )
                     is not None
@@ -214,41 +164,6 @@ def _solve_forward(cfg: CFG, analysis: Analysis[FactT]) -> Solution[FactT]:
                 None
                 if in_fact is None
                 else analysis.transfer_block(cfg.blocks[idx], in_fact)
-            )
-            if (
-                in_fact != solution.in_facts[idx]
-                or out_fact != solution.out_facts[idx]
-            ):
-                solution.in_facts[idx] = in_fact
-                solution.out_facts[idx] = out_fact
-                changed = True
-    return solution
-
-
-def _solve_backward(cfg: CFG, analysis: Analysis[FactT]) -> Solution[FactT]:
-    solution: Solution[FactT] = Solution(cfg, analysis)
-    order = cfg.rpo()[::-1]
-    for idx in order:
-        solution.in_facts[idx] = None
-        solution.out_facts[idx] = None
-
-    changed = True
-    while changed:
-        changed = False
-        for idx in order:
-            if idx == cfg.exit:
-                out_fact: FactT | None = analysis.initial(cfg)
-            else:
-                outgoing = [
-                    value
-                    for edge in cfg.succs(idx)
-                    if (value := solution.in_facts[edge.dst]) is not None
-                ]
-                out_fact = _join_all(analysis, outgoing)
-            in_fact = (
-                None
-                if out_fact is None
-                else analysis.transfer_block(cfg.blocks[idx], out_fact)
             )
             if (
                 in_fact != solution.in_facts[idx]

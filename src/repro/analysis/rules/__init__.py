@@ -12,7 +12,6 @@ from repro.analysis.rules.floats import FloatComparisonRule
 from repro.analysis.rules.fsync import FsyncBeforeAckRule
 from repro.analysis.rules.hygiene import ApiHygieneRule
 from repro.analysis.rules.journal import JournalBeforeMutateRule
-from repro.analysis.rules.leaks import LeaseLeakRule
 from repro.analysis.rules.netio import NetworkIoRule
 from repro.analysis.rules.ordering import OrderingSafetyRule
 from repro.analysis.rules.parallelism import ParallelismRule
@@ -32,7 +31,6 @@ __all__ = [
     "ParallelismRule",
     "NetworkIoRule",
     "JournalBeforeMutateRule",
-    "LeaseLeakRule",
     "CheckpointInLoopRule",
     "FsyncBeforeAckRule",
     "SuppressionHygieneRule",

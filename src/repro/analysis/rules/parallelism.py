@@ -1,15 +1,16 @@
 """R7 -- parallelism: no naked multiprocessing outside ``repro.parallel``.
 
 The parallel sweep executor (:mod:`repro.parallel`) exists so that every
-process pool in the tree obeys one set of invariants: the parent is the
-sole checkpoint writer, shared-memory segments are created/closed/
-unlinked along an audited lifecycle, start methods are selected (never
-mutated globally), and results stay deterministic regardless of
-completion order. A ``multiprocessing.Pool`` spun up anywhere else
-silently re-opens every one of those holes -- two writers on one JSONL
-checkpoint, leaked POSIX shm segments, fork-after-thread deadlocks --
-so this rule flags process-based parallelism primitives everywhere
-except under a ``parallel/`` package directory:
+worker process in the tree obeys one set of invariants: the parent is
+the sole checkpoint writer, a worker that dies is detected and its
+cells recorded as failed, start methods are selected (never mutated
+globally), and results stay deterministic regardless of completion
+order. A ``multiprocessing.Pool`` spun up anywhere else silently
+re-opens every one of those holes -- two writers on one JSONL
+checkpoint, a dead worker that hangs the caller forever,
+fork-after-thread deadlocks -- so this rule flags process-based
+parallelism primitives everywhere except under a ``parallel/`` package
+directory:
 
 * constructing ``multiprocessing.Pool`` / ``Process`` (or importing
   them from ``multiprocessing`` / ``multiprocessing.pool``);
@@ -20,7 +21,7 @@ except under a ``parallel/`` package directory:
   contexts locally instead and never calls it).
 
 Thread pools are untouched: they share the parent's memory and cannot
-corrupt checkpoints or leak shm segments.
+corrupt checkpoints or lose a dead worker's cells.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class ParallelismRule(Rule):
     title = "no naked multiprocessing outside repro.parallel"
     rationale = (
         "ad-hoc pools break the sweep invariants (single checkpoint writer, "
-        "shm lifecycle, deterministic merges); route process parallelism "
-        "through repro.parallel.run_cell_groups"
+        "dead-worker detection, deterministic merges); route process "
+        "parallelism through repro.parallel.run_cell_groups"
     )
 
     def check_module(self, module: ParsedModule) -> Iterator[Diagnostic]:

@@ -2,30 +2,34 @@
 
 The shard coordinator's whole correctness argument rests on one
 ownership rule: a shard's :class:`~repro.service.store.ArrangementStore`,
-journal and engine are mutated only by that shard's manager, and the
-only component allowed to look across shards is the coordinator itself
-(which serialises every cross-shard mutation through the manifest).
-Code elsewhere that reaches *through* the fleet --
-``coordinator.managers[i].store`` or ``fleet.shards[0].journal`` --
-bypasses both the per-shard locks and the manifest write-ahead step, so
-a mutation issued that way is invisible to recovery and can interleave
-with a rebalance mid-migration.
+journal and engine are mutated only through that shard's
+:class:`~repro.service.frontend.ArrangementService`, which the
+:class:`~repro.service.sharding.coordinator.ShardCoordinator` holds in
+its ``shards`` list and drives under the shard's lock; the coordinator
+is the only component allowed to look across shards (it serialises
+every cross-shard mutation through the manifest). Code elsewhere that
+reaches *through* the fleet -- ``coordinator.shards[i].store`` or
+``fleet.shards[0].journal`` -- bypasses both the per-shard locks and
+the manifest write-ahead step, so a mutation issued that way is
+invisible to recovery and can interleave with a rebalance
+mid-migration.
 
 Outside a ``sharding/`` package directory this rule flags:
 
 * attribute reach-ins ``<x>.shards[...].store`` /
-  ``<x>.managers[...].journal`` (and ``.engine`` / ``.service``) -- any
-  subscript of a name or attribute called ``shards`` or ``managers``
-  whose result is then dereferenced into shard internals;
+  ``<x>.shards[...].journal`` (and ``.engine`` / ``.service``) -- any
+  subscript of a name or attribute called ``shards`` (or ``managers``,
+  the fleet list's former name) whose result is then dereferenced into
+  shard internals;
 * imports of the sharding *implementation* submodules
-  (``repro.service.sharding.manager`` / ``.manifest``), which would hand
-  out the raw per-shard handles the package facade deliberately wraps.
+  (``repro.service.sharding.manager`` / ``.manifest``), which the
+  package facade deliberately does not re-export wholesale.
 
 The package facade stays legal everywhere: ``from
 repro.service.sharding import ShardCoordinator, ShardManager`` only
-exposes the coordinator command surface and the manager's public
-classmethods (``journal_path`` et al.), which is exactly the API the
-CLI and load generator are meant to use.
+exposes the coordinator command surface and the fleet's file layout
+(``ShardManager.journal_path`` / ``snapshot_dir``), which is exactly
+the API the CLI and load generator are meant to use.
 """
 
 from __future__ import annotations

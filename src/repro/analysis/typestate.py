@@ -1,18 +1,13 @@
-"""Typestate abstractions the protocol rules (R9-R12) declare.
+"""Typestate abstractions the protocol rules (R9, R12) declare.
 
 A typestate rule does not hand-roll an AST visitor; it *declares* a
-protocol and lets this module run it over a function's CFG:
-
-* :class:`FlagProtocol` -- a boolean protocol flag driven by calls:
-  some calls **set** it (``journal.append`` -> "journaled"), some
-  **clear** it (``os.fsync`` -> not "dirty"), and some **require** it
-  set (must mode: ``store.apply`` needs "journaled" on every path) or
-  clear (may mode: an ack must not happen while "dirty" on any path).
-* :class:`ResourceProtocol` -- acquire/release tracking: calls matching
-  an acquire pattern open a *site*; the site must reach a release
-  method (``close``/``unlink``/...) or **escape** (be returned, passed
-  to a call, stored into an object/container -- ownership handed off)
-  on every path to the function exit, exceptional paths included.
+:class:`FlagProtocol` -- a boolean protocol flag driven by calls -- and
+lets this module run it over a function's CFG: some calls **set** the
+flag (``journal.append`` -> "journaled"), some **clear** it
+(``os.fsync`` -> not "dirty"), and some **require** it set (must mode:
+``store.apply`` needs "journaled" on every path) or clear (may mode: an
+ack must not happen while "dirty" on any path).  R11 reuses the
+:class:`CallPattern` matcher only.
 
 Call matching is deliberately name-based (:class:`CallPattern`): the
 linter has no type inference, so ``self.journal.append`` is recognised
@@ -28,18 +23,16 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from repro.analysis.astutils import dotted_name, terminal_name
-from repro.analysis.cfg import CFG, REFINE_NONE
-from repro.analysis.dataflow import MAY, MUST, Analysis, Solution, solve
+from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import MAY, MUST, Analysis, solve
 
 __all__ = [
     "CallPattern",
     "CallMatcher",
     "FlagProtocol",
-    "ResourceProtocol",
     "Violation",
     "calls_in",
     "check_flag_protocol",
-    "check_resource_protocol",
 ]
 
 
@@ -215,7 +208,6 @@ class FlagProtocol:
 class _FlagAnalysis(Analysis[frozenset[str]]):
     def __init__(self, protocol: FlagProtocol) -> None:
         self.protocol = protocol
-        self.direction = "forward"
         self.mode = protocol.mode
 
     def initial(self, cfg: CFG) -> frozenset[str]:
@@ -239,280 +231,3 @@ def check_flag_protocol(cfg: CFG, protocol: FlagProtocol) -> list[Violation]:
     # finally bodies are instantiated once per exit kind, so the same
     # source statement can sit in several blocks; dedupe by location.
     return sorted(set(recorded))
-
-
-# ----------------------------------------------------------------------
-# Resource protocols (R10 lease/handle leak)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Site:
-    """One tracked acquisition: where it happened + current aliases."""
-
-    line: int
-    col: int
-    label: str
-    names: frozenset[str]
-
-
-@dataclass(frozen=True)
-class ResourceProtocol:
-    """Acquire/release discipline for handle-like objects.
-
-    Attributes:
-        acquires: Calls whose *result* is a resource the function now
-            owns.
-        release_methods: Method names that discharge the obligation
-            when invoked on an alias (``lease.close()``).
-        description: Noun for messages ("shared-memory lease").
-    """
-
-    acquires: tuple[CallMatcher, ...]
-    release_methods: frozenset[str]
-    description: str = "resource"
-
-    def is_acquire(self, node: ast.expr) -> bool:
-        return isinstance(node, ast.Call) and _matches_any(self.acquires, node)
-
-
-def _target_names(target: ast.expr) -> set[str]:
-    """Plain variable names bound by an assignment target."""
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: set[str] = set()
-        for element in target.elts:
-            names |= _target_names(element)
-        return names
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    return set()
-
-
-def _collect_bare_names(node: ast.expr, into: set[str]) -> None:
-    """Names in ``node`` excluding attribute/subscript bases.
-
-    ``f(x)`` passes the handle itself; ``f(x.stats)`` / ``f(x[0])``
-    passes something derived from it -- the handle stays owned here.
-    """
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, ast.Name):
-            into.add(current.id)
-            continue
-        if isinstance(current, (ast.Attribute, ast.Subscript)):
-            # Skip the base chain, but a subscript's index expression
-            # is an ordinary use.
-            if isinstance(current, ast.Subscript):
-                stack.append(current.slice)
-            continue
-        if isinstance(
-            current,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(current))
-
-
-def escaping_names(stmt: ast.stmt) -> set[str]:
-    """Variables whose value may leave this function's custody here.
-
-    Escape sinks: call arguments, ``return``/``yield`` values,
-    ``raise`` operands, and the right-hand side of a store into an
-    attribute, subscript, or freshly built container.  A name used as
-    an attribute/subscript base (``lease.close()``, ``seg.buf[:]``)
-    does *not* escape -- only derived values leave.
-    """
-    escapes: set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-        ):
-            continue
-        if isinstance(node, ast.Call):
-            for arg in node.args:
-                _collect_bare_names(arg, escapes)
-            for keyword in node.keywords:
-                _collect_bare_names(keyword.value, escapes)
-        elif isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value is not None:
-            _collect_bare_names(node.value, escapes)
-    if isinstance(stmt, ast.Return) and stmt.value is not None:
-        _collect_bare_names(stmt.value, escapes)
-    if isinstance(stmt, ast.Raise):
-        if stmt.exc is not None:
-            _collect_bare_names(stmt.exc, escapes)
-        if stmt.cause is not None:
-            _collect_bare_names(stmt.cause, escapes)
-    if isinstance(stmt, ast.Assign):
-        plain = all(isinstance(t, ast.Name) for t in stmt.targets)
-        trivial = isinstance(stmt.value, (ast.Name, ast.Call))
-        if not (plain and trivial):
-            # Storing into self.x / d[k] / unpacking a built container
-            # hands the value to something that outlives this frame.
-            _collect_bare_names(stmt.value, escapes)
-    if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)) and getattr(
-        stmt, "value", None
-    ) is not None:
-        if not isinstance(stmt.target, ast.Name):
-            _collect_bare_names(stmt.value, escapes)  # type: ignore[arg-type]
-    return escapes
-
-
-_Fact = frozenset[Site]
-
-
-class _ResourceAnalysis(Analysis[_Fact]):
-    def __init__(self, protocol: ResourceProtocol) -> None:
-        self.protocol = protocol
-        self.direction = "forward"
-        self.mode = MAY
-
-    def initial(self, cfg: CFG) -> _Fact:
-        return frozenset()
-
-    def join(self, left: _Fact, right: _Fact) -> _Fact:
-        return left | right
-
-    def refine(self, edge, fact: _Fact) -> _Fact:  # type: ignore[override]
-        assert edge.refine is not None
-        name, tag = edge.refine
-        if tag != REFINE_NONE:
-            return fact
-        # On this edge ``name`` is provably None: it does not hold a
-        # live handle, so drop it (and any site it was the last alias
-        # of -- that acquisition did not happen on this path).
-        kept: set[Site] = set()
-        for site in fact:
-            if name not in site.names:
-                kept.add(site)
-            elif site.names != frozenset({name}):
-                kept.add(
-                    Site(site.line, site.col, site.label, site.names - {name})
-                )
-        return frozenset(kept)
-
-    def _discharge(self, stmt: ast.stmt, fact: _Fact) -> _Fact:
-        """Apply the obligation-discharging parts of one statement.
-
-        Releases (``lease.close()``) and escapes (handing the handle to
-        a call/return/container) discharge sites.  This is also the
-        exceptional-edge transfer: if the release or the hand-off call
-        itself raises, the obligation is still no longer this
-        function's (else every ``finally: lease.close()`` would read as
-        a leak path).
-        """
-        protocol = self.protocol
-        for call in calls_in(stmt):
-            func = call.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in protocol.release_methods
-                and isinstance(func.value, ast.Name)
-            ):
-                receiver = func.value.id
-                fact = frozenset(s for s in fact if receiver not in s.names)
-        escaped = escaping_names(stmt)
-        if escaped:
-            fact = frozenset(s for s in fact if not (s.names & escaped))
-        return fact
-
-    def transfer_exc(self, block, fact: _Fact) -> _Fact:  # type: ignore[override]
-        for stmt in block.stmts:
-            fact = self._discharge(stmt, fact)
-        return fact
-
-    def transfer_stmt(self, stmt: ast.stmt, fact: _Fact) -> _Fact:
-        protocol = self.protocol
-        fact = self._discharge(stmt, fact)
-
-        # Bindings: new acquisitions, aliases, rebinds.
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                name = target.id
-                fact = _drop_alias(fact, name)
-                if protocol.is_acquire(stmt.value):
-                    if not getattr(stmt, "_geacc_with", False):
-                        # `with acquire() as x` releases via __exit__;
-                        # a plain assignment makes this frame the owner.
-                        fact = fact | {
-                            Site(
-                                stmt.lineno,
-                                stmt.col_offset,
-                                protocol.description,
-                                frozenset({name}),
-                            )
-                        }
-                elif isinstance(stmt.value, ast.Name):
-                    fact = _add_alias(fact, stmt.value.id, name)
-            else:
-                for name in _target_names(target):
-                    fact = _drop_alias(fact, name)
-        elif isinstance(stmt, ast.Expr) and protocol.is_acquire(stmt.value):
-            if not getattr(stmt, "_geacc_with", False):
-                # Acquired and immediately dropped: an unconditional leak,
-                # reported at exit via the alias-less site.
-                fact = fact | {
-                    Site(
-                        stmt.lineno,
-                        stmt.col_offset,
-                        protocol.description,
-                        frozenset(),
-                    )
-                }
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    fact = _remove_name(fact, target.id)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) and isinstance(
-            stmt.target, ast.Name
-        ):
-            fact = _drop_alias(fact, stmt.target.id)
-        return fact
-
-
-def _drop_alias(fact: _Fact, name: str) -> _Fact:
-    """Rebinding ``name``: it no longer refers to any tracked site.
-
-    A site whose *only* alias is rebound keeps living with no aliases:
-    the handle is now unreachable and will be reported as a leak.
-    """
-    return _remove_name(fact, name)
-
-
-def _remove_name(fact: _Fact, name: str) -> _Fact:
-    changed = False
-    result: set[Site] = set()
-    for site in fact:
-        if name in site.names:
-            changed = True
-            result.add(Site(site.line, site.col, site.label, site.names - {name}))
-        else:
-            result.add(site)
-    return frozenset(result) if changed else fact
-
-
-def _add_alias(fact: _Fact, source: str, alias: str) -> _Fact:
-    result: set[Site] = set()
-    for site in fact:
-        if source in site.names:
-            result.add(
-                Site(site.line, site.col, site.label, site.names | {alias})
-            )
-        else:
-            result.add(site)
-    return frozenset(result)
-
-
-def check_resource_protocol(cfg: CFG, protocol: ResourceProtocol) -> list[Violation]:
-    """Report acquisitions that can reach the function exit unreleased."""
-    solution: Solution[_Fact] = solve(cfg, _ResourceAnalysis(protocol))
-    leaked = solution.in_facts[cfg.exit] or frozenset()
-    return sorted(
-        {
-            Violation(site.line, site.col, "leak", protocol.description)
-            for site in leaked
-        }
-    )

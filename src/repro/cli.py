@@ -95,6 +95,16 @@ def _add_instance_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _job_count(text: str) -> int:
+    """argparse type of ``--jobs``: a worker count, 0 meaning all cores."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = all cores), got {value}"
+        )
+    return value
+
+
 def _build_instance(args: argparse.Namespace):
     if getattr(args, "scenario", None):
         return build_scenario(args.scenario, seed=args.seed).instance
@@ -562,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
         metavar="N",
-        help="run sweep cells on N worker processes "
-        "(0 = all cores; default 1 = serial)",
+        help="run up to N (grid point, seed) groups at once in worker "
+        "processes (0 = all cores; default 1 = serial)",
     )
     sweep.add_argument(
         "--timeout",

@@ -80,9 +80,9 @@ class Instance:
         Shape and capacity checks (cheap, and load-bearing for every
         solver) always run; only the finiteness/range scans over the
         similarity matrix and attribute arrays are elided. Reserved for
-        arrays that already passed validation in this process tree --
-        e.g. rehydrating shared-memory views in sweep workers
-        (:mod:`repro.parallel.sharedmem`).
+        arrays that already passed validation in this process -- e.g.
+        the online engine's ``_solve_scope``, which slices each
+        re-solve's sub-instance out of its validated remainder.
         """
         if sims is not None:
             sims = np.asarray(sims, dtype=np.float64)

@@ -29,19 +29,16 @@ against.
 
 Parallelism
 -----------
-``jobs > 1`` routes the missing cells through
-:func:`repro.parallel.run_cell_groups`: the parent stays the sole
-checkpoint writer (workers hand finished cells back over the pool's
-result channel), cells keep their stable :func:`cell_key` identities,
-and the final tables are merged in grid order -- so only the *line
-order* of the checkpoint depends on scheduling, and
+Cells are grouped by (grid point, seed): :func:`run_groups` builds the
+group's instance -- similarity matrix included -- **once** and runs
+every solver of the group on it. ``jobs > 1`` hands whole groups to
+:func:`repro.parallel.run_cell_groups`, whose worker processes each call
+:func:`run_groups` on one group; the parent stays the sole checkpoint
+writer, cells keep their stable :func:`cell_key` identities, and the
+final tables are merged in grid order -- so only the *line order* of
+the checkpoint depends on scheduling, and
 :func:`canonical_checkpoint_lines` of a ``jobs=1`` and a ``jobs=4`` run
 of the same grid are identical.
-
-Serial or parallel, cells are grouped by (grid point, seed): the
-instance -- similarity matrix included -- is materialised **once** per
-group and shared by every solver in it (zero-copy via shared memory in
-the parallel case).
 """
 
 from __future__ import annotations
@@ -72,6 +69,9 @@ CHECKPOINT_FORMAT = "geacc-sweep-v1"
 #: retry seeds never collide with the sweep's own ``range(repeats)`` seeds.
 RETRY_SEED_STRIDE = 1_000_003
 
+#: One (grid point, seed) group of cells: all its solvers share one instance.
+CellGroup = tuple[object, int, tuple[str, ...]]
+
 #: Above this many (|V|, |U|) matrix cells a sweep group keeps the
 #: similarity matrix unmaterialised and solvers stream through the NN
 #: index instead -- the same threshold
@@ -84,9 +84,10 @@ SHARED_SIMS_CELL_LIMIT = 20_000_000
 def want_shared_sims(instance: Instance) -> bool:
     """Should a sweep group materialise + share this instance's matrix?
 
-    Serial and parallel executors both consult this, so whether a cell's
-    solver sees ``has_matrix`` is a property of the instance, never of
-    ``--jobs`` -- keeping checkpoints canonically identical across modes.
+    :func:`run_groups` consults this for every group, serial or in a
+    worker, so whether a cell's solver sees ``has_matrix`` is a property
+    of the instance, never of ``--jobs`` -- keeping checkpoints
+    canonically identical across modes.
     """
     if instance.has_matrix:
         return True
@@ -191,14 +192,17 @@ class SweepCheckpoint:
         return self.path.exists()
 
     def reset(self) -> None:
-        """Start a fresh checkpoint file containing only the header."""
+        """Start a fresh checkpoint file containing only the header.
+
+        The header is written atomically: a crash mid-reset leaves the
+        previous file (or none), never an empty or torn header that
+        :meth:`load` would refuse on every later ``--resume``.
+        """
+        from repro.service.journal import atomic_write_bytes
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps({"format": CHECKPOINT_FORMAT, "name": self.name}) + "\n"
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
+        header = json.dumps({"format": CHECKPOINT_FORMAT, "name": self.name})
+        atomic_write_bytes(self.path, (header + "\n").encode("utf-8"))
 
     def load(self) -> dict[str, CellResult]:
         """Completed cells keyed by :func:`cell_key`; {} when absent.
@@ -460,9 +464,9 @@ def _effective_timeout(timeout: float | None, budget: Budget | None) -> float | 
     return remaining if timeout is None else min(timeout, remaining)
 
 
-def _run_groups_serial(
+def run_groups(
     instance_factory: Callable[[object, int], Instance],
-    groups: Sequence[tuple[object, int, tuple[str, ...]]],
+    groups: Sequence[CellGroup],
     *,
     memory: bool,
     solver_kwargs: dict[str, dict],
@@ -472,11 +476,13 @@ def _run_groups_serial(
     budget: Budget | None = None,
     on_cell: Callable[[CellResult], None] | None = None,
 ) -> dict[str, CellResult]:
-    """Serial twin of :func:`repro.parallel.run_cell_groups`.
+    """Run each (grid point, seed) group's cells in this process, in order.
 
-    Same contract: one instance per (grid point, seed) group shared by
-    all its solvers, budget-expired cells simply absent from the
-    returned mapping, ``on_cell`` invoked per finished cell.
+    The one group runner: serial sweeps call it on every group, and each
+    :func:`repro.parallel.run_cell_groups` worker calls it on one. A
+    group's instance is built once and shared by all its solvers; cells
+    not started before ``budget`` expires are simply absent from the
+    returned mapping; ``on_cell`` is invoked per finished cell.
     """
     results: dict[str, CellResult] = {}
     if budget is not None:
@@ -571,16 +577,16 @@ def sweep_parameter(
             cells report their anytime best-so-far with outcome
             ``feasible-timeout`` and still average into the tables.
         max_attempts: Total tries per cell when failures are transient.
-        jobs: ``1`` (default) runs every cell serially in this process,
-            exactly as before. ``N > 1`` fans cells out to ``N`` worker
-            processes via :func:`repro.parallel.run_cell_groups`
-            (``0`` = all cores); if the platform cannot run the pool the
-            sweep degrades to serial. Either way the tables and the
-            canonically-sorted checkpoint are identical.
+        jobs: ``1`` (default) runs every cell serially in this process.
+            ``N > 1`` runs up to ``N`` (grid point, seed) groups at once
+            in worker processes via :func:`repro.parallel.
+            run_cell_groups` (``0`` = all cores); if the platform cannot
+            run them the sweep degrades to serial. Either way the tables
+            and the canonically-sorted checkpoint are identical.
         budget: Optional sweep-wide :class:`~repro.robustness.budget.
             Budget`. Its remaining deadline caps every cell's timeout;
             once it expires, not-yet-run cells are skipped (parallel:
-            outstanding cells are cancelled) and are simply absent from
+            running groups are cancelled) and are simply absent from
             the tables -- resume later to finish them.
 
     Cells are visited in deterministic order (grid, then seed, then
@@ -601,7 +607,7 @@ def sweep_parameter(
 
     # The work list: one group per (grid point, seed), carrying only the
     # solvers whose cell is not already completed successfully.
-    groups: list[tuple[object, int, tuple[str, ...]]] = []
+    groups: list[CellGroup] = []
     for x in grid:
         for seed in range(repeats):
             missing = tuple(
@@ -634,7 +640,7 @@ def sweep_parameter(
         except ParallelUnavailableError:
             run_serial = True
     if run_serial and groups:
-        fresh = _run_groups_serial(
+        fresh = run_groups(
             instance_factory,
             groups,
             memory=memory,

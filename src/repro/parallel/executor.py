@@ -1,34 +1,37 @@
-"""The process-pool sweep executor.
+"""The process-level sweep executor.
 
-:func:`run_cell_groups` fans (grid point, seed, solver) cells out to a
-pool of worker processes while keeping every guarantee of the serial
-sweep path (:mod:`repro.experiments.runner`):
+:func:`run_cell_groups` runs a sweep's (grid point, seed) groups in
+worker processes while keeping every guarantee of the serial sweep path
+(:mod:`repro.experiments.runner`), because each worker *is* the serial
+path: it calls :func:`~repro.experiments.runner.run_groups` on its one
+group, so the instance -- similarity matrix included -- is built once,
+inside the worker, and every solver of the group reuses it.
 
-* **the parent is the sole checkpoint writer** -- workers return
-  finished :class:`~repro.experiments.runner.CellResult`\\ s over the
-  pool's result channel and the parent appends them (via ``on_cell``)
-  to the fsynced JSONL checkpoint, so kill+``--resume`` semantics are
-  identical to a serial run;
+* **the parent is the sole checkpoint writer** -- a worker sends each
+  :class:`~repro.experiments.runner.CellResult` back over a pipe as soon
+  as it finishes; the parent appends it (via ``on_cell``) to the
+  fsynced JSONL checkpoint, so a finished cell survives a later worker
+  death, budget expiry or kill of the parent, and ``--resume`` skips it;
 * **determinism regardless of completion order** -- cells carry stable
   :func:`~repro.experiments.runner.cell_key` identities and the caller
   merges the returned ``{key: CellResult}`` mapping in grid order, so
   only the *file line order* of the checkpoint varies with scheduling
   (canonical sort makes jobs=1 and jobs=N byte-identical);
-* **one instance per (grid point, seed) group** -- the parent
-  materialises the instance (and its similarity matrix) once, publishes
-  it through :mod:`repro.parallel.sharedmem`, and workers rehydrate
-  zero-copy views; where shared memory is unavailable each worker falls
-  back to regenerating the instance from the factory;
-* **global budget** -- a :class:`~repro.robustness.budget.Budget`
-  deadline is threaded into workers as a shrinking per-cell timeout,
-  and once it expires the parent stops submitting and terminates the
-  pool, cancelling every outstanding cell.
+* **global budget** -- each worker gets the sweep's remaining deadline
+  as its own :class:`~repro.robustness.budget.Budget`, and once the
+  sweep's deadline passes the parent starts no more groups and kills
+  the running ones; the cells they were still running are absent from
+  the result (a serial sweep would record its in-flight cell as a
+  ``feasible-timeout``), and ``--resume`` runs them;
+* **worker death** -- when a worker dies (``os._exit``, an OOM kill, a
+  segfault), the cell it was running is recorded as a failed cell,
+  which ``--resume`` re-runs like any other, and the group's remaining
+  solvers go to a new worker.
 
-Workers inherit the instance factory through a fork-context pool
-initializer, so the lambdas the figure drivers use never need to
-pickle; only small :class:`_CellTask` descriptors cross the process
-boundary. On platforms without ``fork`` a spawn pool is used instead,
-which *does* require a picklable factory -- checked up front, raising
+Each group gets a fresh process, so a fork-context worker inherits the
+instance factory -- lambdas and all -- without pickling it. On
+platforms without ``fork`` a spawn context is used instead, which
+*does* require a picklable factory -- checked up front, raising
 :class:`ParallelUnavailableError` so callers can fall back to serial.
 """
 
@@ -36,26 +39,22 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections import deque
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from queue import Empty, SimpleQueue
-from typing import Any
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 
 from repro.core.model import Instance
-from repro.experiments.runner import CellResult, run_cell, want_shared_sims
-from repro.parallel.sharedmem import SharedInstanceArchive, SharedInstanceHandle
+from repro.experiments.runner import CellGroup, CellResult, run_groups
 from repro.robustness.budget import Budget
-from repro.robustness.outcome import FailureRecord, Outcome, is_transient
-
-#: One (grid point, seed) group of cells: all solvers share one instance.
-CellGroup = tuple[object, int, tuple[str, ...]]
+from repro.robustness.outcome import FailureRecord, Outcome
 
 
 class ParallelUnavailableError(RuntimeError):
     """Process-level parallelism cannot run in this configuration.
 
     Raised up front (before any work starts) so callers can degrade to
-    the serial sweep path instead of failing halfway through a grid.
+    the serial path instead of failing halfway through.
     """
 
 
@@ -64,136 +63,63 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
+def make_context(func: Callable[..., object]):  # type: ignore[no-untyped-def]
+    """The multiprocessing context workers running ``func`` start from.
 
-#: Per-worker state installed by the pool initializer. A fork-context
-#: pool inherits the factory (closures and all) through the initializer
-#: arguments at fork time; nothing here crosses a pickle boundary except
-#: under a spawn context, where the factory's picklability was verified
-#: before the pool was built.
-_WORKER_STATE: dict[str, Any] | None = None
+    ``fork`` wherever it exists. Spawn re-imports and unpickles ``func``
+    in each worker, so it must survive a pickle round-trip; that is
+    verified now, so callers can degrade to serial before any work ran.
+    """
+    import multiprocessing
 
-
-@dataclass(frozen=True)
-class _CellTask:
-    """What one cell needs beyond the worker's initializer state."""
-
-    group_id: int
-    x: object
-    seed: int
-    solver: str
-    handle: SharedInstanceHandle | None
-    timeout: float | None
-
-
-def _init_worker(
-    factory: Callable[[object, int], Instance],
-    memory: bool,
-    solver_kwargs: dict[str, dict],
-    node_limit: int | None,
-    max_attempts: int,
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = {
-        "factory": factory,
-        "memory": memory,
-        "solver_kwargs": solver_kwargs,
-        "node_limit": node_limit,
-        "max_attempts": max_attempts,
-    }
-
-
-def _run_task(task: _CellTask) -> tuple[int, CellResult]:
-    """Run one cell in a worker; returns (group id, finished cell)."""
-    state = _WORKER_STATE
-    assert state is not None, "worker used before _init_worker ran"
-    lease = None
-    shared: Instance | None = None
-    if task.handle is not None:
-        try:
-            lease = task.handle.attach()
-            shared = lease.instance
-        except Exception:
-            # Segment vanished or mapping failed: regenerate locally.
-            lease = None
-            shared = None
-    if shared is None:
-        # No shared memory: materialise locally under the same policy,
-        # so results cannot depend on whether sharing worked. A factory
-        # failure is left for run_cell, which classifies and retries it.
-        try:
-            shared = state["factory"](task.x, task.seed)
-            if want_shared_sims(shared):
-                shared.sims
-        except Exception:
-            shared = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
     try:
-        cell = run_cell(
-            state["factory"],
-            task.x,
-            task.seed,
-            task.solver,
-            memory=state["memory"],
-            solver_kwargs=state["solver_kwargs"].get(task.solver),
-            timeout=task.timeout,
-            node_limit=state["node_limit"],
-            max_attempts=state["max_attempts"],
-            instance=shared,
-        )
-    finally:
-        if lease is not None:
-            lease.close()
-    return task.group_id, cell
+        pickle.dumps(func)
+    except Exception as exc:
+        raise ParallelUnavailableError(
+            f"no fork start method and {func!r} is not picklable for "
+            f"spawn workers: {exc}"
+        ) from exc
+    return multiprocessing.get_context("spawn")
 
 
-def _crash_cell(task: _CellTask, exc: BaseException) -> CellResult:
-    """A synthetic failed cell for a worker that died mid-cell."""
+def _run_group(
+    conn: Connection,
+    instance_factory: Callable[[object, int], Instance],
+    group: CellGroup,
+    deadline: float | None,
+    options: dict,
+) -> None:
+    """Worker entry point: run one group, sending each cell as it finishes."""
+    budget = None if deadline is None else Budget(deadline=deadline)
+    run_groups(instance_factory, [group], budget=budget, on_cell=conn.send, **options)
+    conn.close()
+
+
+def _worker_died(x: object, seed: int, solver: str, exitcode: int | None) -> CellResult:
+    """The failed cell of the solver that was running when its worker died."""
     return CellResult(
-        x=task.x,
-        seed=task.seed,
-        solver=task.solver,
+        x=x,
+        seed=seed,
+        solver=solver,
         status="failed",
         outcome=Outcome.FAILED.value,
         max_sum=0.0,
         seconds=0.0,
         peak_mb=0.0,
         n_pairs=0.0,
-        attempts=1,
         failures=(
             FailureRecord(
-                solver=task.solver,
-                error_type=type(exc).__name__,
-                message=f"worker failed: {exc}",
-                transient=is_transient(exc),
-                attempt=0,
+                solver=solver,
+                error_type="WorkerDied",
+                message=f"worker died (exit code {exitcode}) while running "
+                "this cell",
+                # Most deaths are resource kills (OOM), worth a retry.
+                transient=True,
             ),
         ),
     )
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-
-
-def _make_context(instance_factory: Callable[[object, int], Instance]):  # type: ignore[no-untyped-def]
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    # Spawn re-imports and unpickles the initializer arguments in each
-    # worker, so the factory must survive a pickle round-trip. Verify
-    # now: failing before any cell ran lets the caller go serial.
-    try:
-        pickle.dumps(instance_factory)
-    except Exception as exc:
-        raise ParallelUnavailableError(
-            "no fork start method and the instance factory is not "
-            f"picklable for spawn workers: {exc}"
-        ) from exc
-    return multiprocessing.get_context("spawn")
 
 
 def run_cell_groups(
@@ -208,19 +134,18 @@ def run_cell_groups(
     max_attempts: int = 2,
     budget: Budget | None = None,
     on_cell: Callable[[CellResult], None] | None = None,
-    share_memory: bool = True,
 ) -> dict[str, CellResult]:
-    """Run every cell of ``groups`` on a worker pool.
+    """Run every cell of ``groups``, up to ``jobs`` groups at a time.
 
     Args:
-        groups: ``(x, seed, solvers)`` triples; the solvers of one group
-            share a single parent-materialised instance (published via
-            shared memory when possible).
+        groups: ``(x, seed, solvers)`` triples; each runs in its own
+            worker process, where its solvers share one instance.
         jobs: Worker process count; ``0`` means :func:`default_jobs`.
-        budget: Optional sweep-wide budget. Its remaining deadline caps
-            every cell's timeout at submission time, and on exhaustion
-            the parent cancels all outstanding cells -- those cells are
-            simply absent from the returned mapping.
+        budget: Optional sweep-wide budget. Its remaining deadline
+            becomes each worker's budget when the worker starts, and on
+            exhaustion the parent kills every running worker -- the
+            cells they were still running are simply absent from the
+            returned mapping.
         on_cell: Called in the parent for each finished cell, in
             completion order -- the checkpoint-append hook. The parent
             stays the sole writer.
@@ -230,132 +155,79 @@ def run_cell_groups(
         cell_key`. Completion order does not affect the mapping.
 
     Raises:
-        ParallelUnavailableError: This platform cannot run the pool
+        ParallelUnavailableError: This platform cannot run the workers
             (no fork, and the factory cannot be pickled for spawn).
     """
     if jobs == 0:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1 (or 0 for all cores), got {jobs}")
-    solver_kwargs = solver_kwargs or {}
-    groups = list(groups)
-    total = sum(len(solvers) for _, _, solvers in groups)
     results: dict[str, CellResult] = {}
-    if total == 0:
+    if not groups:
         return results
+    ctx = make_context(instance_factory)
     if budget is not None:
         budget.start()
-
-    ctx = _make_context(instance_factory)
-    done: SimpleQueue = SimpleQueue()
-    #: group id -> [archive, cells still outstanding]
-    archives: dict[int, list[Any]] = {}
-
-    def _effective_timeout() -> float | None:
-        if budget is None or budget.deadline is None:
-            return timeout
-        remaining = budget.remaining_seconds() or 0.0
-        return remaining if timeout is None else min(timeout, remaining)
-
-    def _expired() -> bool:
-        return budget is not None and budget.expired()
-
-    def _retire_archive(group_id: int) -> None:
-        entry = archives.get(group_id)
-        if entry is None:
-            return
-        entry[1] -= 1
-        if entry[1] <= 0:
-            archive = entry[0]
-            if archive is not None:
-                archive.destroy()
-            del archives[group_id]
-
-    pool = ctx.Pool(
-        processes=jobs,
-        initializer=_init_worker,
-        initargs=(instance_factory, memory, solver_kwargs, node_limit, max_attempts),
-    )
-    completed = 0
-    submitted = 0
-    next_group = 0
-    # Keep roughly two cells per worker in flight: enough to hide the
-    # result-drain latency, small enough that at most a handful of
-    # shared-memory segments exist at once.
-    window = max(2 * jobs, 2)
+    options = {
+        "memory": memory,
+        "solver_kwargs": solver_kwargs or {},
+        "timeout": timeout,
+        "node_limit": node_limit,
+        "max_attempts": max_attempts,
+    }
+    waiting = deque(groups)
+    #: read end of a worker's result pipe -> (worker, its group's
+    #: unreported solvers, in run order)
+    running: dict[Connection, tuple[BaseProcess, CellGroup]] = {}
     try:
-        while completed < total:
-            while (
-                next_group < len(groups)
-                and submitted - completed < window
-                and not _expired()
-            ):
-                group_id = next_group
-                next_group += 1
-                x, seed, solvers = groups[group_id]
-                handle = None
-                archive = None
-                if share_memory:
-                    try:
-                        instance = instance_factory(x, seed)
-                    except Exception:
-                        # Workers re-run the factory per cell and give the
-                        # failure its full classify/retry treatment there.
-                        instance = None
-                    if instance is not None:
-                        archive = SharedInstanceArchive.from_instance(
-                            instance, include_sims=want_shared_sims(instance)
-                        )
-                        if archive is not None:
-                            handle = archive.handle
-                archives[group_id] = [archive, len(solvers)]
-                for solver in solvers:
-                    task = _CellTask(
-                        group_id=group_id,
-                        x=x,
-                        seed=seed,
-                        solver=solver,
-                        handle=handle,
-                        timeout=_effective_timeout(),
-                    )
-                    pool.apply_async(
-                        _run_task,
-                        (task,),
-                        callback=lambda payload: done.put(("ok", payload)),
-                        error_callback=lambda exc, task=task: done.put(
-                            ("error", (task, exc))
-                        ),
-                    )
-                    submitted += 1
-            if _expired():
-                # Deadline gone: cancel everything still outstanding.
-                # Finished-but-undrained results are lost with them --
-                # their cells re-run on resume, which is correct.
-                assert budget is not None
-                budget.mark_exhausted("sweep deadline exhausted")
-                pool.terminate()
+        while waiting or running:
+            if budget is not None and budget.expired():
                 break
-            try:
-                kind, payload = done.get(timeout=0.05)
-            except Empty:
-                continue
-            if kind == "ok":
-                group_id, cell = payload
-            else:
-                task, exc = payload
-                group_id, cell = task.group_id, _crash_cell(task, exc)
-            completed += 1
-            results[cell.key()] = cell
-            if on_cell is not None:
-                on_cell(cell)
-            _retire_archive(group_id)
-        else:
-            pool.close()
-        pool.join()
+            while waiting and len(running) < jobs:
+                group = waiting.popleft()
+                reader, writer = ctx.Pipe(duplex=False)
+                worker = ctx.Process(
+                    target=_run_group,
+                    args=(writer, instance_factory, group,
+                          None if budget is None else budget.remaining_seconds(),
+                          options),
+                    daemon=True,
+                )
+                worker.start()
+                # Only the worker may hold the write end: its exit then
+                # reads as EOF here even when it dies without reporting.
+                writer.close()
+                running[reader] = (worker, group)
+            remaining = None if budget is None else budget.remaining_seconds()
+            for reader in wait(list(running), timeout=remaining):
+                worker, (x, seed, solvers) = running[reader]
+                try:
+                    cell = reader.recv()
+                except EOFError:
+                    del running[reader]
+                    reader.close()
+                    worker.join()
+                    if worker.exitcode != 0 and solvers:
+                        # Solvers run in group order, so the first one
+                        # still unreported is the one that killed the
+                        # worker: it fails, and the rest get a new one.
+                        cell = _worker_died(x, seed, solvers[0], worker.exitcode)
+                        if solvers[1:]:
+                            waiting.appendleft((x, seed, solvers[1:]))
+                    else:
+                        continue  # done, or out of budget
+                else:
+                    running[reader] = (worker, (x, seed, solvers[1:]))
+                results[cell.key()] = cell
+                if on_cell is not None:
+                    on_cell(cell)
     finally:
-        pool.terminate()
-        for entry in archives.values():
-            if entry[0] is not None:
-                entry[0].destroy()
-        archives.clear()
+        # Budget expiry (or an exception in the parent): cancel every
+        # group still running. Their cells re-run on resume.
+        for reader, (worker, _group) in running.items():
+            worker.kill()
+            worker.join()
+            reader.close()
+    if budget is not None and budget.expired():
+        budget.mark_exhausted("sweep deadline exhausted")
     return results

@@ -1,7 +1,7 @@
 """Order-preserving parallel map over picklable tasks.
 
 The sweep executor (:mod:`repro.parallel.executor`) is built around
-instance sharing, budgets and checkpoint journaling; some callers just
+sweep groups, budgets and checkpoint journaling; some callers just
 need a plain "run *f* over these items in N processes" primitive with
 the same process conventions:
 
@@ -21,32 +21,13 @@ rule checks out across cores.
 
 from __future__ import annotations
 
-import pickle
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
-from repro.parallel.executor import ParallelUnavailableError, default_jobs
+from repro.parallel.executor import default_jobs, make_context
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-
-def _make_context(func: Callable[..., object]):  # type: ignore[no-untyped-def]
-    import multiprocessing
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    # Spawn re-imports and unpickles the mapped callable in each worker;
-    # verify that round-trip now so callers can degrade to serial before
-    # any item has been processed.
-    try:
-        pickle.dumps(func)
-    except Exception as exc:
-        raise ParallelUnavailableError(
-            "no fork start method and the mapped callable is not "
-            f"picklable for spawn workers: {exc}"
-        ) from exc
-    return multiprocessing.get_context("spawn")
 
 
 def parallel_map(
@@ -85,7 +66,7 @@ def parallel_map(
         jobs = default_jobs()
     if jobs <= 1 or len(work) <= 1:
         return [func(item) for item in work]
-    ctx = _make_context(func)
+    ctx = make_context(func)
     # Coarse chunks amortise per-task pickling without starving workers.
     chunksize = max(1, len(work) // (jobs * 4))
     with ctx.Pool(processes=min(jobs, len(work))) as pool:

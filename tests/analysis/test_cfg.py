@@ -1,4 +1,4 @@
-"""CFG builder: shapes, exceptional edges, finally duplication, refinements."""
+"""CFG builder: shapes, exceptional edges, finally duplication."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import textwrap
 from repro.analysis.cfg import (
     EXC,
     NORMAL,
-    REFINE_NONE,
-    REFINE_NOT_NONE,
     CFG,
     build_cfg,
     function_cfgs,
@@ -172,22 +170,6 @@ def test_finally_body_is_instantiated_for_each_exit_kind() -> None:
     # cleanup() runs on the normal path AND on the exceptional path, so
     # its statement appears in more than one block.
     assert len(blocks_holding(cfg, 6)) >= 2
-
-
-def test_none_test_branches_carry_refinements() -> None:
-    cfg = cfg_of(
-        """
-        def f(x):
-            if x is None:
-                a = 1
-            else:
-                a = 2
-            return a
-        """
-    )
-    refinements = {e.refine for e in cfg.edges if e.refine is not None}
-    assert ("x", REFINE_NONE) in refinements
-    assert ("x", REFINE_NOT_NONE) in refinements
 
 
 def test_with_statement_body_is_linked() -> None:

@@ -1,12 +1,12 @@
-"""The fixpoint engine: joins, directions, refinement and exc hooks."""
+"""The fixpoint engine: joins, loops, dead code and exceptional edges."""
 
 from __future__ import annotations
 
 import ast
 import textwrap
 
-from repro.analysis.cfg import CFG, EXC, REFINE_NONE, Block, Edge, build_cfg
-from repro.analysis.dataflow import BACKWARD, MAY, MUST, Analysis, solve
+from repro.analysis.cfg import CFG, EXC, build_cfg
+from repro.analysis.dataflow import MAY, MUST, Analysis, solve
 
 
 def cfg_of(source: str) -> CFG:
@@ -93,101 +93,26 @@ def test_unreachable_blocks_have_no_fact() -> None:
     assert 4 not in walked
 
 
-class RefinedNames(AssignedNames):
-    """Pretend a name assigned before an ``is None`` arm never happened."""
-
-    def refine(self, edge: Edge, fact: frozenset) -> frozenset:
-        assert edge.refine is not None
-        name, tag = edge.refine
-        if tag == REFINE_NONE:
-            return fact - {name}
-        return fact
-
-
-def test_refine_hook_is_applied_on_branch_edges() -> None:
-    cfg = cfg_of(
-        """
-        def f():
-            x = compute()
-            if x is None:
-                return None
-            return x
-        """
-    )
-    solution = solve(cfg, RefinedNames(MAY))
-    # The early return sits on the "x is None" arm: the refinement
-    # removed x there, while the fall-through arm still carries it.
-    checked = 0
-    for _block, stmt, before, _after in solution.stmt_facts():
-        if not isinstance(stmt, ast.Return):
-            continue
-        checked += 1
-        if isinstance(stmt.value, ast.Constant):  # return None: the None arm
-            assert "x" not in before
-        else:  # return x -- the fall-through arm
-            assert "x" in before
-    assert checked == 2
-
-
-class ExcAware(AssignedNames):
-    """Mark facts crossing an exceptional edge."""
-
-    def transfer_exc(self, block: Block, fact: frozenset) -> frozenset:
-        return fact | {"<exc>"}
-
-
-def test_transfer_exc_shapes_exceptional_edges_only() -> None:
+def test_exceptional_edges_carry_the_entry_fact() -> None:
     cfg = cfg_of(
         """
         def f(x):
             try:
-                risky(x)
+                y = risky(x)
             except ValueError:
                 handled = 1
             return x
         """
     )
-    solution = solve(cfg, ExcAware(MAY))
+    solution = solve(cfg, AssignedNames(MAY))
     handler_in = None
     for block in cfg.blocks:
         if any(stmt.lineno == 6 for stmt in block.stmts):  # handled = 1
             handler_in = solution.in_facts[block.idx]
-    assert handler_in is not None and "<exc>" in handler_in
-    # The normal path to the exit may also flow through join points fed
-    # by the handler, but the entry fact itself is untouched.
-    assert "<exc>" not in solution.in_facts[cfg.entry]
+    # risky() raised mid-statement, before y was bound: the handler
+    # sees the raising block's entry fact, not its exit fact.
+    assert handler_in is not None and "y" not in handler_in
+    # The normal path out of the try did bind y.
+    exit_fact = solution.in_facts[cfg.exit]
+    assert exit_fact is not None and {"y", "handled"} <= exit_fact
     assert any(edge.kind == EXC for edge in cfg.edges)
-
-
-class LiveLoads(Analysis[frozenset]):
-    """Backward may-analysis: names read later than this point."""
-
-    def __init__(self) -> None:
-        self.direction = BACKWARD
-        self.mode = MAY
-
-    def initial(self, cfg: CFG) -> frozenset:
-        return frozenset()
-
-    def join(self, left: frozenset, right: frozenset) -> frozenset:
-        return left | right
-
-    def transfer_stmt(self, stmt: ast.stmt, fact: frozenset) -> frozenset:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                fact = fact | {node.id}
-        return fact
-
-
-def test_backward_direction_propagates_uses_to_the_entry() -> None:
-    cfg = cfg_of(
-        """
-        def f(x):
-            y = x
-            return y
-        """
-    )
-    solution = solve(cfg, LiveLoads())
-    entry_fact = solution.in_facts[cfg.entry]
-    assert entry_fact is not None
-    assert {"x", "y"} <= entry_fact

@@ -1,8 +1,8 @@
-"""R9-R12: the CFG/typestate rules over their fixture packs.
+"""R9, R11, R12: the CFG/typestate rules over their fixture packs.
 
 The packs mirror the rules' directory scoping: R9/R12 fixtures live
-under ``service/``, R10 under ``parallel/``, R11 under ``algorithms/``
--- linted as trees so the scope check is part of what is tested.
+under ``service/``, R11 under ``algorithms/`` -- linted as trees so the
+scope check is part of what is tested.
 """
 
 from __future__ import annotations
@@ -26,17 +26,6 @@ def test_r9_flags_every_unjournaled_mutation() -> None:
         ("R9", 24),  # append after the mutation
     ]
     assert all(d.path.endswith("service/journal_bad.py") for d in findings)
-
-
-def test_r10_flags_every_leakable_acquisition() -> None:
-    findings = lint(BAD, select=["R10"])
-    assert hits(findings) == [
-        ("R10", 7),   # never released
-        ("R10", 12),  # leaks when the call between acquire/close raises
-        ("R10", 19),  # rebind drops the only alias
-        ("R10", 28),  # released on one branch only
-    ]
-    assert all(d.path.endswith("parallel/leases_bad.py") for d in findings)
 
 
 def test_r11_flags_uncheckpointed_budget_loops() -> None:
@@ -66,11 +55,10 @@ def test_typestate_good_pack_is_clean_under_all_rules() -> None:
 
 
 def test_rules_are_scoped_to_their_directories() -> None:
-    # Linted as bare files, the service//parallel//algorithms/ scope is
-    # gone and the typestate rules stay silent.
+    # Linted as bare files, the service//algorithms/ scope is gone and
+    # the typestate rules stay silent.
     assert lint(BAD / "service" / "journal_bad.py", select=["R9"]) == []
     assert lint(BAD / "service" / "fsync_bad.py", select=["R12"]) == []
-    assert lint(BAD / "parallel" / "leases_bad.py", select=["R10"]) == []
     assert lint(BAD / "algorithms" / "checkpoint_bad.py", select=["R11"]) == []
 
 
@@ -110,4 +98,4 @@ def test_seeded_violation_in_a_frontend_copy_is_caught(tmp_path: Path) -> None:
 
 def test_live_service_and_parallel_trees_are_typestate_clean() -> None:
     src = REPO_ROOT / "src" / "repro"
-    assert run_lint([src], select=["R9", "R10", "R11", "R12"]) == []
+    assert run_lint([src], select=["R9", "R11", "R12"]) == []

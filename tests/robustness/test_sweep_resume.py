@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +81,36 @@ class TestCheckpointFile:
         path.write_text("not json at all\n")
         with pytest.raises(ReproError, match="not a sweep checkpoint"):
             SweepCheckpoint(path, "resume-test").load()
+
+    def test_crash_while_writing_the_header_does_not_block_resume(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ckpt.jsonl"
+        real_open = builtins.open
+
+        def crash_mid_header(file, mode="r", *args, **kwargs):
+            # Any file written under the checkpoint's name (the file
+            # itself or a temporary sibling) gets a torn header, then
+            # the process "dies".
+            if isinstance(file, (str, os.PathLike)) and "w" in mode and (
+                Path(file).name.startswith(path.name)
+            ):
+                torn = '{"format": "geacc-sweep-v1", "na'
+                with real_open(file, mode, *args, **kwargs) as handle:
+                    handle.write(torn.encode() if "b" in mode else torn)
+                raise OSError("simulated crash while writing the header")
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", crash_mid_header)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_sweep(CountingFactory(), path)
+        monkeypatch.undo()
+
+        resumed = run_sweep(CountingFactory(), path, resume=True)
+        assert not resumed.failures
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0])["name"] == "resume-test"
+        assert len(lines) == 1 + len(GRID) * REPEATS * len(SOLVERS)
 
 
 class TestResume:

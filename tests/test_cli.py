@@ -63,6 +63,16 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_sweep_rejects_negative_jobs(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "fig3-events", "--scale", "smoke", "--jobs", "-1",
+            "--checkpoint", str(tmp_path / "sweep.jsonl"),
+        ])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_generate_and_solve_roundtrip(capsys, tmp_path):
     path = str(tmp_path / "instance.json")
     assert main([
