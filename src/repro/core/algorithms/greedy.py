@@ -1,21 +1,27 @@
 """Greedy-GEACC (Algorithm 2): the paper's scalable approximation.
 
-The algorithm maintains a heap ``H`` of candidate (event, user) pairs --
-at most one "frontier" pair per unfinished node -- and repeatedly pops the
-globally most similar pair, adding it to the matching when feasible. After
-every pop, the popped pair's event and user each advance to their *next
-feasible unvisited nearest neighbour* and push that pair into H unless it
-is already there. Conflicts are avoided from the start (unlike
-MinCostFlow-GEACC, which repairs them afterwards).
-
+Algorithm 2 repeatedly takes the globally most similar candidate pair
+and adds it to the matching when feasible; conflicts are avoided from
+the start (unlike MinCostFlow-GEACC, which repairs them afterwards).
 Guarantee: ``MaxSum(M) >= MaxSum(M_OPT) / (1 + max c_u)`` (Theorem 3).
 
-Two monotonicity facts keep the neighbour scan amortised-linear:
-capacities only decrease and matched-event sets only grow, so a pair that
-is infeasible now is infeasible forever and can be skipped permanently.
-Pairs currently sitting in H, however, must *not* be skipped -- the paper
-keeps the node's frontier pointing at them until they are popped
-(Example 3) -- so each cursor distinguishes "advance past" from "hold".
+Capacities only decrease and matched-event sets only grow, so a pair
+infeasible now is infeasible forever, and Greedy is exactly one scan of
+all positive pairs in ``(-sim, event, user)`` order that accepts each
+feasible pair. Two implementations:
+
+* :func:`_scan`, whenever the similarity matrix is in memory: the
+  flattened matrix in tie-exact top-k blocks, filtered with array masks
+  before each block, so only the block's pairs are walked in Python.
+* The frontier heap :meth:`GreedyGEACC._run`, for matrix-free index
+  streams (``index_kind=...``, the Fig. 5 scalability regime): a heap
+  ``H`` of at most one frontier pair per unfinished node. After every
+  pop, the popped pair's event and user each advance to their *next
+  feasible unvisited nearest neighbour* and push that pair into H unless
+  it is already there. Infeasible pairs are skipped for good; pairs
+  sitting in H must *not* be -- the paper keeps the node's frontier on
+  them until they are popped (Example 3) -- so each cursor distinguishes
+  "advance past" from "hold".
 """
 
 from __future__ import annotations
@@ -24,14 +30,71 @@ from collections.abc import Iterator
 from itertools import islice
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.algorithms.base import Solver, register_solver
 from repro.core.algorithms.neighbors import NeighborOrders, neighbor_orders_for
 from repro.core.model import Arrangement, Instance
+from repro.core.similarity import top_k_descending
 from repro.exceptions import BudgetExceededError
 from repro.index.pairheap import CandidatePairHeap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.budget import Budget
+
+#: Pairs in the matrix scan's first block; each later block is twice the
+#: last. Small blocks re-filter often, large ones pay fewer top-k passes.
+_FIRST_BLOCK = 256
+
+
+def _scan(instance: Instance, budget: "Budget | None" = None) -> Arrangement:
+    """Greedy as one scan of the similarity matrix in ``(-sim, event, user)`` order.
+
+    ``dead[v, u]`` marks a pair that can never be accepted (similarity
+    not positive, event or user saturated, or the user holds an event
+    conflicting with ``v``); it only grows. The *live* pairs are the flat
+    indices neither dead nor scanned, ascending, so
+    :func:`~repro.core.similarity.top_k_descending` over them breaks ties
+    by ``(event, user)``. Each block takes the next pairs of the order
+    and accepts each one an earlier acceptance has not killed. The scan
+    ends when no live pair is left: at the end of the block in which
+    every event or every user became full, at the latest.
+
+    Budget: one checkpoint per block pair, before it is accepted (so a
+    node limit returns a prefix, in scan order, of the unbudgeted
+    acceptances), plus a zero-weight probe per block.
+    """
+    arrangement = Arrangement(instance)
+    conflicts = np.zeros((instance.n_events, instance.n_events), dtype=bool)
+    if len(instance.conflicts):
+        a, b = np.array(list(instance.conflicts.pairs)).T
+        conflicts[a, b] = conflicts[b, a] = True
+    dead = instance.sims <= 0
+    dead[instance.event_capacities <= 0] = True
+    dead[:, instance.user_capacities <= 0] = True
+    flat, live, size = instance.sims.ravel(), np.flatnonzero(~dead), _FIRST_BLOCK
+    try:
+        while len(live):
+            if budget is not None:
+                budget.checkpoint(weight=0)
+            top = top_k_descending(flat[live], size)
+            events, users = np.divmod(live[top], instance.n_users)
+            live, size = np.delete(live, top), size * 2
+            for v, u in zip(events.tolist(), users.tolist()):
+                if budget is not None:
+                    budget.checkpoint()
+                if dead[v, u]:
+                    continue
+                arrangement.add(v, u)
+                dead[:, u] |= conflicts[v]
+                if not arrangement.event_remaining(v):
+                    dead[v] = True
+                if not arrangement.user_remaining(u):
+                    dead[:, u] = True
+            live = live[~dead.ravel()[live]]
+    except BudgetExceededError:
+        pass
+    return arrangement
 
 
 class _Cursor:
@@ -94,30 +157,20 @@ class GreedyGEACC(Solver):
     """Algorithm 2 of the paper.
 
     Args:
-        index_kind: Force index-backed neighbour streams of this
-            :mod:`repro.index` kind; None auto-selects (similarity-matrix
-            argsort for ordinary sizes, chunked index streams for
-            scalability-scale attribute instances).
+        index_kind: Stream neighbours from this :mod:`repro.index` kind
+            through the frontier heap; None scans the similarity matrix
+            unless it is unmaterialised and too large, in which case the
+            heap streams from a chunked index (see
+            :func:`~repro.core.algorithms.neighbors.neighbor_orders_for`).
     """
 
     def __init__(self, index_kind: str | None = None) -> None:
         self._index_kind = index_kind
 
     def solve(self, instance: Instance, budget: "Budget | None" = None) -> Arrangement:
-        orders = neighbor_orders_for(instance, self._index_kind, budget=budget)
-        return self._run(instance, orders, budget)
-
-    def solve_with_orders(
-        self,
-        instance: Instance,
-        orders: NeighborOrders,
-        budget: "Budget | None" = None,
-    ) -> Arrangement:
-        """Solve with a caller-provided neighbour-order provider.
-
-        Prune-GEACC reuses this to share one provider between its greedy
-        warm start and its own NN scans.
-        """
+        orders = neighbor_orders_for(instance, self._index_kind)
+        if orders is None:
+            return _scan(instance, budget)
         return self._run(instance, orders, budget)
 
     def _run(
@@ -134,10 +187,8 @@ class GreedyGEACC(Solver):
         ]
         user_cursors = [_Cursor(orders.user_stream(u)) for u in range(instance.n_users)]
 
-        # Candidate generation itself may hold a zero-weight handle on the
-        # budget (chunked matrix streams probe the deadline per chunk), so
-        # every refill below can raise; any whole arrangement state is
-        # feasible, making "return what we have" correct everywhere.
+        # Any whole arrangement state is feasible, so on exhaustion
+        # "return what we have" is correct everywhere.
         try:
             # Initialisation (Algorithm 2, lines 1-9): each side's first NN.
             for v in range(instance.n_events):

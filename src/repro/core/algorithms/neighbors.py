@@ -1,23 +1,16 @@
-"""Neighbour-order providers for Greedy-GEACC and Prune-GEACC.
+"""Neighbour streams for Greedy-GEACC's matrix-free runs.
 
-Both algorithms consume, per event and per user, the counterpart side in
-non-increasing similarity order ("find its next feasible unvisited NN").
-The paper abstracts this as a k-NN oracle with per-query cost sigma(S) and
-names iDistance / VA-file as candidate indexes.
-
-Two providers implement the oracle:
-
-* :class:`MatrixNeighborOrders` -- chunked vectorised top-k over
-  rows/columns of the materialised similarity matrix (geometrically
-  growing blocks, computed on demand). Exact and fastest at benchmark
-  scales.
-* :class:`IndexNeighborOrders` -- wraps a :mod:`repro.index` structure
-  over the raw attribute vectors and converts ascending-distance streams
-  to descending-similarity streams via the monotone Eq. (1) map. Never
-  materialises the |V| x |U| matrix, which is what makes the Fig. 5
-  scalability runs possible.
-
-:func:`neighbor_orders_for` picks a sensible default for an instance.
+Greedy-GEACC's frontier heap consumes, per event and per user, the
+counterpart side in non-increasing similarity order ("find its next
+feasible unvisited NN"): a k-NN oracle with per-query cost sigma(S) in
+the paper, which names iDistance / VA-file as candidate indexes.
+:class:`IndexNeighborOrders` serves it from a :mod:`repro.index`
+structure on the raw attribute vectors, mapping ascending distances to
+descending similarities via the monotone Eq. (1). It never materialises
+the |V| x |U| matrix, which is what makes the Fig. 5 scalability runs
+possible. :func:`neighbor_orders_for` decides whether an instance
+streams through an index or is scanned as a matrix
+(:mod:`repro.core.algorithms.greedy`).
 """
 
 from __future__ import annotations
@@ -27,14 +20,9 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
 from repro.core.model import Instance
 from repro.core.similarity import top_k_descending
 from repro.index import make_index
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.robustness.budget import Budget
 
 # Above this many cells, prefer index streams over materialising the matrix.
 _MATRIX_CELL_LIMIT = 20_000_000
@@ -48,9 +36,7 @@ _CHUNK_GROWTH = 8
 _CHUNK_FLOOR = 64
 
 
-def _chunked_descending(
-    values: np.ndarray, budget: "Budget | None" = None
-) -> Iterator[tuple[int, float]]:
+def _chunked_descending(values: np.ndarray) -> Iterator[tuple[int, float]]:
     """Yield ``(index, value)`` by non-increasing value, index tie-break.
 
     The order is exactly ``np.argsort(-values, kind="stable")`` --
@@ -59,18 +45,11 @@ def _chunked_descending(
     consumer that stops after a few items pays O(n) argpartitions instead
     of a full O(n log n) sort, and each chunk is one vectorised top-k over
     the whole row rather than per-element Python work.
-
-    Args:
-        budget: Optional solver budget; probed (at zero node weight) once
-            per chunk so anytime semantics reach into candidate
-            generation on wide rows.
     """
     n = int(values.shape[0])
     served = 0
     k = _FIRST_CHUNK
     while served < n:
-        if budget is not None and served:
-            budget.checkpoint(weight=0)
         k = min(n, k)
         order = top_k_descending(values, k)
         chunk = order[served:]
@@ -91,31 +70,6 @@ class NeighborOrders(ABC):
     @abstractmethod
     def user_stream(self, user: int) -> Iterator[tuple[int, float]]:
         """Yield ``(event, sim)`` for one user, sim non-increasing."""
-
-
-class MatrixNeighborOrders(NeighborOrders):
-    """Chunked top-k provider over the instance's similarity matrix.
-
-    Streams are produced by :func:`_chunked_descending`: identical order
-    to a stable argsort of the row/column (value desc, index asc under
-    ties) but computed as vectorised top-k blocks, so Greedy-GEACC's
-    candidate generation scores whole user chunks per event instead of
-    walking a fully sorted permutation it mostly never consumes.
-
-    Args:
-        budget: Optional solver budget threaded into chunk computation
-            (zero-weight deadline probes; node accounting is untouched).
-    """
-
-    def __init__(self, instance: Instance, budget: "Budget | None" = None) -> None:
-        self._sims = instance.sims
-        self._budget = budget
-
-    def event_stream(self, event: int) -> Iterator[tuple[int, float]]:
-        return _chunked_descending(self._sims[event], self._budget)
-
-    def user_stream(self, user: int) -> Iterator[tuple[int, float]]:
-        return _chunked_descending(self._sims[:, user], self._budget)
 
 
 class IndexNeighborOrders(NeighborOrders):
@@ -180,18 +134,15 @@ class IndexNeighborOrders(NeighborOrders):
 
 
 def neighbor_orders_for(
-    instance: Instance,
-    index_kind: str | None = None,
-    budget: "Budget | None" = None,
-) -> NeighborOrders:
-    """Choose a provider for ``instance``.
+    instance: Instance, index_kind: str | None = None
+) -> NeighborOrders | None:
+    """Index streams for ``instance``, or None to scan its similarity matrix.
 
     Args:
-        index_kind: Force an index-backed provider of this kind; None
-            picks the matrix provider unless the matrix would be huge and
-            the instance is attribute-backed.
-        budget: Optional solver budget threaded into the matrix
-            provider's chunked candidate generation.
+        index_kind: Force index streams of this :mod:`repro.index` kind;
+            None streams only when the matrix would be huge and the
+            instance is attribute-backed, Euclidean and not yet
+            materialised.
     """
     if index_kind is not None:
         return IndexNeighborOrders(instance, index_kind)
@@ -203,4 +154,4 @@ def neighbor_orders_for(
     )
     if attribute_backed and not instance.has_matrix and cells > _MATRIX_CELL_LIMIT:
         return IndexNeighborOrders(instance, "chunked")
-    return MatrixNeighborOrders(instance, budget)
+    return None

@@ -243,28 +243,6 @@ class Instance:
             )
         return self._sims
 
-    def attach_sims(self, sims: np.ndarray, *, validate: bool = True) -> None:
-        """Adopt a pre-computed similarity matrix instead of materialising.
-
-        The sharing hook: a sweep parent that already paid for the
-        matrix (or mapped it from shared memory) attaches it so every
-        solver on this instance reuses one physical array. With
-        ``validate=False`` the O(|V|*|U|) value scans are skipped; the
-        shape check always runs.
-        """
-        sims = np.asarray(sims, dtype=np.float64)
-        if sims.shape != (self._n_events, self._n_users):
-            raise InvalidInstanceError(
-                f"sims shape {sims.shape} does not match instance "
-                f"({self._n_events}, {self._n_users})"
-            )
-        if validate:
-            if not np.all(np.isfinite(sims)):
-                raise InvalidInstanceError("similarities must be finite (no NaN/inf)")
-            if np.any(sims < 0) or np.any(sims > 1):
-                raise InvalidInstanceError("similarities must lie in [0, 1]")
-        self._sims = sims
-
     def sim(self, event: int, user: int) -> float:
         """Interestingness value of one (event, user) pair."""
         if self._sims is not None:

@@ -518,8 +518,11 @@ def _nothing_crosses(
 ) -> bool:
     """True when the full Greedy run would accept no pair across the scope.
 
-    Greedy (Algorithm 2) takes pairs in one global ``(-sim, event,
-    user)`` order. A user's *home* is the region holding its seats (the
+    Greedy's matrix scan (:func:`repro.core.algorithms.greedy._scan`)
+    walks pairs in one global ``(-sim, event, user)`` order, so the
+    order reasoned about here is the solver's own loop. The scoped
+    sub-instance keeps ids ascending, hence the same order restricted to
+    the scope. A user's *home* is the region holding its seats (the
     scope for ``users``, the rest otherwise). If no user could take a
     pair outside its home, the full run splits into the scoped run plus
     the standing rest. A user with capacity left could take any pair of
@@ -555,48 +558,50 @@ def _keep_better(
     globally: conflict components are independent on the event side, so
     a deadline-starved rung that regressed one region must not veto a
     genuine improvement in another. A user holding seats in several
-    components in either arrangement couples them through its capacity
-    -- applying one component's candidate while keeping another's
-    standing seats could over-commit that user -- so such components
-    form one accept/reject unit.
+    clusters in either arrangement couples them through its capacity
+    -- applying one cluster's candidate while keeping another's
+    standing seats could over-commit that user -- so such clusters
+    form one accept/reject *unit* (:func:`_merge_through_users` over
+    both arrangements' seats). A unit whose seats differ compares the
+    exact sums (``math.fsum``) of its kept and solved similarities.
 
     Returns the delta and the cluster names (as in ``clusters``) of the
     units that kept their standing seats.
     """
-    current = set(zip(standing[0].tolist(), standing[1].tolist()))
-    solved = set(zip(candidate[0].tolist(), candidate[1].tolist()))
-    if current == solved:
+    kept = np.zeros(sims.shape, dtype=bool)
+    kept[standing] = True
+    solved = np.zeros(sims.shape, dtype=bool)
+    solved[candidate] = True
+    assigns, unassigns = solved & ~kept, kept & ~solved
+    if not assigns.any() and not unassigns.any():
         return Delta(), []
-    units = DisjointSet()
-    anchor_of_user: dict[int, int] = {}
-    for event, user in current | solved:
-        name = int(clusters[event])
-        units.union(name, int(clusters[anchor_of_user.setdefault(user, event)]))
-    current_of: dict[int, set[tuple[int, int]]] = {}
-    solved_of: dict[int, set[tuple[int, int]]] = {}
-    for pair in current:
-        current_of.setdefault(units.find(int(clusters[pair[0]])), set()).add(pair)
-    for pair in solved:
-        solved_of.setdefault(units.find(int(clusters[pair[0]])), set()).add(pair)
-    assigns: list[tuple[int, int]] = []
-    unassigns: list[tuple[int, int]] = []
-    rejected: list[int] = []
-    for root in sorted(set(current_of) | set(solved_of)):
-        kept = current_of.get(root, set())
-        chosen = solved_of.get(root, set())
-        if kept == chosen:
-            continue
-        kept_sum = math.fsum(sims[e, u] for e, u in kept)
-        solved_sum = math.fsum(sims[e, u] for e, u in chosen)
-        if solved_sum < kept_sum:
-            rejected.append(root)
-            continue  # this cluster keeps its standing seats
-        assigns.extend(chosen - kept)
-        unassigns.extend(kept - chosen)
-    if rejected:
-        members = units.members()
-        rejected = [name for root in rejected for name in members[root]]
-    return (
-        Delta(assigns=tuple(sorted(assigns)), unassigns=tuple(sorted(unassigns))),
-        rejected,
+    unit = _merge_through_users(
+        clusters,
+        np.concatenate([standing[0], candidate[0]]),
+        np.concatenate([standing[1], candidate[1]]),
     )
+    kept_unit, kept_sims = unit[standing[0]], sims[standing]
+    solved_unit, solved_sims = unit[candidate[0]], sims[candidate]
+    rejected = np.zeros(len(clusters), dtype=bool)
+    changed = np.zeros(len(clusters), dtype=bool)
+    changed[unit[(assigns | unassigns).any(axis=1)]] = True
+    for name in np.flatnonzero(changed).tolist():
+        kept_sum = math.fsum(kept_sims[kept_unit == name].tolist())
+        solved_sum = math.fsum(solved_sims[solved_unit == name].tolist())
+        rejected[name] = solved_sum < kept_sum
+    stays = rejected[unit]
+    names = np.zeros(len(clusters), dtype=bool)
+    names[clusters[stays & (kept | solved).any(axis=1)]] = True
+    return (
+        Delta(
+            assigns=_pairs(assigns & ~stays[:, None]),
+            unassigns=_pairs(unassigns & ~stays[:, None]),
+        ),
+        np.flatnonzero(names).tolist(),
+    )
+
+
+def _pairs(cells: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The true cells of an (event, user) mask, sorted, as tuples."""
+    events, users = np.nonzero(cells)
+    return tuple(zip(events.tolist(), users.tolist()))

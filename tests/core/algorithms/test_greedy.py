@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.algorithms import GreedyGEACC, PruneGEACC
-from repro.core.algorithms.neighbors import (
-    IndexNeighborOrders,
-    MatrixNeighborOrders,
-)
+from repro.core.algorithms.neighbors import IndexNeighborOrders
 from repro.core.conflicts import ConflictGraph
 from repro.core.model import Arrangement, Instance
 from repro.core.validation import validate_arrangement
@@ -119,8 +116,14 @@ def test_index_orders_require_attributes(toy):
 
 
 def test_solve_with_explicit_orders(small_instance):
-    orders = MatrixNeighborOrders(small_instance)
-    arrangement = GreedyGEACC().solve_with_orders(small_instance, orders)
+    """Accepting feasible pairs along the stable argsort of the flattened
+    matrix is exactly what solve() returns."""
+    sims = small_instance.sims
+    arrangement = Arrangement(small_instance)
+    for cell in np.argsort(-sims.ravel(), kind="stable"):
+        v, u = divmod(int(cell), small_instance.n_users)
+        if sims[v, u] > 0 and arrangement.can_add(v, u):
+            arrangement.add(v, u)
     reference = GreedyGEACC().solve(small_instance)
     assert arrangement.pairs() == reference.pairs()
 

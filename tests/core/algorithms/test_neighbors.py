@@ -1,15 +1,13 @@
-"""Tests for the neighbour-order providers."""
+"""Tests for the descending orders and the index-backed neighbour streams."""
 
 import numpy as np
 import pytest
 
 from repro.core.algorithms.neighbors import (
     IndexNeighborOrders,
-    MatrixNeighborOrders,
     _chunked_descending,
     neighbor_orders_for,
 )
-from repro.exceptions import BudgetExceededError
 from repro.robustness.budget import Budget
 from repro.core.model import Instance
 
@@ -31,32 +29,31 @@ def _is_non_increasing(values):
 
 
 class TestMatrixOrders:
+    """Chunked streams over one row or column of the similarity matrix."""
+
     def test_event_stream_order_and_coverage(self, attribute_instance):
-        orders = MatrixNeighborOrders(attribute_instance)
-        stream = list(orders.event_stream(2))
+        stream = list(_chunked_descending(attribute_instance.sims[2]))
         assert len(stream) == attribute_instance.n_users
         assert {u for u, _ in stream} == set(range(attribute_instance.n_users))
         assert _is_non_increasing([s for _, s in stream])
 
     def test_user_stream_order(self, attribute_instance):
-        orders = MatrixNeighborOrders(attribute_instance)
-        stream = list(orders.user_stream(4))
+        stream = list(_chunked_descending(attribute_instance.sims[:, 4]))
         assert len(stream) == attribute_instance.n_events
         assert _is_non_increasing([s for _, s in stream])
 
     def test_sims_match_instance(self, attribute_instance):
-        orders = MatrixNeighborOrders(attribute_instance)
-        for u, sim in orders.event_stream(0):
+        for u, sim in _chunked_descending(attribute_instance.sims[0]):
             assert sim == pytest.approx(attribute_instance.sim(0, u))
 
 
 class TestIndexOrders:
     @pytest.mark.parametrize("kind", ["linear", "chunked", "kdtree", "idistance"])
     def test_agrees_with_matrix(self, attribute_instance, kind):
-        matrix = MatrixNeighborOrders(attribute_instance)
         index = IndexNeighborOrders(attribute_instance, kind)
         for v in range(attribute_instance.n_events):
-            matrix_sims = sorted(s for _, s in matrix.event_stream(v))
+            row = attribute_instance.sims[v]
+            matrix_sims = sorted(s for _, s in _chunked_descending(row))
             index_sims = sorted(round(s, 9) for _, s in index.event_stream(v))
             np.testing.assert_allclose(index_sims, matrix_sims, atol=1e-9)
 
@@ -81,8 +78,8 @@ class TestIndexOrders:
 
 class TestAutoSelection:
     def test_small_instance_uses_matrix(self, attribute_instance):
-        orders = neighbor_orders_for(attribute_instance)
-        assert isinstance(orders, MatrixNeighborOrders)
+        # None: Greedy scans the similarity matrix instead of streaming.
+        assert neighbor_orders_for(attribute_instance) is None
 
     def test_forced_kind(self, attribute_instance):
         orders = neighbor_orders_for(attribute_instance, index_kind="kdtree")
@@ -106,7 +103,7 @@ class TestAutoSelection:
 
 
 class TestChunkedStreams:
-    """The chunked top-k generator behind the matrix provider."""
+    """The chunked top-k generator behind the index provider's user streams."""
 
     def test_stream_is_exactly_stable_argsort_order(self):
         rng = np.random.default_rng(3)
@@ -117,21 +114,6 @@ class TestChunkedStreams:
             for i in np.argsort(-values, kind="stable")
         ]
         assert stream == expected
-
-    def test_zero_weight_probes_leave_node_accounting_alone(self):
-        budget = Budget(node_limit=5)
-        values = np.arange(300, dtype=np.float64)
-        assert len(list(_chunked_descending(values, budget))) == 300
-        # Many chunks were pulled, yet no nodes were charged: the probe
-        # must not perturb node-limited runs (digest stability).
-        assert budget.nodes == 0
-
-    def test_expired_deadline_interrupts_deep_consumption(self):
-        budget = Budget(deadline=0.0)
-        stream = _chunked_descending(np.arange(10.0), budget)
-        assert next(stream) == (9, 9.0)  # first chunk is served unprobed
-        with pytest.raises(BudgetExceededError):
-            list(stream)
 
     def test_greedy_returns_partial_arrangement_on_exhaustion(
         self, attribute_instance

@@ -7,9 +7,11 @@ therefore focus on the outcome taxonomy and the degradation floors.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.algorithms import GreedyGEACC
+from repro.core.model import Instance
 from repro.datagen.synthetic import SyntheticConfig, generate_instance
 from repro.robustness import Budget, Outcome, run_with_budget
 
@@ -65,6 +67,22 @@ def test_prune_under_50ms_deadline_matches_greedy_floor(fig6_scale_instance):
     assert result.ok
     assert result.max_sum() >= seed_max_sum - 1e-9
     assert result.seconds < 5.0  # the deadline actually preempted the search
+
+
+def test_deadline_preempts_the_greedy_matrix_scan():
+    # 1.2M cells with room for thousands of acceptances: the scan cannot
+    # finish in a millisecond, so the deadline must cut it (at a block's
+    # probe or a pair's checkpoint) and the harness must still certify
+    # the partial arrangement.
+    rng = np.random.default_rng(11)
+    instance = Instance.from_matrix(
+        rng.random((120, 10_000)), np.full(120, 60), np.full(10_000, 3)
+    )
+    result = run_with_budget("greedy", instance, timeout=0.001)
+    assert result.outcome is Outcome.FEASIBLE_TIMEOUT
+    assert result.ok  # validated
+    assert len(result.arrangement) < 120 * 60
+    assert result.seconds < 0.5
 
 
 def test_prune_node_limit_matches_greedy_floor(small_instance):
