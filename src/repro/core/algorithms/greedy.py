@@ -42,8 +42,9 @@ from repro.index.pairheap import CandidatePairHeap
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.budget import Budget
 
-#: Pairs in the matrix scan's first block; each later block is twice the
-#: last. Small blocks re-filter often, large ones pay fewer top-k passes.
+#: Pairs in the matrix scan's first block, and in each budget slice of a
+#: block; each later block is twice the last. Small blocks re-filter
+#: often, large ones pay fewer top-k passes.
 _FIRST_BLOCK = 256
 
 
@@ -56,44 +57,70 @@ def _scan(instance: Instance, budget: "Budget | None" = None) -> Arrangement:
     indices neither dead nor scanned, ascending, so
     :func:`~repro.core.similarity.top_k_descending` over them breaks ties
     by ``(event, user)``. Each block takes the next pairs of the order
-    and accepts each one an earlier acceptance has not killed. The scan
-    ends when no live pair is left: at the end of the block in which
-    every event or every user became full, at the latest.
+    and accepts each one an earlier acceptance has not killed, reading
+    only locals (remaining capacities; each user's accepted events and
+    each event's conflicts as bit sets); ``dead`` catches up before the
+    next block. The scan ends when no live pair is left: at the end of
+    the block in which every event or every user became full, at the
+    latest. One :meth:`~repro.core.model.Arrangement.extend` fills the
+    arrangement, so its seats are the accepted pairs in scan order.
 
-    Budget: one checkpoint per block pair, before it is accepted (so a
-    node limit returns a prefix, in scan order, of the unbudgeted
-    acceptances), plus a zero-weight probe per block.
+    Budget: a node is one block pair. Each slice of at most
+    :data:`_FIRST_BLOCK` block pairs is one checkpoint, taken before the
+    walk and weighing the pairs walked. A node limit inside a slice
+    shortens the walk and raises on the next node, so a cut returns a
+    prefix, in scan order, of the unbudgeted acceptances.
     """
-    arrangement = Arrangement(instance)
-    conflicts = np.zeros((instance.n_events, instance.n_events), dtype=bool)
-    if len(instance.conflicts):
-        a, b = np.array(list(instance.conflicts.pairs)).T
-        conflicts[a, b] = conflicts[b, a] = True
+    n_events, n_users = instance.n_events, instance.n_users
+    conflicts = np.zeros((n_events, n_events), dtype=bool)
+    a, b = np.divmod(instance.conflicts.pair_keys(), n_events)
+    conflicts[a, b] = conflicts[b, a] = True
+    packed = np.packbits(conflicts, axis=1, bitorder="little")
+    clash = [int.from_bytes(row.tobytes(), "little") for row in packed]
     dead = instance.sims <= 0
     dead[instance.event_capacities <= 0] = True
     dead[:, instance.user_capacities <= 0] = True
+    event_left = instance.event_capacities.tolist()
+    user_left = instance.user_capacities.tolist()
+    held = [0] * n_users
+    accepted_events: list[int] = []
+    accepted_users: list[int] = []
     flat, live, size = instance.sims.ravel(), np.flatnonzero(~dead), _FIRST_BLOCK
     try:
         while len(live):
-            if budget is not None:
-                budget.checkpoint(weight=0)
             top = top_k_descending(flat[live], size)
-            events, users = np.divmod(live[top], instance.n_users)
+            events, users = np.divmod(live[top], n_users)
             live, size = np.delete(live, top), size * 2
-            for v, u in zip(events.tolist(), users.tolist()):
+            block = zip(events.tolist(), users.tolist())
+            first = len(accepted_events)
+            while walk := list(islice(block, _FIRST_BLOCK)):
+                cut = False
                 if budget is not None:
-                    budget.checkpoint()
-                if dead[v, u]:
-                    continue
-                arrangement.add(v, u)
-                dead[:, u] |= conflicts[v]
-                if not arrangement.event_remaining(v):
-                    dead[v] = True
-                if not arrangement.user_remaining(u):
-                    dead[:, u] = True
-            live = live[~dead.ravel()[live]]
+                    left = budget.remaining_nodes()
+                    cut = left is not None and left < len(walk)
+                    walk = walk[:left] if cut else walk
+                    budget.checkpoint(weight=len(walk))
+                for v, u in walk:
+                    if event_left[v] and user_left[u] and not clash[v] & held[u]:
+                        accepted_events.append(v)
+                        accepted_users.append(u)
+                        event_left[v] -= 1
+                        user_left[u] -= 1
+                        held[u] |= 1 << v
+                if cut:
+                    budget.checkpoint()  # the node past the limit
+            if len(live):
+                # Every event conflicting with one a user was just given
+                # dies for that user; then every full event and user.
+                given, clashing = np.nonzero(conflicts[accepted_events[first:]])
+                dead[clashing, np.array(accepted_users[first:], dtype=np.intp)[given]] = True
+                dead[np.array(event_left) == 0] = True
+                dead[:, np.array(user_left) == 0] = True
+                live = live[~dead.ravel()[live]]
     except BudgetExceededError:
         pass
+    arrangement = Arrangement(instance)
+    arrangement.extend(accepted_events, accepted_users)
     return arrangement
 
 

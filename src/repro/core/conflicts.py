@@ -97,6 +97,7 @@ class ConflictGraph:
         self._n_events = n_events
         self._neighbors: list[set[int]] = [set() for _ in range(n_events)]
         self._pairs: set[tuple[int, int]] = set()
+        self._keys: np.ndarray | None = None
         for i, j in pairs:
             self.add_pair(i, j)
 
@@ -121,6 +122,23 @@ class ConflictGraph:
         self._pairs.add((min(i, j), max(i, j)))
         self._neighbors[i].add(j)
         self._neighbors[j].add(i)
+        self._keys = None
+
+    def pair_keys(self) -> np.ndarray:
+        """CF as sorted ``a * n_events + b`` keys of its ``a < b`` pairs.
+
+        Built on first use and kept until the next :meth:`add_pair`, so
+        every array consumer of one graph shares a single pass over CF.
+        """
+        if self._keys is None:
+            keys = np.fromiter(
+                (a * self._n_events + b for a, b in self._pairs),
+                dtype=np.int64,
+                count=len(self._pairs),
+            )
+            keys.sort()
+            self._keys = keys
+        return self._keys
 
     def are_conflicting(self, i: int, j: int) -> bool:
         """True if events ``i`` and ``j`` are a conflicting pair."""

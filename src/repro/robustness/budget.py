@@ -14,10 +14,14 @@ Deadlines are measured on ``time.monotonic()``. Wall-clock time
 jumps would fire (or silently extend) deadlines -- and ``geacc-lint``
 rule R6 enforces that tree-wide.
 
-The clock is only consulted every ``clock_stride`` checkpoints so a
-checkpoint in a million-node search loop stays an integer compare in the
-common case; with the default stride of 32 a 50 ms deadline is still
-honoured to well under a millisecond in practice.
+The clock is read on the first node, whenever a checkpoint's count
+crosses a multiple of ``clock_stride`` (so a checkpoint in a
+million-node search loop stays an integer compare in the common case;
+with the default stride of 32 a 50 ms deadline is still honoured to
+well under a millisecond in practice), and on every checkpoint whose
+weight is not 1. A weighted checkpoint stands for a whole slice of work
+(or, at weight 0, probes before an expensive step), so it is rare and
+must never slip past a deadline between two stride boundaries.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ class Budget:
             :meth:`start`). None = no deadline.
         node_limit: Maximum number of checkpointed units of work (search
             nodes, heap pops, flow augmentations...). None = unlimited.
-        clock_stride: Consult the monotonic clock every this many
-            checkpoints. 1 checks every call; larger strides make the
-            checkpoint cheaper but the deadline coarser.
+        clock_stride: Consult the monotonic clock every this many unit
+            checkpoints (weighted ones always consult it). 1 checks
+            every call; larger strides make the checkpoint cheaper but
+            the deadline coarser.
 
     A budget is single-use: it belongs to one solve (or one degradation
     ladder sharing a global deadline across rungs) and keeps its counters
@@ -137,9 +142,10 @@ class Budget:
         if self.deadline is not None:
             if self._started_at is None:
                 self.start()
-            # Only hit the clock every `clock_stride` nodes; always on the
-            # first node so a zero deadline fires immediately.
-            if self.nodes % self.clock_stride == 0 or self.nodes == 1:
+            # Only hit the clock every `clock_stride` unit nodes; always on
+            # the first node (so a zero deadline fires immediately) and on
+            # every weighted or zero-weight checkpoint.
+            if weight != 1 or self.nodes % self.clock_stride == 0 or self.nodes == 1:
                 if self.elapsed() >= self.deadline:
                     self.mark_exhausted(
                         f"deadline exhausted ({self.deadline:.3f}s, "

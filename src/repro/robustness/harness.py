@@ -18,6 +18,7 @@ floor is its Greedy warm-start seed), so the ladder stops there.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 from collections.abc import Mapping, Sequence
@@ -53,17 +54,23 @@ def _solver_name(solver: object) -> str:
     return type(solver).__name__
 
 
+@functools.cache
+def _takes_budget(solver_class: type) -> bool:
+    """True when ``solver_class.solve`` has a ``budget`` parameter."""
+    try:
+        return "budget" in inspect.signature(solver_class.solve).parameters
+    except (AttributeError, TypeError, ValueError):  # builtins / C callables
+        return False
+
+
 def _call_solve(solver, instance: Instance, budget: Budget) -> Arrangement:
     """Call ``solver.solve``, passing the budget when the solver takes one.
 
     Legacy / third-party solvers whose ``solve`` predates the budget
     parameter still run -- they just cannot be preempted cooperatively.
+    The signature is looked up once per solver class.
     """
-    try:
-        parameters = inspect.signature(solver.solve).parameters
-    except (TypeError, ValueError):  # builtins / C-implemented callables
-        parameters = {}
-    if "budget" in parameters:
+    if _takes_budget(type(solver)):
         return solver.solve(instance, budget=budget)
     return solver.solve(instance)
 

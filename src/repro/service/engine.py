@@ -356,7 +356,9 @@ class MicroBatchEngine:
         if not open_events.any() or store.n_users == 0:
             return Delta()
         sims = remainder.sims
-        seat_events, seat_users = store.open_seats()
+        seat_events, seat_users = store.seats()
+        on_open = open_events[seat_events]
+        seat_events, seat_users = seat_events[on_open], seat_users[on_open]
         clusters = _merge_through_users(remainder.components, seat_events, seat_users)
         home = np.full(store.n_users, -1, dtype=np.intp)
         home[seat_users] = clusters[seat_events]
@@ -463,8 +465,8 @@ class MicroBatchEngine:
         result = solve_with_ladder(instance, self.ladder, timeout=self.solve_timeout)
         if result.arrangement is None:
             return result, None
-        pairs = np.asarray(result.arrangement.pairs(), dtype=np.intp).reshape(-1, 2)
-        return result, (events[pairs[:, 0]], users[pairs[:, 1]])
+        seat_events, seat_users = result.arrangement.seats()
+        return result, (events[seat_events], users[seat_users])
 
     def engine_summary(self) -> dict:
         """The ``engine`` block of ``GET /state``."""

@@ -40,9 +40,8 @@ def test_zero_similarity_pair_rejected(instance):
 def test_event_capacity_violation_detected(instance):
     arrangement = Arrangement(instance)
     arrangement.add(0, 0)
-    # Bypass bookkeeping guards by writing internals directly.
-    arrangement._users_of_event[0].add(2)
-    arrangement._events_of_user[2].add(0)
+    # add() trusts its caller: no guard stops a second seat on event 0.
+    arrangement.add(0, 2)
     with pytest.raises(InfeasibleArrangementError, match="event 0"):
         validate_arrangement(arrangement)
 
@@ -50,8 +49,7 @@ def test_event_capacity_violation_detected(instance):
 def test_user_capacity_violation_detected(instance):
     arrangement = Arrangement(instance)
     arrangement.add(0, 2)
-    arrangement._users_of_event[1].add(2)
-    arrangement._events_of_user[2].add(1)
+    arrangement.add(1, 2)
     # User 2 has capacity 1 but two events (also conflicting pair).
     with pytest.raises(InfeasibleArrangementError):
         validate_arrangement(arrangement)

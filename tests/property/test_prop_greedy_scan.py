@@ -12,7 +12,9 @@ span several scan blocks.
 
 It also pins the budget contract: under ``Budget(node_limit=k)`` the
 arrangement is exactly a prefix, in scan order, of the unbudgeted run's
-accepted pairs, and that prefix never shrinks as ``k`` grows.
+accepted pairs, and that prefix never shrinks as ``k`` grows. The scan
+charges the budget per slice of block pairs, so limits are also drawn
+inside slices and at their borders.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms import GreedyGEACC
+from repro.core.algorithms.greedy import _FIRST_BLOCK
 from repro.core.conflicts import ConflictGraph
 from repro.core.model import Instance
 from repro.robustness.budget import Budget
@@ -120,6 +123,32 @@ def test_node_limit_cuts_a_growing_prefix_of_the_scan(instance):
             assert len(accepted) >= len(order) - 1
         previous = len(accepted)
     assert previous == len(order)  # a limit of `nodes` cuts nothing
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=scan_instances(max_events=20, max_users=60), data=st.data())
+def test_node_limit_inside_a_slice_cuts_at_that_node(instance, data):
+    # The scan charges the budget once per slice of up to _FIRST_BLOCK
+    # block pairs; a limit inside a slice must still cut at its node:
+    # the walk stops there (nodes = limit + 1 when it raises), the cut
+    # is a prefix of the scan's acceptances, and one more node adds at
+    # most one pair -- also across the slice's borders.
+    unbudgeted = Budget()
+    order = scan_order(instance, GreedyGEACC().solve(instance, budget=unbudgeted).pairs())
+    nodes = unbudgeted.nodes
+    slice_start = _FIRST_BLOCK * data.draw(st.integers(0, nodes // _FIRST_BLOCK))
+    inside = slice_start + data.draw(st.integers(1, _FIRST_BLOCK - 1), label="offset")
+    limits = {slice_start - 1, slice_start, inside, inside + 1}
+    limits |= {slice_start + _FIRST_BLOCK - 1, slice_start + _FIRST_BLOCK}
+    previous: tuple[int, list] | None = None
+    for limit in sorted(n for n in limits if 0 <= n <= nodes):
+        budget = Budget(node_limit=limit)
+        accepted = scan_order(instance, GreedyGEACC().solve(instance, budget=budget).pairs())
+        assert accepted == order[: len(accepted)]
+        assert budget.nodes == (limit + 1 if limit < nodes else nodes)
+        if previous is not None and previous[0] == limit - 1:
+            assert len(accepted) - len(previous[1]) in (0, 1)
+        previous = (limit, accepted)
 
 
 def test_every_node_limit_on_a_tied_instance_is_a_prefix():

@@ -96,14 +96,20 @@ def test_stalling_solver_is_preempted_at_next_checkpoint(small_instance):
     # A mid-loop stall burns the whole deadline while no checkpoint can
     # run; the next checkpoint must preempt and the partial arrangement
     # must validate.
-    chaos = ChaosSolver("greedy", stall_at=3, stall_seconds=0.05)
+    # The frontier heap checkpoints once per pop; the matrix scan, once
+    # per slice, may finish a small instance in fewer than three calls.
+    chaos = ChaosSolver(
+        GreedyGEACC(index_kind="chunked"), stall_at=3, stall_seconds=0.05
+    )
     result = run_with_budget(chaos, small_instance, timeout=0.02)
     assert result.ok, result
     assert result.outcome is Outcome.FEASIBLE_TIMEOUT
 
 
 def test_solver_raising_midway_reports_failure(small_instance):
-    chaos = ChaosSolver("greedy", fail_at=3, error=RuntimeError("cosmic ray"))
+    chaos = ChaosSolver(
+        GreedyGEACC(index_kind="chunked"), fail_at=3, error=RuntimeError("cosmic ray")
+    )
     result = run_with_budget(chaos, small_instance, timeout=10.0)
     assert not result.ok
     assert result.outcome is Outcome.FAILED

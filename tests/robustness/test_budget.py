@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import BudgetExceededError, NNIndexError
@@ -54,6 +56,26 @@ class TestDeadline:
         # slip through even with a large stride.
         with pytest.raises(BudgetExceededError):
             budget.checkpoint()
+
+    def test_weighted_checkpoints_always_read_the_clock(self):
+        # Two unit nodes, then the deadline passes. Every later call has
+        # a weight other than 1 and none lands on a stride multiple, yet
+        # the first of them must fire: a zero-weight probe ...
+        budget = Budget(deadline=0.001).start()
+        budget.checkpoint()
+        budget.checkpoint()
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceededError, match="deadline"):
+            budget.checkpoint(weight=0)
+        assert budget.nodes == 2
+        # ... and, on a fresh budget, the first weighted slice.
+        budget = Budget(deadline=0.001).start()
+        budget.checkpoint()
+        budget.checkpoint()
+        time.sleep(0.01)
+        with pytest.raises(BudgetExceededError, match="deadline"):
+            budget.checkpoint(weight=40)
+        assert budget.nodes == 42
 
     def test_generous_deadline_does_not_fire(self):
         budget = Budget(deadline=60.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.algorithms import GreedyGEACC
 from repro.exceptions import SolverFailedError
 from repro.robustness import (
     DEFAULT_LADDER,
@@ -35,7 +36,12 @@ def test_first_rung_crash_falls_through_to_second(small_instance):
 
 
 def test_mid_solve_crash_falls_through(small_instance):
-    ladder = (ChaosSolver("greedy", fail_at=5, error=OSError("disk gone")), "random-u")
+    # A solver that checkpoints per node (the frontier heap, one per pop)
+    # reaches its 5th checkpoint on this small instance.
+    crash = ChaosSolver(
+        GreedyGEACC(index_kind="chunked"), fail_at=5, error=OSError("disk gone")
+    )
+    ladder = (crash, "random-u")
     result = solve_with_ladder(small_instance, ladder, timeout=30.0)
     assert result.ok
     assert result.solver == "random-u"

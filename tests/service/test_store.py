@@ -213,3 +213,25 @@ def test_delta_json_round_trip() -> None:
     assert delta.reverse().reverse() == delta
     with pytest.raises(JournalError, match="malformed delta"):
         Delta.from_json({"assign": [["x", "y"]]})
+
+
+def test_max_sum_is_one_summation_order() -> None:
+    # A few seats per event among thousands of user ids, applied in
+    # shuffled order: a set of those ids iterates far from ascending. The
+    # store and its batch snapshot must still sum the same seats in the
+    # same (ascending) order, bit for bit.
+    rng = np.random.default_rng(1)
+    store = fresh_store()
+    for _ in range(6):
+        apply_next(store, "post_event", capacity=3000, attributes=rng.uniform(0, 10, 2).tolist())
+    for _ in range(3000):
+        apply_next(store, "register_user", capacity=6, attributes=rng.uniform(0, 10, 2).tolist())
+    seats = [(e, u) for e in range(6) for u in range(3000) if rng.random() < 0.02]
+    rng.shuffle(seats)
+    store.apply_delta(Delta(assigns=tuple((int(e), int(u)) for e, u in seats)))
+    sims = store.similarities()
+    expected = 0.0
+    for event, user in store.pairs():
+        expected += float(sims[event, user])
+    assert store.max_sum() == expected
+    assert store.snapshot_arrangement().max_sum() == expected
