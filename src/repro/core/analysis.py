@@ -65,40 +65,26 @@ def gini(values: np.ndarray) -> float:
 def analyze(arrangement: Arrangement) -> ArrangementStats:
     """Compute :class:`ArrangementStats` for an arrangement."""
     instance = arrangement.instance
-    n_events, n_users = instance.n_events, instance.n_users
-
-    fills = []
-    empty = 0
-    for v in range(n_events):
-        capacity = instance.event_capacities[v]
-        attendees = len(arrangement.users_of(v))
-        if attendees == 0:
-            empty += 1
-        if capacity > 0:
-            fills.append(attendees / capacity)
-    fill_mean = float(np.mean(fills)) if fills else 0.0
-    fill_min = float(np.min(fills)) if fills else 0.0
-
-    satisfaction = np.zeros(n_users)
-    pair_sims = []
-    for u in range(n_users):
-        for v in arrangement.events_of(u):
-            sim = instance.sim(v, u)
-            satisfaction[u] += sim
-            pair_sims.append(sim)
+    n_users = instance.n_users
+    events, users = arrangement.seats()
+    attendees = np.bincount(events, minlength=instance.n_events)
+    capacities = instance.event_capacities
+    fills = attendees[capacities > 0] / capacities[capacities > 0]
+    pair_sims = instance.sims_of(events, users)
+    satisfaction = np.bincount(users, weights=pair_sims, minlength=n_users)
     matched = int(np.count_nonzero(satisfaction > 0))
 
     return ArrangementStats(
         max_sum=arrangement.max_sum(),
         n_pairs=len(arrangement),
-        event_fill_mean=fill_mean,
-        event_fill_min=fill_min,
-        empty_events=empty,
+        event_fill_mean=float(fills.mean()) if len(fills) else 0.0,
+        event_fill_min=float(fills.min()) if len(fills) else 0.0,
+        empty_events=int(np.count_nonzero(attendees == 0)),
         users_matched=matched,
         users_unmatched=n_users - matched,
         user_satisfaction_mean=float(satisfaction.mean()) if n_users else 0.0,
         satisfaction_gini=gini(satisfaction),
-        mean_pair_similarity=float(np.mean(pair_sims)) if pair_sims else 0.0,
+        mean_pair_similarity=float(pair_sims.mean()) if len(pair_sims) else 0.0,
     )
 
 
