@@ -375,7 +375,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"geacc serve: journal={args.journal} seq={summary['seq']} "
         f"|V|={summary['n_events']} |U|={summary['n_users']} "
         f"|M|={summary['n_assignments']}"
-        + (f" recovery={recovery['rung']}" if recovery else ""),
+        + (
+            f" recovery={recovery['rung']} snapshot_ms={recovery['snapshot_ms']}"
+            f" replay_ms={recovery['replay_ms']}"
+            if recovery
+            else ""
+        ),
         flush=True,
     )
     topology = summary["sharding"]

@@ -27,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.conflicts import ConflictGraph
-from repro.core.similarity import similarity_matrix
+from repro.core.similarity import (
+    TILEABLE_METRICS,
+    similarity_matrix,
+    similarity_tiles,
+)
 from repro.exceptions import InvalidInstanceError
 
 DEFAULT_T = 10_000.0
@@ -256,10 +260,28 @@ class Instance:
         return float(row[0, 0])
 
     def sims_of(self, events: np.ndarray, users: np.ndarray) -> np.ndarray:
-        """Similarities of the pairs ``(events[i], users[i])``, each as :meth:`sim`."""
+        """Similarities of the pairs ``(events[i], users[i])``, each as :meth:`sim`.
+
+        Without a matrix, a tileable metric computes one
+        :func:`~repro.core.similarity.similarity_tiles` row per distinct
+        event over that event's users (bit-equal to :meth:`sim`, since
+        each entry depends on its pair alone); ``dot`` goes pair by pair.
+        """
         if self._sims is not None:
             return self._sims[events, users]
-        return np.array([self.sim(e, u) for e, u in zip(events.tolist(), users.tolist())])
+        if self.metric not in TILEABLE_METRICS:
+            return np.array(
+                [self.sim(e, u) for e, u in zip(events.tolist(), users.tolist())]
+            )
+        events, users = np.asarray(events), np.asarray(users)
+        out = np.empty(len(events))
+        for event in np.unique(events).tolist():
+            at = np.flatnonzero(events == event)
+            out[at] = similarity_tiles(
+                self.event_attributes, self.user_attributes, self.t,
+                slice(event, event + 1), users[at], self.metric,
+            )[0]
+        return out
 
     def sim_row(self, event: int) -> np.ndarray:
         """Similarities of one event against all users, shape ``(|U|,)``."""

@@ -99,9 +99,11 @@ class SnapshotError(JournalError):
     """A store snapshot file is unreadable, torn, or fails its checksum.
 
     Raised by :mod:`repro.service.snapshot` when a snapshot cannot be
-    trusted: missing/foreign header, CRC mismatch, truncated payload, or
-    a restored store whose canonical digest differs from the one the
-    writer recorded. A bad snapshot is never fatal on its own --
+    trusted: missing/foreign header or buffer layout, a torn or
+    truncated body, CRC mismatch, a body that fails the store's
+    structural checks (shapes, id ranges, repeated seats, flags,
+    remaining capacities), or a restored store whose digest differs
+    from the one the writer recorded. A bad snapshot is never fatal on its own --
     recovery falls one rung down the degradation ladder (an older
     snapshot, else full journal replay); only when *no* durable rung
     survives does recovery raise :class:`JournalError`.

@@ -322,6 +322,10 @@ class RecoveryReport:
     * ``"recreate"`` -- nothing durable existed at all (empty/headerless
       journal, no snapshot) and a config was supplied, so recovery
       returned a fresh empty store.
+
+    ``snapshot_ms`` is the wall time spent reading and verifying
+    snapshots (rejected ones included), ``replay_ms`` the time spent
+    replaying the journal (the tail, or all of it on ``full-replay``).
     """
 
     rung: str
@@ -329,6 +333,8 @@ class RecoveryReport:
     journal_base_seq: int = 0
     records_replayed: int = 0
     snapshots_rejected: tuple[str, ...] = field(default_factory=tuple)
+    snapshot_ms: float = 0.0
+    replay_ms: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -337,6 +343,8 @@ class RecoveryReport:
             "journal_base_seq": self.journal_base_seq,
             "records_replayed": self.records_replayed,
             "snapshots_rejected": list(self.snapshots_rejected),
+            "snapshot_ms": self.snapshot_ms,
+            "replay_ms": self.replay_ms,
         }
 
 

@@ -832,10 +832,9 @@ class ShardCoordinator:
                 for shard, service in enumerate(self.shards)
             ]
             sizes = self.partitioner.component_sizes()
-            # A recovered fleet reports its slowest shard's ladder rung.
-            rungs = [
-                s["last_recovery"]["rung"] for s in shard_stats if s["last_recovery"]
-            ]
+            # A recovered fleet reports its slowest shard's ladder rung and
+            # the time its shards spent on snapshots and on replay.
+            recoveries = [s["last_recovery"] for s in shard_stats if s["last_recovery"]]
             return {
                 "seq": sum(s["seq"] for s in shard_stats),
                 "n_events": len(self._owner["event"]),
@@ -852,7 +851,15 @@ class ShardCoordinator:
                 "digest": self.arrangement_digest(),
                 "journal_bytes": sum(s["journal_bytes"] for s in shard_stats),
                 "last_recovery": (
-                    {"rung": max(rungs, key=RECOVERY_RUNGS.index)} if rungs else None
+                    {
+                        "rung": max(
+                            (r["rung"] for r in recoveries), key=RECOVERY_RUNGS.index
+                        ),
+                        "snapshot_ms": round(sum(r["snapshot_ms"] for r in recoveries), 3),
+                        "replay_ms": round(sum(r["replay_ms"] for r in recoveries), 3),
+                    }
+                    if recoveries
+                    else None
                 ),
                 "sharding": {
                     "shards": len(self.shards),

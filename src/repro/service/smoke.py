@@ -35,6 +35,11 @@ via the snapshot + tail ladder rung. A second pass compacts for real,
 kill -9s immediately after, and requires the same equality from the
 trimmed journal.
 
+After every restart each shard's recovery rung and timings
+(``snapshot_ms``, ``replay_ms``) are printed, and a shard that had
+compacted must have recovered on ``snapshot+tail`` from a
+``geacc-snapshot-v2`` file.
+
 Uses ``urllib`` (a client, not a server -- rule R8 bans server-side
 socket primitives outside this package, and the subprocess boundary is
 exactly what a kill -9 needs anyway).
@@ -56,6 +61,7 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.service.journal import replay as replay_journal
 from repro.service.sharding import ShardManager
+from repro.service.snapshot import SNAPSHOT_FORMAT, snapshot_path
 
 #: How long to wait for the server to print its listening line.
 STARTUP_TIMEOUT_S = 30.0
@@ -71,6 +77,32 @@ def _request(base: str, method: str, path: str, payload: dict | None = None) -> 
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def _check_recoveries(root: Path, state: dict, say) -> None:
+    """Report each shard's recovery; one that had compacted must have
+    recovered on ``snapshot+tail`` from a ``geacc-snapshot-v2`` file."""
+    for row in state["sharding"]["per_shard"]:
+        recovery = row["last_recovery"]
+        say(
+            f"shard {row['shard']} recovered: rung={recovery['rung']} "
+            f"snapshot_ms={recovery['snapshot_ms']} replay_ms={recovery['replay_ms']}"
+        )
+        if not (row["snapshots"] and row["snapshots"]["count"]):
+            continue
+        if recovery["rung"] != "snapshot+tail":
+            raise ServiceError(
+                f"compacted shard {row['shard']} recovered on {recovery['rung']}"
+            )
+        snapshot = snapshot_path(
+            ShardManager.snapshot_dir(root, row["shard"]), recovery["snapshot_seq"]
+        )
+        header = json.loads(snapshot.read_bytes().split(b"\n", 1)[0])
+        if header.get("format") != SNAPSHOT_FORMAT:
+            raise ServiceError(
+                f"shard {row['shard']} recovered from a {header.get('format')} "
+                f"snapshot, not {SNAPSHOT_FORMAT}"
+            )
 
 
 class ServeProcess:
@@ -234,6 +266,7 @@ def run_smoke(
                 )
             if not post_crash.get("last_recovery"):
                 raise ServiceError(f"restart reported no recovery rung: {post_crash}")
+            _check_recoveries(root, post_crash, say)
             if post_crash["sharding"]["shards"] != shards:
                 raise ServiceError(f"topology did not survive the crash: {post_crash}")
             survived = _request(server.base, "GET", f"/assignments/{users[0]}")
@@ -332,6 +365,7 @@ def run_compaction_smoke(
                 raise ServiceError(
                     f"mid-compaction snapshot did not survive: {snapshots}"
                 )
+            _check_recoveries(root, post_crash, say)
             # Now compact for real and kill -9 right after: recovery from
             # the *trimmed* journal must still reproduce the state.
             stats = _request(server.base, "POST", "/compact")
@@ -357,6 +391,7 @@ def run_compaction_smoke(
                     "state after post-compaction crash diverges: "
                     f"{final['digest']} != {pre_kill['digest']}"
                 )
+            _check_recoveries(root, final, say)
             base_seq = final["sharding"]["per_shard"][0]["journal_base_seq"]
             if base_seq != stats["shards"][0]["base_seq"]:
                 raise ServiceError(

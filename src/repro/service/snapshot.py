@@ -2,23 +2,42 @@
 
 PR 4's write-ahead journal gives exact crash recovery, but recovery
 cost is O(journal lifetime) and disk grows without bound. This module
-bounds both: a **snapshot** freezes the store's
-:meth:`~repro.service.store.ArrangementStore.canonical_state` to disk
+bounds both: a **snapshot** freezes the store's typed state buffers
+(:meth:`~repro.service.store.ArrangementStore.state_buffers`) to disk
 atomically, and **compaction** trims the journal to the post-snapshot
 tail, so recovery = newest snapshot + tail.
 
-Snapshot file format (``snapshot-<seq:012d>.json``, two lines):
+Snapshot file format (``snapshot-<seq:012d>.json``, ``geacc-snapshot-v2``):
 
-* line 1 -- header: ``{"format": "geacc-snapshot-v1", "seq": S,
-  "crc32": <zlib.crc32 of the payload line>, "digest": <the store's
-  canonical SHA-256 at seq S>}``;
-* line 2 -- payload: the canonical-state dict as compact JSON.
+* line 1 -- header, canonical JSON: ``{"format": "geacc-snapshot-v2",
+  "config": ..., "seq": S, "requests_seen": ..., "batches_committed":
+  ..., "buffers": [[name, dtype, shape], ...], "crc32": <zlib.crc32 of
+  the body>, "digest": <the store's digest at seq S>}``;
+* then the body: the buffers of
+  :data:`~repro.service.store.STATE_BUFFERS`, contiguous, little-endian,
+  C order, in that order -- event capacities, event attributes
+  (``|V| x d`` float64), event lifecycle flags, conflict pairs (``a <
+  b``, ascending), user capacities, user attributes, seats in
+  ``seat_order``, event and user remaining capacities.
+
+The digest is :meth:`~repro.service.store.ArrangementStore.digest`: one
+SHA-256 pass over the canonical JSON of the header's state part (config,
+counters, buffer layout) and then the body bytes. A loader checks the
+CRC, reads each buffer with ``np.frombuffer``, rebuilds the store under
+:meth:`~repro.service.store.ArrangementStore.from_buffers`'s structural
+checks, and recomputes the digest from the *restored* store -- so a
+snapshot that loads is the state its writer had.
+
+``geacc-snapshot-v1`` files (line 2 the canonical-state dict as JSON)
+are still read, never written: a journal compacted against one can
+only recover through it. They are verified against the v1 digest,
+``canonical_digest(canonical_state())``.
 
 Writes are atomic the classic way: tmp file in the same directory,
 write, flush, fsync, rename over the final name, fsync the directory.
 A reader therefore sees either the complete old world or the complete
-new world; the CRC and digest catch everything else (torn payload from
-a dying disk, bit flips, a truncated copy).
+new world; the CRC and digest catch everything else (torn body from a
+dying disk, bit flips, a truncated copy).
 
 Recovery (:func:`recover_state`, wired into
 :meth:`repro.service.journal.Journal.recover`) degrades along a
@@ -44,12 +63,16 @@ write/flush/fsync/rename of the snapshot and compaction paths.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
+import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.exceptions import JournalError, ServiceError, SnapshotError
 from repro.service.journal import (
@@ -60,13 +83,24 @@ from repro.service.journal import (
     read_header,
     replay,
 )
-from repro.service.store import ArrangementStore, StoreConfig, canonical_json
+from repro.service.store import (
+    STATE_BUFFERS,
+    ArrangementStore,
+    StoreConfig,
+    buffers_digest,
+    canonical_digest,
+    canonical_json,
+    is_int,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (journal imports us lazily)
     from repro.service.journal import Journal
 
-#: First-line format marker of every snapshot file.
-SNAPSHOT_FORMAT = "geacc-snapshot-v1"
+#: Header format tag of every snapshot this module writes.
+SNAPSHOT_FORMAT = "geacc-snapshot-v2"
+
+#: Header format tag of the JSON-payload snapshots: read, never written.
+SNAPSHOT_FORMAT_V1 = "geacc-snapshot-v1"
 
 #: How many snapshots compaction keeps by default (newest first). Two
 #: means a corrupt newest snapshot still recovers losslessly from the
@@ -84,38 +118,42 @@ def snapshot_path(directory: str | Path, seq: int) -> Path:
 def write_snapshot(
     store: ArrangementStore, directory: str | Path, fs: FileSystem = REAL_FS
 ) -> Path:
-    """Atomically write a checksummed snapshot of ``store``.
+    """Atomically write a checksummed ``geacc-snapshot-v2`` of ``store``.
 
-    Returns the snapshot's path (``snapshot-<seq:012d>.json``). An
-    existing snapshot at the same seq is replaced -- the content is
-    identical by construction (the store is deterministic in seq).
+    The state is serialised once: the same buffers make the body and
+    the digest. Returns the snapshot's path
+    (``snapshot-<seq:012d>.json``). An existing snapshot at the same
+    seq is replaced -- the content is identical by construction (the
+    store is deterministic in seq).
     """
     directory = Path(directory)
     fs.mkdir(directory)
-    payload = canonical_json(store.canonical_state())
-    header = {
-        "format": SNAPSHOT_FORMAT,
-        "seq": store.seq,
-        "crc32": zlib.crc32(payload),
-        "digest": store.digest(),
-    }
-    header_line = canonical_json(header)
+    buffers = store.state_buffers()
+    header = store.state_header(buffers)
+    body = b"".join(buf.tobytes() for buf in buffers)
+    header_line = canonical_json(
+        {
+            "format": SNAPSHOT_FORMAT,
+            **header,
+            "crc32": zlib.crc32(body),
+            "digest": buffers_digest(header, buffers),
+        }
+    )
     path = snapshot_path(directory, store.seq)
-    atomic_write_bytes(path, header_line + b"\n" + payload + b"\n", fs)
+    atomic_write_bytes(path, header_line + b"\n" + body, fs)
     return path
 
 
 def load_snapshot(path: str | Path, fs: FileSystem = REAL_FS) -> ArrangementStore:
-    """Load and verify one snapshot file.
+    """Load and verify one snapshot file (v2, or a read-only v1).
 
-    Verification is end-to-end: the CRC covers the payload bytes, and
-    the restored store's recomputed canonical digest must equal the one
-    the writer recorded -- so a snapshot that loads is byte-for-byte the
-    state its writer had.
+    Verification is end-to-end: the CRC covers the body bytes, and the
+    restored store's recomputed digest must equal the one the writer
+    recorded -- so a snapshot that loads is the state its writer had.
 
     Raises:
         SnapshotError: Torn/truncated file, foreign or unreadable
-            header, CRC mismatch, malformed payload, or digest mismatch.
+            header, CRC mismatch, malformed body, or digest mismatch.
             Never fatal on its own: recovery falls one ladder rung down.
     """
     path = Path(path)
@@ -123,19 +161,67 @@ def load_snapshot(path: str | Path, fs: FileSystem = REAL_FS) -> ArrangementStor
         blob = fs.read_bytes(path)
     except OSError as exc:
         raise SnapshotError(f"{path}: cannot read snapshot: {exc}") from exc
-    lines = blob.split(b"\n")
-    if len(lines) != 3 or lines[2] != b"":
+    end = blob.find(b"\n")
+    if end < 0:
         raise SnapshotError(f"{path}: torn snapshot ({len(blob)} bytes)")
-    header_line, payload = lines[0], lines[1]
     try:
-        header = json.loads(header_line.decode("utf-8"))
+        header = json.loads(blob[:end].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise SnapshotError(f"{path}: unreadable snapshot header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(
-            f"{path}: not a {SNAPSHOT_FORMAT} snapshot "
-            f"(header {str(header)[:80]!r})"
+    body = memoryview(blob)[end + 1 :]
+    if isinstance(header, dict) and header.get("format") == SNAPSHOT_FORMAT:
+        return _load_v2(path, header, body)
+    if isinstance(header, dict) and header.get("format") == SNAPSHOT_FORMAT_V1:
+        return _load_v1(path, header, bytes(body))
+    raise SnapshotError(
+        f"{path}: not a {SNAPSHOT_FORMAT} snapshot (header {str(header)[:80]!r})"
+    )
+
+
+def _load_v2(path: Path, header: dict, body: memoryview) -> ArrangementStore:
+    layout = header.get("buffers")
+    if not (
+        isinstance(layout, list)
+        and len(layout) == len(STATE_BUFFERS)
+        and all(
+            isinstance(entry, list)
+            and len(entry) == 3
+            and entry[:2] == [name, dtype]
+            and isinstance(entry[2], list)
+            and all(is_int(n) and n >= 0 for n in entry[2])
+            for entry, (name, dtype) in zip(layout, STATE_BUFFERS)
         )
+    ):
+        raise SnapshotError(f"{path}: snapshot header declares a foreign buffer layout")
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in layout]
+    if len(body) != sum(sizes):
+        raise SnapshotError(
+            f"{path}: torn snapshot (body is {len(body)} bytes, header "
+            f"declares {sum(sizes)})"
+        )
+    if zlib.crc32(body) != header.get("crc32"):
+        raise SnapshotError(f"{path}: snapshot body fails its CRC")
+    buffers, offset = [], 0
+    for (_, dtype, shape), size in zip(layout, sizes):
+        buffers.append(
+            np.frombuffer(body[offset : offset + size], dtype=dtype).reshape(shape)
+        )
+        offset += size
+    try:
+        store = ArrangementStore.from_buffers(
+            StoreConfig.from_json(header.get("config")), header, buffers
+        )
+    except ServiceError as exc:
+        raise SnapshotError(f"{path}: {exc}") from exc
+    if store.digest() != header.get("digest"):
+        raise SnapshotError(f"{path}: restored state fails its digest")
+    return store
+
+
+def _load_v1(path: Path, header: dict, body: bytes) -> ArrangementStore:
+    if not body.endswith(b"\n") or b"\n" in body[:-1]:
+        raise SnapshotError(f"{path}: torn snapshot ({len(body)} payload bytes)")
+    payload = body[:-1]
     if zlib.crc32(payload) != header.get("crc32"):
         raise SnapshotError(f"{path}: snapshot payload fails its CRC")
     try:
@@ -151,7 +237,7 @@ def load_snapshot(path: str | Path, fs: FileSystem = REAL_FS) -> ArrangementStor
             f"{path}: snapshot seq {header.get('seq')!r} does not match "
             f"payload seq {store.seq}"
         )
-    if store.digest() != header.get("digest"):
+    if canonical_digest(store.canonical_state()) != header.get("digest"):
         raise SnapshotError(f"{path}: restored state fails its canonical digest")
     return store
 
@@ -296,13 +382,17 @@ def recover_state(
     journal_path = Path(journal_path)
     header = read_header(journal_path, fs)
     rejected: list[str] = []
+    snapshot_ns = 0
     snapshots = [] if snapshot_dir is None else list_snapshots(snapshot_dir, fs)
     for snap_seq, snap_file in snapshots:
+        started = time.perf_counter_ns()
         try:
             snap = load_snapshot(snap_file, fs)
         except SnapshotError as exc:
             rejected.append(str(exc))
             continue
+        finally:
+            snapshot_ns += time.perf_counter_ns() - started
         if header is None:
             # The journal lost (or never durably gained) its header --
             # the snapshot alone is the durable state.
@@ -314,6 +404,7 @@ def recover_state(
                     snapshot_seq=snap_seq,
                     journal_base_seq=snap.seq,
                     snapshots_rejected=tuple(rejected),
+                    snapshot_ms=_ms(snapshot_ns),
                 ),
             )
         if header.base_seq > snap_seq:
@@ -322,6 +413,7 @@ def recover_state(
                 f"past this snapshot (seq {snap_seq})"
             )
             continue
+        started = time.perf_counter_ns()
         store, durable = replay(journal_path, base=snap, fs=fs)
         return (
             store,
@@ -332,6 +424,8 @@ def recover_state(
                 journal_base_seq=header.base_seq,
                 records_replayed=store.seq - snap_seq,
                 snapshots_rejected=tuple(rejected),
+                snapshot_ms=_ms(snapshot_ns),
+                replay_ms=_ms(time.perf_counter_ns() - started),
             ),
         )
     detail = "; ".join(rejected) or (
@@ -346,13 +440,18 @@ def recover_state(
         return (
             ArrangementStore(config),
             -1,
-            RecoveryReport(rung="recreate", snapshots_rejected=tuple(rejected)),
+            RecoveryReport(
+                rung="recreate",
+                snapshots_rejected=tuple(rejected),
+                snapshot_ms=_ms(snapshot_ns),
+            ),
         )
     if header.base_seq:
         raise JournalError(
             f"{journal_path}: nothing durable survives (journal tail starts at "
             f"seq {header.base_seq + 1}, no usable snapshot: {detail})"
         )
+    started = time.perf_counter_ns()
     store, durable = replay(journal_path, fs=fs)
     return (
         store,
@@ -361,5 +460,12 @@ def recover_state(
             rung="full-replay",
             records_replayed=store.seq,
             snapshots_rejected=tuple(rejected),
+            snapshot_ms=_ms(snapshot_ns),
+            replay_ms=_ms(time.perf_counter_ns() - started),
         ),
     )
+
+
+def _ms(ns: int) -> float:
+    """Nanoseconds as milliseconds, to the microsecond."""
+    return round(ns / 1e6, 3)

@@ -12,7 +12,11 @@ The store is also the single source of truth for recovery: it is a pure
 state machine over journal records (:meth:`ArrangementStore.apply`), so
 replaying a journal reconstructs the exact pre-crash state -- see
 :meth:`canonical_state` / :meth:`digest` for the equality the crash
-tests assert.
+tests assert. The state lives in typed arrays (capacities, lifecycle
+flags, packed attributes, seats, remaining capacities);
+:meth:`state_buffers` hands them out in one fixed layout, which the
+digest hashes and the snapshot codec writes, and :meth:`from_buffers`
+rebuilds a store from them.
 
 Feasibility is not re-invented here: :meth:`check_invariants` snapshots
 the live state into a real :class:`~repro.core.model.Instance` +
@@ -64,6 +68,24 @@ ALL_COMMANDS = frozenset(
 #: The largest capacity the engine's ``int64`` capacity arrays can hold.
 MAX_CAPACITY = int(np.iinfo(np.int64).max)
 
+#: Bits of an event's lifecycle flags (the ``event_flags`` buffer).
+FROZEN = 1
+CANCELLED = 2
+
+#: The state buffers in digest and snapshot order, with their dtypes
+#: (little-endian, C order): see :meth:`ArrangementStore.state_buffers`.
+STATE_BUFFERS = (
+    ("event_capacity", "<i8"),
+    ("event_attributes", "<f8"),
+    ("event_flags", "|u1"),
+    ("conflicts", "<i8"),
+    ("user_capacity", "<i8"),
+    ("user_attributes", "<f8"),
+    ("seats", "<i8"),
+    ("event_remaining", "<i8"),
+    ("user_remaining", "<i8"),
+)
+
 
 def is_int(value: object) -> bool:
     """True for an ``int`` that is not a ``bool`` (JSON ``true`` parses as one)."""
@@ -97,6 +119,19 @@ def canonical_json(state: dict) -> bytes:
 def canonical_digest(state: dict) -> str:
     """SHA-256 over :func:`canonical_json` (stable across processes)."""
     return hashlib.sha256(canonical_json(state)).hexdigest()
+
+
+def buffers_digest(header: dict, buffers: Iterable[np.ndarray]) -> str:
+    """SHA-256 over ``header`` as canonical JSON, then each buffer's bytes.
+
+    The header fixes every buffer's dtype and shape, so the byte stream
+    parses back one way only: equal digests mean equal headers and
+    equal buffers.
+    """
+    digest = hashlib.sha256(canonical_json(header))
+    for buf in buffers:
+        digest.update(np.ascontiguousarray(buf))
+    return digest.hexdigest()
 
 
 def grown_to(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -215,19 +250,21 @@ class ChangeLog:
     retired: bool = False
 
 
-@dataclass
-class _LiveEvent:
-    capacity: int
-    attributes: tuple[float, ...]
-    frozen: bool = False
-    cancelled: bool = False
-    conflicts: set[int] = field(default_factory=set)
+def _length(buf: np.ndarray) -> int:
+    """A buffer's leading dimension (-1 for a scalar, which no shape fits)."""
+    return buf.shape[0] if buf.ndim else -1
 
 
-@dataclass
-class _LiveUser:
-    capacity: int
-    attributes: tuple[float, ...]
+def _int_array(buf: np.ndarray) -> array:
+    """A native ``array("q")`` copy of an integer numpy buffer."""
+    return array("q", np.ascontiguousarray(buf, dtype=np.int64).tobytes())
+
+
+def _attributes(entries: list, dimension: int) -> np.ndarray:
+    """The ``attributes`` of canonical-state entries as an ``(n, d)`` array."""
+    return np.array(
+        [[float(x) for x in entry["attributes"]] for entry in entries], dtype=np.float64
+    ).reshape(len(entries), dimension)
 
 
 class ArrangementStore:
@@ -247,8 +284,14 @@ class ArrangementStore:
         self.seq = 0
         self.requests_seen = 0
         self.batches_committed = 0
-        self._events: list[_LiveEvent] = []
-        self._users: list[_LiveUser] = []
+        # Entities as typed arrays indexed by id: capacities, lifecycle
+        # flags (FROZEN | CANCELLED bits) and each event's conflict set,
+        # plus every conflict edge once as a flat (a, b) pair, a < b.
+        self._event_capacity = array("q")
+        self._event_flags = bytearray()
+        self._conflicts: list[set[int]] = []
+        self._conflict_pairs = array("q")
+        self._user_capacity = array("q")
         # The seats as parallel (event, user) typed arrays and the
         # remaining capacities likewise, which a batch copies into numpy
         # in one step; and each user's events, mapped to their seat's
@@ -275,11 +318,11 @@ class ArrangementStore:
 
     @property
     def n_events(self) -> int:
-        return len(self._events)
+        return len(self._event_capacity)
 
     @property
     def n_users(self) -> int:
-        return len(self._users)
+        return len(self._user_capacity)
 
     @property
     def n_assignments(self) -> int:
@@ -287,53 +330,49 @@ class ArrangementStore:
 
     def open_events(self) -> list[int]:
         """Events still accepting (and releasing) seats, ascending."""
-        return [
-            v
-            for v, event in enumerate(self._events)
-            if not event.frozen and not event.cancelled
-        ]
+        return [v for v, flags in enumerate(self._event_flags) if not flags]
 
     def is_open(self, event: int) -> bool:
-        record = self._events[event]
-        return not record.frozen and not record.cancelled
+        return not self._event_flags[event]
 
     def is_frozen(self, event: int) -> bool:
-        return self._events[event].frozen
+        return bool(self._event_flags[event] & FROZEN)
 
     def is_cancelled(self, event: int) -> bool:
-        return self._events[event].cancelled
+        return bool(self._event_flags[event] & CANCELLED)
 
     def event_capacity(self, event: int) -> int:
-        return self._events[event].capacity
+        return self._event_capacity[event]
 
     def user_capacity(self, user: int) -> int:
-        return self._users[user].capacity
+        return self._user_capacity[user]
 
     def event_attributes(self, event: int) -> tuple[float, ...]:
-        return self._events[event].attributes
+        return tuple(self._event_attrs_buf[event].tolist())
 
     def user_attributes(self, user: int) -> tuple[float, ...]:
-        return self._users[user].attributes
+        return tuple(self._user_attrs_buf[user].tolist())
 
     def event_record(self, event: int) -> dict:
         """One event as its canonical-state entry (conflicts ascending)."""
-        record = self._events[event]
         return {
-            "capacity": record.capacity,
-            "attributes": list(record.attributes),
-            "frozen": record.frozen,
-            "cancelled": record.cancelled,
-            "conflicts": sorted(record.conflicts),
+            "capacity": self._event_capacity[event],
+            "attributes": self._event_attrs_buf[event].tolist(),
+            "frozen": self.is_frozen(event),
+            "cancelled": self.is_cancelled(event),
+            "conflicts": sorted(self._conflicts[event]),
         }
 
     def user_record(self, user: int) -> dict:
         """One user as its canonical-state entry."""
-        record = self._users[user]
-        return {"capacity": record.capacity, "attributes": list(record.attributes)}
+        return {
+            "capacity": self._user_capacity[user],
+            "attributes": self._user_attrs_buf[user].tolist(),
+        }
 
     def event_conflicts(self, event: int) -> frozenset[int]:
         """Events conflicting with ``event`` (the live adjacency set)."""
-        return frozenset(self._events[event].conflicts)
+        return frozenset(self._conflicts[event])
 
     def conflict_graph(self, events: "np.ndarray | range") -> ConflictGraph:
         """The conflict graph among ``events``, relabelled ``0..k-1``.
@@ -346,7 +385,7 @@ class ArrangementStore:
         pairs = [
             (i, local[b])
             for a, i in local.items()
-            for b in self._events[a].conflicts
+            for b in self._conflicts[a]
             if a < b and b in local
         ]
         return ConflictGraph(len(local), pairs)
@@ -374,11 +413,11 @@ class ArrangementStore:
         whose events it most resembles. Cancelled events are skipped so
         tombstones left behind by a migration never attract traffic.
         """
-        candidates = [e.attributes for e in self._events if not e.cancelled]
-        if not candidates:
+        live = ~self._cancelled()
+        if not live.any():
             return 0.0
         sims = similarity_matrix(
-            np.asarray(candidates),
+            self._event_attrs_view()[live],
             np.asarray([attributes]),
             self.config.t,
             self.config.metric,
@@ -404,36 +443,43 @@ class ArrangementStore:
         return list(zip(events.tolist(), users.tolist()))
 
     def conflicts_between(self, a: int, b: int) -> bool:
-        return b in self._events[a].conflicts
+        return b in self._conflicts[a]
 
     def conflicts_with_any(self, event: int, others: Iterable[int]) -> bool:
-        adjacency = self._events[event].conflicts
+        adjacency = self._conflicts[event]
         return any(other in adjacency for other in others)
 
     def _user_attrs_view(self) -> np.ndarray:
         """Packed ``(|U|, d)`` user-attribute matrix (rows append-only)."""
-        return self._user_attrs_buf[: len(self._users)]
+        return self._user_attrs_buf[: self.n_users]
 
     def _event_attrs_view(self) -> np.ndarray:
         """Packed ``(|V|, d)`` event-attribute matrix (rows append-only)."""
-        return self._event_attrs_buf[: len(self._events)]
+        return self._event_attrs_buf[: self.n_events]
 
-    def _append_user(self, user: "_LiveUser") -> None:
-        self._users.append(user)
-        n = len(self._users)
+    def _append_user(self, capacity: int, attributes: list[float]) -> None:
+        self._user_capacity.append(capacity)
+        n = self.n_users
         if n > len(self._user_attrs_buf):
             self._user_attrs_buf = grown_to(self._user_attrs_buf, (n, self.config.dimension))
-        self._user_attrs_buf[n - 1] = user.attributes
-        self._user_remaining.append(user.capacity)
+        self._user_attrs_buf[n - 1] = attributes
+        self._user_remaining.append(capacity)
         self._events_of_user.append({})
 
-    def _append_event(self, event: "_LiveEvent") -> None:
-        self._events.append(event)
-        n = len(self._events)
-        if n > len(self._event_attrs_buf):
-            self._event_attrs_buf = grown_to(self._event_attrs_buf, (n, self.config.dimension))
-        self._event_attrs_buf[n - 1] = event.attributes
-        self._event_remaining.append(event.capacity)
+    def _append_event(self, capacity: int, attributes: list[float], conflicts: set[int]) -> None:
+        event = self.n_events
+        self._event_capacity.append(capacity)
+        self._event_flags.append(0)
+        if event >= len(self._event_attrs_buf):
+            self._event_attrs_buf = grown_to(
+                self._event_attrs_buf, (event + 1, self.config.dimension)
+            )
+        self._event_attrs_buf[event] = attributes
+        self._event_remaining.append(capacity)
+        self._conflicts.append(conflicts)
+        for other in sorted(conflicts):
+            self._conflicts[other].add(event)
+            self._conflict_pairs.extend((other, event))
 
     @property
     def per_pair_similarity(self) -> bool:
@@ -453,7 +499,7 @@ class ArrangementStore:
         metrics are recomputed row by row on every call, as
         :meth:`sim_row` defines them.
         """
-        n_events, n_users = len(self._events), len(self._users)
+        n_events, n_users = self.n_events, self.n_users
         if not self.per_pair_similarity:
             sims = np.zeros((n_events, n_users))
             for event in range(n_events if n_users else 0):
@@ -488,8 +534,8 @@ class ArrangementStore:
         if self.per_pair_similarity:
             return float(self.similarities()[event, user])
         row = similarity_matrix(
-            np.asarray([self._events[event].attributes]),
-            np.asarray([self._users[user].attributes]),
+            self._event_attrs_buf[event : event + 1],
+            self._user_attrs_buf[user : user + 1],
             self.config.t,
             self.config.metric,
         )
@@ -502,13 +548,13 @@ class ArrangementStore:
         pair, so no number of open events makes rows recompute; else
         computed on demand against the current user set.
         """
-        if not self._users:
+        if not self.n_users:
             return np.zeros(0)
         if self.per_pair_similarity:
             return self.similarities()[event]
         return similarity_matrix(
-            np.asarray([self._events[event].attributes]),
-            np.asarray([u.attributes for u in self._users]),
+            self._event_attrs_buf[event : event + 1],
+            self._user_attrs_view(),
             self.config.t,
             self.config.metric,
         )[0]
@@ -572,20 +618,20 @@ class ArrangementStore:
                 raise ServiceError(f"unknown user {user!r}")
         elif cmd == CMD_FREEZE_EVENT:
             event = self._validate_event_ref(args)
-            if self._events[event].cancelled:
+            if self.is_cancelled(event):
                 raise ServiceError(f"event {event} is cancelled; cannot freeze")
         elif cmd == CMD_CANCEL_EVENT:
             event = self._validate_event_ref(args)
-            if self._events[event].frozen:
+            if self.is_frozen(event):
                 raise ServiceError(f"event {event} is frozen; cannot cancel")
-            if self._events[event].cancelled:
+            if self.is_cancelled(event):
                 raise ServiceError(f"event {event} is already cancelled")
         elif cmd == CMD_COMMIT_BATCH:
             # Engine-internal; validated structurally during apply.
             pass
         elif cmd == CMD_RETIRE_EVENT:
             event = self._validate_event_ref(args)
-            if self._events[event].cancelled:
+            if self.is_cancelled(event):
                 raise ServiceError(f"event {event} is already retired/cancelled")
         elif cmd == CMD_RETIRE_USER:
             user = args.get("user")
@@ -655,7 +701,7 @@ class ArrangementStore:
             self.requests_seen += 1
         elif cmd == CMD_FREEZE_EVENT:
             event = self._checked_event(record)
-            self._events[event].frozen = True
+            self._event_flags[event] |= FROZEN
             self.changes.events.add(event)
         elif cmd == CMD_CANCEL_EVENT:
             self._apply_cancel(record)
@@ -680,34 +726,25 @@ class ArrangementStore:
         for other in conflicts:
             if not 0 <= other < self.n_events:
                 raise JournalError(f"conflict references unknown event {other}")
-        event = len(self._events)
         self._append_event(
-            _LiveEvent(
-                capacity=int(record["capacity"]),
-                attributes=tuple(float(x) for x in record["attributes"]),
-                conflicts=conflicts,
-            )
+            int(record["capacity"]),
+            [float(x) for x in record["attributes"]],
+            conflicts,
         )
-        for other in conflicts:
-            self._events[other].conflicts.add(event)
 
     def _apply_register_user(self, record: dict) -> None:
         self._append_user(
-            _LiveUser(
-                capacity=int(record["capacity"]),
-                attributes=tuple(float(x) for x in record["attributes"]),
-            )
+            int(record["capacity"]), [float(x) for x in record["attributes"]]
         )
 
     def _apply_cancel(self, record: dict) -> None:
         event = self._checked_event(record)
-        live = self._events[event]
-        if live.frozen or live.cancelled:
+        if not self.is_open(event):
             raise JournalError(f"cancel of non-open event {event}")
         # Deterministically derived from state -- the record does not
         # (and must not) carry the seat list.
         self._release_seats(event)
-        live.cancelled = True
+        self._event_flags[event] = CANCELLED
 
     def _apply_commit_batch(self, record: dict) -> None:
         delta = Delta.from_json(record)
@@ -727,12 +764,10 @@ class ArrangementStore:
         untouched.
         """
         event = self._checked_event(record)
-        live = self._events[event]
-        if live.cancelled:
+        if self.is_cancelled(event):
             raise JournalError(f"retire of already-retired event {event}")
         self._release_seats(event)
-        live.frozen = False
-        live.cancelled = True
+        self._event_flags[event] = CANCELLED
         self.changes.retired = True
 
     def _release_seats(self, event: int) -> None:
@@ -755,7 +790,7 @@ class ArrangementStore:
             raise JournalError(f"retire of unknown user {user!r}")
         if self._events_of_user[user]:
             raise JournalError(f"retire of user {user} who still holds seats")
-        self._users[user].capacity = 0
+        self._user_capacity[user] = 0
         self._user_remaining[user] = 0
 
     # ------------------------------------------------------------------
@@ -831,8 +866,8 @@ class ArrangementStore:
     # ------------------------------------------------------------------
 
     def _sims_matrix(self) -> np.ndarray:
-        if not self._events or not self._users:
-            return np.zeros((len(self._events), len(self._users)))
+        if not self.n_events or not self.n_users:
+            return np.zeros((self.n_events, self.n_users))
         return similarity_matrix(
             self._event_attrs_view(),
             self._user_attrs_view(),
@@ -840,19 +875,22 @@ class ArrangementStore:
             self.config.metric,
         )
 
+    def _cancelled(self) -> np.ndarray:
+        """Per-event boolean mask of the CANCELLED flag."""
+        return np.frombuffer(bytes(self._event_flags), dtype=np.uint8) & CANCELLED != 0
+
     def snapshot_instance(self) -> Instance:
         """Freeze the live state into a batch :class:`Instance`.
 
         Cancelled events keep their slot (ids are stable) with capacity
         0, so the snapshot's shape always matches the live id space.
         """
-        capacities = [
-            0 if e.cancelled else e.capacity for e in self._events
-        ]
+        capacities = np.array(self._event_capacity, dtype=np.int64)
+        capacities[self._cancelled()] = 0
         return Instance(
-            np.asarray(capacities, dtype=np.int64),
-            np.asarray([u.capacity for u in self._users], dtype=np.int64),
-            self.conflict_graph(range(len(self._events))),
+            capacities,
+            np.array(self._user_capacity, dtype=np.int64),
+            self.conflict_graph(range(self.n_events)),
             sims=self._sims_matrix(),
             validate=False,
         )
@@ -879,33 +917,40 @@ class ArrangementStore:
         instance = self.snapshot_instance()
         validate_arrangement(self.snapshot_arrangement(instance), instance)
         events, users = self.seats()
-        seated = np.bincount(events, minlength=self.n_events).tolist()
-        held = np.bincount(users, minlength=self.n_users).tolist()
-        for event, live in enumerate(self._events):
-            expected = live.capacity - seated[event]
-            if live.cancelled and seated[event]:
+        seated = np.bincount(events, minlength=self.n_events)
+        held = np.bincount(users, minlength=self.n_users)
+        cancelled = self._cancelled()
+        remaining = np.array(self._event_remaining, dtype=np.int64)
+        expected = np.array(self._event_capacity, dtype=np.int64) - seated
+        bad = np.flatnonzero((cancelled & (seated > 0)) | (remaining != expected))
+        if len(bad):
+            event = int(bad[0])
+            if cancelled[event] and seated[event]:
                 raise ServiceError(f"cancelled event {event} still holds seats")
-            if self._event_remaining[event] != expected:
-                raise ServiceError(
-                    f"event {event} remaining-capacity drift: "
-                    f"{self._event_remaining[event]} != {expected}"
-                )
-        for user in range(self.n_users):
-            expected = self._users[user].capacity - held[user]
-            if self._user_remaining[user] != expected:
-                raise ServiceError(
-                    f"user {user} remaining-capacity drift: "
-                    f"{self._user_remaining[user]} != {expected}"
-                )
-        if held != [len(events) for events in self._events_of_user]:
+            raise ServiceError(
+                f"event {event} remaining-capacity drift: "
+                f"{remaining[event]} != {expected[event]}"
+            )
+        remaining = np.array(self._user_remaining, dtype=np.int64)
+        expected = np.array(self._user_capacity, dtype=np.int64) - held
+        bad = np.flatnonzero(remaining != expected)
+        if len(bad):
+            user = int(bad[0])
+            raise ServiceError(
+                f"user {user} remaining-capacity drift: "
+                f"{remaining[user]} != {expected[user]}"
+            )
+        if held.tolist() != [len(events) for events in self._events_of_user]:
             raise ServiceError("assignment-count drift")
 
     def canonical_state(self) -> dict:
         """The full state as one canonical JSON-ready dict.
 
         Two stores are *the same state* iff their canonical dicts are
-        equal; :meth:`digest` hashes this dict, and the crash-recovery
-        tests compare digests across kill/replay boundaries.
+        equal. :meth:`digest` hashes the same content in its typed-buffer
+        form (:meth:`state_buffers`), so equal digests mean equal
+        canonical dicts; the dict is the readable form (and the payload
+        of read-only ``geacc-snapshot-v1`` files).
         """
         return {
             "config": self.config.to_json(),
@@ -913,73 +958,206 @@ class ArrangementStore:
             "requests_seen": self.requests_seen,
             "batches_committed": self.batches_committed,
             "events": [self.event_record(event) for event in range(self.n_events)],
-            "users": [self.user_record(user) for user in range(self.n_users)],
+            "users": [
+                {"capacity": capacity, "attributes": attributes}
+                for capacity, attributes in zip(
+                    self._user_capacity.tolist(), self._user_attrs_view().tolist()
+                )
+            ],
             "assignments": [[e, u] for e, u in self.pairs()],
             "event_remaining": self._event_remaining.tolist(),
             "user_remaining": self._user_remaining.tolist(),
         }
 
+    def state_buffers(self) -> list[np.ndarray]:
+        """The state as typed buffers, in :data:`STATE_BUFFERS` order.
+
+        Capacities, attributes (``(n, d)``) and lifecycle flags by id;
+        every conflict edge once as an ``(a, b)`` row with ``a < b``, rows
+        ascending; the seats as ``(event, user)`` rows in
+        :func:`~repro.core.model.seat_order`; then the remaining
+        capacities. Together with :meth:`state_header` that is exactly
+        what :meth:`canonical_state` holds. Arrays may be views of live
+        buffers: use them before the next mutation.
+        """
+        pairs = np.array(self._conflict_pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        arrays = (
+            np.array(self._event_capacity, dtype=np.int64),
+            self._event_attrs_view(),
+            np.frombuffer(bytes(self._event_flags), dtype=np.uint8),
+            pairs,
+            np.array(self._user_capacity, dtype=np.int64),
+            self._user_attrs_view(),
+            np.stack(seat_order(*self.seats()), axis=1),
+            np.array(self._event_remaining, dtype=np.int64),
+            np.array(self._user_remaining, dtype=np.int64),
+        )
+        return [
+            np.ascontiguousarray(buf, dtype=dtype)
+            for buf, (_, dtype) in zip(arrays, STATE_BUFFERS)
+        ]
+
+    def state_header(self, buffers: list[np.ndarray]) -> dict:
+        """Config, counters and each buffer's ``[name, dtype, shape]``:
+        what :func:`buffers_digest` hashes ahead of ``buffers``."""
+        return {
+            "config": self.config.to_json(),
+            "seq": self.seq,
+            "requests_seen": self.requests_seen,
+            "batches_committed": self.batches_committed,
+            "buffers": [
+                [name, dtype, list(buf.shape)]
+                for (name, dtype), buf in zip(STATE_BUFFERS, buffers)
+            ],
+        }
+
+    def digest(self) -> str:
+        """SHA-256 over :meth:`state_header` and :meth:`state_buffers`.
+
+        One hash pass over arrays the store already keeps, stable across
+        processes; equal digests iff equal :meth:`canonical_state`.
+        """
+        buffers = self.state_buffers()
+        return buffers_digest(self.state_header(buffers), buffers)
+
+    @classmethod
+    def from_buffers(
+        cls, config: StoreConfig, counters: dict, buffers: list[np.ndarray]
+    ) -> "ArrangementStore":
+        """Rebuild a store from :meth:`state_buffers`-shaped arrays.
+
+        The inverse of :meth:`state_buffers`, with ``counters`` holding
+        ``seq``, ``requests_seen`` and ``batches_committed``. Structural
+        checks run first: shapes agree with each other and with the
+        config, ids are in range, conflict edges and seats are strictly
+        ascending (so none appears twice), flags hold only FROZEN and
+        CANCELLED bits, capacities are non-negative, and each remaining
+        capacity is its capacity minus its seats.
+
+        Raises:
+            ServiceError: On the first failed check -- the buffers
+                describe no state this class can produce.
+        """
+        (
+            event_capacity, event_attributes, flags, conflicts,
+            user_capacity, user_attributes, seats, event_remaining, user_remaining,
+        ) = buffers
+        n_events, n_users = _length(event_capacity), _length(user_capacity)
+        expected_shapes = (
+            (n_events,), (n_events, config.dimension), (n_events,), (_length(conflicts), 2),
+            (n_users,), (n_users, config.dimension), (_length(seats), 2),
+            (n_events,), (n_users,),
+        )
+        for (name, _), buf, shape in zip(STATE_BUFFERS, buffers, expected_shapes):
+            if buf.shape != shape:
+                raise ServiceError(f"state buffer {name} has shape {buf.shape}, expected {shape}")
+        for name in ("seq", "requests_seen", "batches_committed"):
+            if not is_int(counters.get(name)) or counters[name] < 0:
+                raise ServiceError(f"counter {name} is {counters.get(name)!r}, not a count")
+        if (event_capacity < 0).any() or (user_capacity < 0).any():
+            raise ServiceError("negative capacity")
+        if (flags > FROZEN | CANCELLED).any():
+            raise ServiceError(f"event flags {sorted(set(flags.tolist()))} outside 0..3")
+        low, high = conflicts[:, 0], conflicts[:, 1]
+        if ((low < 0) | (low >= high) | (high >= n_events)).any():
+            raise ServiceError("conflict edge out of range or not (a < b)")
+        if (np.diff(low * n_events + high) <= 0).any():
+            raise ServiceError("conflict edges repeat or are out of order")
+        seat_events, seat_users = seats[:, 0], seats[:, 1]
+        if (
+            (seat_events < 0) | (seat_events >= n_events)
+            | (seat_users < 0) | (seat_users >= n_users)
+        ).any():
+            raise ServiceError("seat references an unknown event or user")
+        if (np.diff(seat_events * n_users + seat_users) <= 0).any():
+            raise ServiceError("duplicate seat, or seats out of order")
+        if not (
+            np.array_equal(
+                event_remaining,
+                event_capacity - np.bincount(seat_events, minlength=n_events),
+            )
+            and np.array_equal(
+                user_remaining,
+                user_capacity - np.bincount(seat_users, minlength=n_users),
+            )
+        ):
+            raise ServiceError("remaining-capacity fields disagree with the seats")
+
+        store = cls(config)
+        store.seq = counters["seq"]
+        store.requests_seen = counters["requests_seen"]
+        store.batches_committed = counters["batches_committed"]
+        store._event_capacity = _int_array(event_capacity)
+        store._event_flags = bytearray(flags.tobytes())
+        store._conflicts = [set() for _ in range(n_events)]
+        for a, b in zip(low.tolist(), high.tolist()):
+            store._conflicts[a].add(b)
+            store._conflicts[b].add(a)
+        store._conflict_pairs = _int_array(conflicts)
+        store._user_capacity = _int_array(user_capacity)
+        store._event_attrs_buf = np.array(event_attributes, dtype=np.float64)
+        store._user_attrs_buf = np.array(user_attributes, dtype=np.float64)
+        store._seat_events = _int_array(seat_events)
+        store._seat_users = _int_array(seat_users)
+        store._events_of_user = [{} for _ in range(n_users)]
+        for at, event, user in zip(
+            range(len(seats)), seat_events.tolist(), seat_users.tolist()
+        ):
+            store._events_of_user[user][event] = at
+        store._event_remaining = _int_array(event_remaining)
+        store._user_remaining = _int_array(user_remaining)
+        return store
+
     @classmethod
     def from_canonical(cls, state: dict) -> "ArrangementStore":
         """Rebuild a store from a :meth:`canonical_state` dict.
 
-        The inverse of :meth:`canonical_state`, used by the snapshot
-        layer: entities and assignments are reconstructed directly (no
-        journal records re-applied), then the O(1) remaining-capacity
-        counters are cross-checked against the snapshot's own -- any
-        drift means the payload does not describe a state this class can
-        produce.
+        Reads a ``geacc-snapshot-v1`` payload: the dict is converted to
+        :meth:`state_buffers` form and goes through
+        :meth:`from_buffers` and its checks.
 
         Raises:
             ServiceError: On a structurally malformed or internally
                 inconsistent canonical payload.
         """
         try:
-            store = cls(StoreConfig.from_json(state["config"]))
-            store.seq = int(state["seq"])
-            store.requests_seen = int(state["requests_seen"])
-            store.batches_committed = int(state["batches_committed"])
-            for entry in state["events"]:
-                store._append_event(
-                    _LiveEvent(
-                        capacity=int(entry["capacity"]),
-                        attributes=tuple(float(x) for x in entry["attributes"]),
-                        frozen=bool(entry["frozen"]),
-                        cancelled=bool(entry["cancelled"]),
-                        conflicts={int(v) for v in entry["conflicts"]},
-                    )
-                )
-            for entry in state["users"]:
-                store._append_user(
-                    _LiveUser(
-                        capacity=int(entry["capacity"]),
-                        attributes=tuple(float(x) for x in entry["attributes"]),
-                    )
-                )
-            for pair in state["assignments"]:
-                event, user = (int(pair[0]), int(pair[1]))
-                if not (0 <= event < store.n_events and 0 <= user < store.n_users):
-                    raise ValueError(f"assignment ({event}, {user}) out of range")
-                if event in store._events_of_user[user]:
-                    raise ValueError(f"duplicate assignment ({event}, {user})")
-                store._assign(event, user)
-            expected_event = [int(v) for v in state["event_remaining"]]
-            expected_user = [int(v) for v in state["user_remaining"]]
+            config = StoreConfig.from_json(state["config"])
+            events, users = state["events"], state["users"]
+            buffers = [
+                np.array([int(e["capacity"]) for e in events], dtype=np.int64),
+                _attributes(events, config.dimension),
+                np.array(
+                    [
+                        FROZEN * bool(e["frozen"]) | CANCELLED * bool(e["cancelled"])
+                        for e in events
+                    ],
+                    dtype=np.uint8,
+                ),
+                np.array(
+                    [
+                        (a, b)
+                        for a, e in enumerate(events)
+                        for b in sorted(int(v) for v in e["conflicts"])
+                        if a < b
+                    ],
+                    dtype=np.int64,
+                ).reshape(-1, 2),
+                np.array([int(u["capacity"]) for u in users], dtype=np.int64),
+                _attributes(users, config.dimension),
+                np.array(
+                    [(int(e), int(u)) for e, u in state["assignments"]], dtype=np.int64
+                ).reshape(-1, 2),
+                np.array([int(v) for v in state["event_remaining"]], dtype=np.int64),
+                np.array([int(v) for v in state["user_remaining"]], dtype=np.int64),
+            ]
+            counters = {
+                name: int(state[name])
+                for name in ("seq", "requests_seen", "batches_committed")
+            }
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed canonical state: {exc}") from exc
-        if (
-            store._event_remaining.tolist() != expected_event
-            or store._user_remaining.tolist() != expected_user
-        ):
-            raise ServiceError(
-                "canonical state is internally inconsistent: remaining-capacity "
-                "fields disagree with the assignment list"
-            )
-        return store
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical state (stable across processes)."""
-        return canonical_digest(self.canonical_state())
+        return cls.from_buffers(config, counters, buffers)
 
     def arrangement_state(self) -> dict:
         """Canonical state minus the journal counters.

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.model import Arrangement
+from repro.core.model import Arrangement, Instance
 from repro.core.validation import is_feasible
 from tests.property.strategies import tiny_instances
 
@@ -80,3 +80,35 @@ def test_can_add_iff_add_stays_feasible(instance):
             actually_feasible = is_feasible(arrangement)
             arrangement.remove(v, u)
             assert predicted == actually_feasible
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**16),
+    st.integers(1, 6),
+    st.integers(1, 9),
+    st.integers(1, 4),
+    st.sampled_from(["euclidean", "cosine", "dot"]),
+    st.integers(0, 30),
+)
+def test_lazy_sims_of_is_bitwise_sim(seed, n_events, n_users, d, metric, n_pairs):
+    """Without a matrix, ``sims_of`` equals ``[sim(e, u) ...]`` bit for bit
+    on every metric, pairs in any order and repeated."""
+    rng = np.random.default_rng(seed)
+    events_attrs = rng.uniform(0, 10, (n_events, d))
+    events_attrs[rng.random(n_events) < 0.2] = 0.0  # zero vectors (cosine)
+    instance = Instance(
+        np.ones(n_events, dtype=np.int64),
+        np.ones(n_users, dtype=np.int64),
+        event_attributes=events_attrs,
+        user_attributes=rng.uniform(0, 10, (n_users, d)),
+        t=10.0,
+        metric=metric,
+    )
+    events = rng.integers(0, n_events, n_pairs)
+    users = rng.integers(0, n_users, n_pairs)
+    got = instance.sims_of(events, users)
+    assert instance._sims is None  # still matrix-free
+    expected = np.array([instance.sim(e, u) for e, u in zip(events.tolist(), users.tolist())])
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()

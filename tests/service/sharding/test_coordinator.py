@@ -141,6 +141,19 @@ def test_open_creates_then_recovers(tmp_path: Path) -> None:
         ShardCoordinator.open(tmp_path / "nowhere", threaded=False)
 
 
+def test_fleet_recovery_reports_its_timings(tmp_path: Path) -> None:
+    root = tmp_path / "fleet"
+    with ShardCoordinator.open(root, CONFIG, 2, threaded=False) as coordinator:
+        populate(coordinator)
+    with ShardCoordinator.open(root, threaded=False) as coordinator:
+        summary = coordinator.state_summary()
+    fleet = summary["last_recovery"]
+    assert set(fleet) == {"rung", "snapshot_ms", "replay_ms"}
+    rows = [row["last_recovery"] for row in summary["sharding"]["per_shard"]]
+    for recovery in (fleet, *rows):
+        assert recovery["snapshot_ms"] >= 0 and recovery["replay_ms"] >= 0
+
+
 def test_open_refuses_a_shard_count_the_manifest_disagrees_with(
     tmp_path: Path,
 ) -> None:

@@ -1,14 +1,19 @@
 """Snapshots + compaction + the recovery degradation ladder."""
 
 import json
+import math
+import shutil
+import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exceptions import JournalError, ServiceError, SnapshotError
 from repro.service.journal import Journal, replay
 from repro.service.snapshot import (
+    SNAPSHOT_FORMAT,
     CompactionStats,
     compact,
     list_snapshots,
@@ -17,7 +22,12 @@ from repro.service.snapshot import (
     snapshot_path,
     write_snapshot,
 )
-from repro.service.store import ArrangementStore, StoreConfig
+from repro.service.store import (
+    STATE_BUFFERS,
+    ArrangementStore,
+    StoreConfig,
+    canonical_json,
+)
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
 
@@ -61,16 +71,23 @@ def test_write_load_roundtrip(tmp_path: Path) -> None:
     restored.check_invariants()
 
 
-def test_snapshot_is_two_complete_lines(tmp_path: Path) -> None:
+def test_snapshot_is_a_header_line_and_a_buffer_body(tmp_path: Path) -> None:
     journal, store = build(tmp_path / "j.jsonl")
     with journal:
         path = write_snapshot(store, tmp_path / "snaps")
-    blob = path.read_bytes()
-    assert blob.endswith(b"\n")
-    header = json.loads(blob.split(b"\n")[0])
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    assert header["format"] == SNAPSHOT_FORMAT == "geacc-snapshot-v2"
     assert header["seq"] == store.seq
     assert header["digest"] == store.digest()
-    assert header["crc32"] == zlib.crc32(blob.split(b"\n")[1])
+    assert header["crc32"] == zlib.crc32(body)
+    buffers = store.state_buffers()
+    assert header["buffers"] == [
+        [name, dtype, list(buf.shape)] for (name, dtype), buf in zip(STATE_BUFFERS, buffers)
+    ]
+    assert body == b"".join(buf.tobytes() for buf in buffers)
+    # Little-endian, C order: the first buffer is the event capacities.
+    assert body[:16] == (2).to_bytes(8, "little") + (1).to_bytes(8, "little")
 
 
 def test_truncated_snapshot_is_rejected(tmp_path: Path) -> None:
@@ -97,19 +114,21 @@ def test_bit_flip_fails_the_crc(tmp_path: Path) -> None:
 
 def test_tampered_payload_with_fixed_crc_fails_the_digest(tmp_path: Path) -> None:
     # An adversarial (or buggy) writer can recompute the CRC; the
-    # canonical digest is the end-to-end check it cannot fake without
-    # also producing a semantically different store.
+    # digest is the end-to-end check it cannot fake without also
+    # producing a semantically different store.
     journal, store = build(tmp_path / "j.jsonl")
     with journal:
         path = write_snapshot(store, tmp_path / "snaps")
-    header_line, payload, _ = path.read_bytes().split(b"\n")
-    tampered = payload.replace(b"2.0", b"2.5")
-    assert tampered != payload
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    # The first event's first attribute: after the two event capacities.
+    at = 16
+    assert struct.unpack_from("<d", body, at) == (1.0,)
+    tampered = body[:at] + struct.pack("<d", 1.5) + body[at + 8 :]
     header = json.loads(header_line)
     header["crc32"] = zlib.crc32(tampered)
     path.write_bytes(
         json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        + b"\n" + tampered + b"\n"
+        + b"\n" + tampered
     )
     with pytest.raises(SnapshotError, match="digest"):
         load_snapshot(path)
@@ -118,7 +137,7 @@ def test_tampered_payload_with_fixed_crc_fails_the_digest(tmp_path: Path) -> Non
 def test_foreign_format_is_rejected(tmp_path: Path) -> None:
     path = tmp_path / "snapshot-000000000001.json"
     path.write_bytes(b'{"format":"other"}\n{}\n')
-    with pytest.raises(SnapshotError, match="geacc-snapshot-v1"):
+    with pytest.raises(SnapshotError, match="not a geacc-snapshot-v2 snapshot"):
         load_snapshot(path)
 
 
@@ -369,3 +388,173 @@ def test_snapshot_only_recovery_rewrites_the_journal(tmp_path: Path) -> None:
     recovered, _, report = recover_state(path, snaps)
     assert report.rung == "snapshot+tail"
     assert recovered == store
+
+
+def test_recovery_report_times_each_rung(tmp_path: Path) -> None:
+    path, snaps, _ = compacted_world(tmp_path)
+    _, _, report = recover_state(path, snaps)
+    assert report.rung == "snapshot+tail"
+    fields = report.to_json()
+    assert fields["snapshot_ms"] >= 0 and fields["replay_ms"] >= 0
+    full = tmp_path / "full"
+    full.mkdir()
+    journal, _ = build(full / "j.jsonl")
+    journal.close()
+    _, _, report = recover_state(full / "j.jsonl", full / "snaps")
+    assert report.rung == "full-replay"
+    assert report.to_json()["snapshot_ms"] >= 0 and report.to_json()["replay_ms"] >= 0
+
+
+# ----------------------------------------------------------------------
+# Read-only v1 snapshots
+# ----------------------------------------------------------------------
+
+#: A journal compacted at seq 11 against a ``geacc-snapshot-v1`` file
+#: (written by the JSON snapshot writer this codec replaced), its
+#: 3-record tail, and the canonical state both recover to.
+V1_FIXTURE = Path(__file__).parent / "data" / "v1_snapshot"
+
+
+def test_v1_snapshot_recovers_and_next_compaction_writes_v2(tmp_path: Path) -> None:
+    root = tmp_path / "v1"
+    shutil.copytree(V1_FIXTURE, root)
+    path, snaps = root / "journal.jsonl", root / "snapshots"
+    expected = json.loads((root / "expected_state.json").read_bytes())
+    v1_header = json.loads(snapshot_path(snaps, 11).read_bytes().split(b"\n")[0])
+    assert v1_header["format"] == "geacc-snapshot-v1"
+
+    store, _, report = recover_state(path, snaps)
+    assert report.rung == "snapshot+tail"
+    assert report.snapshot_seq == 11
+    assert report.records_replayed == 3
+    assert store.canonical_state() == expected
+    store.check_invariants()
+
+    journal, store = Journal.recover(path, snapshot_dir=snaps)
+    with journal:
+        compact(journal, store, snaps)
+    newest_seq, newest = list_snapshots(snaps)[0]
+    assert newest_seq == 14
+    assert json.loads(newest.read_bytes().split(b"\n", 1)[0])["format"] == SNAPSHOT_FORMAT
+    recovered, _, report = recover_state(path, snaps)
+    assert (report.rung, report.snapshot_seq) == ("snapshot+tail", 14)
+    assert recovered.canonical_state() == expected
+
+
+def test_tampered_v1_payload_with_fixed_crc_fails_the_digest(tmp_path: Path) -> None:
+    path = tmp_path / "snapshot-000000000011.json"
+    header_line, payload, _ = (
+        (V1_FIXTURE / "snapshots" / path.name).read_bytes().split(b"\n")
+    )
+    tampered = payload.replace(b"9.75", b"9.5")
+    assert tampered != payload
+    header = json.loads(header_line)
+    header["crc32"] = zlib.crc32(tampered)
+    path.write_bytes(canonical_json(header) + b"\n" + tampered + b"\n")
+    with pytest.raises(SnapshotError, match="digest"):
+        load_snapshot(path)
+
+
+# ----------------------------------------------------------------------
+# Malformed v2 bodies (each with a CRC that matches)
+# ----------------------------------------------------------------------
+
+
+def forge(path: Path, edit) -> None:
+    """Rewrite a v2 snapshot after ``edit(buffers)`` and re-fix its CRC.
+
+    ``buffers`` maps each buffer's name to a writable copy; the header's
+    declared shapes follow the edited arrays.
+    """
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    buffers, offset = {}, 0
+    for name, dtype, shape in header["buffers"]:
+        size = np.dtype(dtype).itemsize * math.prod(shape)
+        buffers[name] = np.frombuffer(body[offset : offset + size], dtype).reshape(shape).copy()
+        offset += size
+    edit(buffers)
+    header["buffers"] = [
+        [name, dtype, list(buffers[name].shape)] for name, dtype, _ in header["buffers"]
+    ]
+    body = b"".join(
+        np.ascontiguousarray(buffers[name], dtype=dtype).tobytes()
+        for name, dtype, _ in header["buffers"]
+    )
+    header["crc32"] = zlib.crc32(body)
+    path.write_bytes(canonical_json(header) + b"\n" + body)
+
+
+def _set(name: str, at: tuple, value: int):
+    def edit(buffers: dict) -> None:
+        buffers[name][at] = value
+    return edit
+
+
+def _duplicate_seat(buffers: dict) -> None:
+    buffers["seats"] = np.concatenate([buffers["seats"], buffers["seats"][:1]])
+
+
+def _longer_flags(buffers: dict) -> None:
+    buffers["event_flags"] = np.append(buffers["event_flags"], np.uint8(0))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("seats", (0, 1), 99), "unknown event or user"),
+        (_set("seats", (0, 0), -1), "unknown event or user"),
+        (_duplicate_seat, "duplicate seat"),
+        (_longer_flags, "shape"),
+        (_set("event_flags", (1,), 4), "flags"),
+        (_set("event_remaining", (0,), 0), "remaining-capacity"),
+        (_set("user_remaining", (2,), 0), "remaining-capacity"),
+        (_set("conflicts", (0, 1), 0), "conflict edge"),
+        (_set("user_capacity", (1,), -1), "negative capacity"),
+    ],
+    ids=[
+        "seat-out-of-range", "negative-seat", "duplicate-seat", "shape-mismatch",
+        "flag-4", "event-remaining", "user-remaining", "self-conflict", "negative-capacity",
+    ],
+)
+def test_malformed_v2_body_is_a_snapshot_error(tmp_path: Path, edit, message) -> None:
+    journal, store = build(tmp_path / "j.jsonl")
+    with journal:
+        path = write_snapshot(store, tmp_path / "snaps")
+    forge(path, edit)
+    with pytest.raises(SnapshotError, match=message):
+        load_snapshot(path)
+
+
+def test_truncated_v2_body_with_fixed_crc_is_torn(tmp_path: Path) -> None:
+    journal, store = build(tmp_path / "j.jsonl")
+    with journal:
+        path = write_snapshot(store, tmp_path / "snaps")
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["crc32"] = zlib.crc32(body[:-8])
+    path.write_bytes(canonical_json(header) + b"\n" + body[:-8])
+    with pytest.raises(SnapshotError, match="torn"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        None,
+        [["event_capacity", "<i8", [2]]],
+        [["event_capacity", ">i8", [2]]] + [["x", "<i8", [0]]] * 8,
+        [["event_capacity", "<i8", [-2]]] + [["x", "<i8", [0]]] * 8,
+    ],
+    ids=["missing", "short", "big-endian", "negative"],
+)
+def test_foreign_buffer_layout_is_rejected(tmp_path: Path, layout) -> None:
+    journal, store = build(tmp_path / "j.jsonl")
+    with journal:
+        path = write_snapshot(store, tmp_path / "snaps")
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["buffers"] = layout
+    path.write_bytes(canonical_json(header) + b"\n" + body)
+    with pytest.raises(SnapshotError, match="buffer layout"):
+        load_snapshot(path)
