@@ -9,13 +9,10 @@ from repro.analysis.rules.atomicio import AtomicIoRule
 from repro.analysis.rules.checkpoint import CheckpointInLoopRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.floats import FloatComparisonRule
-from repro.analysis.rules.fsync import FsyncBeforeAckRule
 from repro.analysis.rules.hygiene import ApiHygieneRule
-from repro.analysis.rules.journal import JournalBeforeMutateRule
 from repro.analysis.rules.netio import NetworkIoRule
 from repro.analysis.rules.ordering import OrderingSafetyRule
 from repro.analysis.rules.parallelism import ParallelismRule
-from repro.analysis.rules.shardaccess import ShardAccessRule
 from repro.analysis.rules.solver_registry import SolverRegistryRule
 from repro.analysis.rules.suppression import SuppressionHygieneRule
 from repro.analysis.rules.timeapi import TimeApiRule
@@ -30,11 +27,8 @@ __all__ = [
     "TimeApiRule",
     "ParallelismRule",
     "NetworkIoRule",
-    "JournalBeforeMutateRule",
     "CheckpointInLoopRule",
-    "FsyncBeforeAckRule",
     "SuppressionHygieneRule",
     "AtomicIoRule",
     "VectorLoopRule",
-    "ShardAccessRule",
 ]

@@ -22,21 +22,19 @@ The rule's scope is deliberately narrow and syntactic:
   somewhere in the loop body, nested loops included, nested function
   definitions excluded.
 
-This one is containment, not dataflow: "the loop body contains a
-checkpoint" is the contract ``docs/robustness.md`` states, and a
-fixpoint over paths would only blur it.
+This one is containment, not a path analysis: "the loop body contains
+a checkpoint" is the contract ``docs/robustness.md`` states.
 """
 
 from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
+from dataclasses import dataclass
 
-from repro.analysis.cfg import iter_expressions
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import ParsedModule
 from repro.analysis.registry import Rule, register_rule
-from repro.analysis.typestate import CallPattern
 
 #: Package directory containing the registered solvers.
 _SCOPE_DIR = "algorithms"
@@ -44,7 +42,57 @@ _SCOPE_DIR = "algorithms"
 #: Attributes whose use marks a method as budget-aware.
 _BUDGET_ATTRS = frozenset({"budget", "_budget"})
 
+
+@dataclass(frozen=True)
+class CallPattern:
+    """Name-based call recognition.
+
+    ``terminal`` must equal the last component of the callee's dotted
+    chain exactly; every token in ``chain`` must occur as a substring of
+    some *earlier* (lowercased) component.  Example::
+
+        CallPattern("checkpoint", frozenset({"budget"}))
+            matches  budget.checkpoint(...), self._budget.checkpoint(...)
+    """
+
+    terminal: str
+    chain: frozenset[str] = frozenset()
+
+    def matches(self, call: ast.Call) -> bool:
+        parts: list[str] = []
+        current: ast.expr = call.func
+        while isinstance(current, ast.Attribute):
+            parts.append(current.attr)
+            current = current.value
+        if isinstance(current, ast.Name):
+            parts.append(current.id)
+        elif parts and isinstance(current, (ast.Call, ast.Subscript)):
+            # f(...).checkpoint() / d[k].checkpoint(): chain tokens cannot
+            # be checked against the opaque base, but the terminal can.
+            pass
+        else:
+            return False
+        parts.reverse()
+        if parts[-1] != self.terminal:
+            return False
+        head = [part.lower() for part in parts[:-1]]
+        return all(any(token in part for part in head) for token in self.chain)
+
+
 _CHECKPOINT = CallPattern("checkpoint", frozenset({"budget"}))
+
+
+def iter_expressions(node: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``node`` without descending into nested function/class bodies."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is not node and isinstance(
+            current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+        ):
+            continue
+        yield current
+        stack.extend(ast.iter_child_nodes(current))
 
 
 def _is_budget_aware(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

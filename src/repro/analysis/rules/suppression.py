@@ -3,10 +3,10 @@
 A ``# geacc-lint: disable=Rn`` comment is a reviewed exception to an
 invariant this package exists to defend; without a recorded reason the
 review evaporates -- six months later nobody can tell a justified
-exception (replay applies records that are already durable) from a
-silenced bug.  So every directive must carry ``reason=<free text>``::
+exception (an integrality check that must compare floats exactly) from
+a silenced bug.  So every directive must carry ``reason=<free text>``::
 
-    store.apply(item)  # geacc-lint: disable=R9 reason=replay of durable records
+    if raw != np.floor(raw):  # geacc-lint: disable=R2 reason=floor is exact
 
 A bare directive still suppresses its rules (silencing is not held
 hostage to wording), but becomes a finding itself at the directive's

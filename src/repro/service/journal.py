@@ -630,10 +630,10 @@ def replay(
         else:
             assert isinstance(item, dict)
             if item["seq"] > store.seq:
-                # Replay folds records that are already durable -- the append
-                # this apply answers to happened in the process that wrote the
-                # journal, so the write-ahead order is satisfied by construction.
-                store.apply(item)  # geacc-lint: disable=R9 reason=replaying records already durable in this journal
+                # Replay folds records that are already durable: the append
+                # this apply answers to happened in the process that wrote
+                # the journal.
+                store.apply(item)
         durable = end_offset
     if store is None:
         raise JournalError(f"{path}: journal holds no durable header")

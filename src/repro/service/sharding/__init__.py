@@ -22,9 +22,11 @@ graph (``docs/service.md``, "Sharding"). Three pieces, plus a file layout:
 partition-respecting universes the scaling benchmarks and equivalence
 tests drive.
 
-This package is the *only* sanctioned doorway into a shard's internals:
-lint rule R16 flags any outside code reaching through a coordinator
-into per-shard stores, journals or engines.
+This package is the *only* doorway into a shard's internals: the
+coordinator keeps its per-shard services private (``_shards``) and no
+public attribute of it holds a service, store or journal
+(``tests/service/sharding/test_coordinator.py``), so outside code can
+only reach a shard through the coordinator's command methods.
 """
 
 from repro.service.sharding.coordinator import (

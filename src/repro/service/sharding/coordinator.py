@@ -109,7 +109,7 @@ class ShardCoordinator:
     ) -> None:
         self.root = root
         self.manifest = manifest
-        self.shards = shards
+        self._shards = shards
         self.partitioner = ConflictPartitioner()
         # Every table is keyed by kind ("event" / "user").
         #: Global id -> owning shard (dense; rebalance rewrites in place).
@@ -295,7 +295,7 @@ class ShardCoordinator:
         local_conflicts: list[int],
     ) -> None:
         """Post global event ``gid`` on ``shard`` and mark the shard dirty."""
-        service = self.shards[shard]
+        service = self._shards[shard]
         local = service.post_event(capacity, attributes, local_conflicts)
         self._bind("event", shard, gid, local)
         service.engine.mark_dirty()
@@ -327,14 +327,14 @@ class ShardCoordinator:
                 continue
             gid = int(entry["gid"])
             shard = int(entry["shard"])
-            if not 0 <= shard < len(self.shards):
+            if not 0 <= shard < len(self._shards):
                 raise JournalError(
                     f"manifest routes {kind} {gid} to unknown shard {shard}"
                 )
             owner = self._owner[kind]
             if gid != len(owner):
                 raise JournalError(f"manifest {kind} gids out of order at {gid}")
-            store = self.shards[shard].store
+            store = self._shards[shard].store
             local = len(self._gids[kind][shard])
             if local >= (store.n_events if kind == "event" else store.n_users):
                 # The crash hit between the manifest append and the
@@ -352,7 +352,7 @@ class ShardCoordinator:
             if kind == "event":
                 self.partitioner.add_event(gid)
             kept.append(entry)
-        for shard, service in enumerate(self.shards):
+        for shard, service in enumerate(self._shards):
             events, users = (len(self._gids[kind][shard]) for kind in KINDS)
             store = service.store
             if (events, users) != (store.n_events, store.n_users):
@@ -365,7 +365,7 @@ class ShardCoordinator:
             self.manifest.rewrite(kept)
         # Conflict edges are not in the manifest; rebuild them from the
         # live shard stores (every edge is intra-shard by construction).
-        for shard, service in enumerate(self.shards):
+        for shard, service in enumerate(self._shards):
             gids = self._gids["event"][shard]
             for gid, local in sorted(self._local["event"][shard].items()):
                 self.partitioner.add_edges(
@@ -401,7 +401,7 @@ class ShardCoordinator:
         every seat, and the now seatless users.
         """
         target_id = int(entry["target"])
-        target = self.shards[target_id]
+        target = self._shards[target_id]
         next_event = int(entry["target_events_before"])
         next_user = int(entry["target_users_before"])
         if next_event > len(self._gids["event"][target_id]) or next_user > len(
@@ -413,7 +413,7 @@ class ShardCoordinator:
             )
         for move in entry["moves"]:
             source_id = int(move["shard"])
-            source = self.shards[source_id]
+            source = self._shards[source_id]
             posted: set[int] = set()
             for spec in move["events"]:
                 gid = int(spec["gid"])
@@ -503,10 +503,10 @@ class ShardCoordinator:
         first = self._local["user"][source].get(int(move["users"][0]["gid"]))
         if first is None:
             return True  # retired by this process
-        if self.shards[source].store.user_capacity(first) == 0:
+        if self._shards[source].store.user_capacity(first) == 0:
             return True  # retired before the crash
         event, user = move["assignments"][0]
-        seated = self.shards[target].store.users_of(
+        seated = self._shards[target].store.users_of(
             self._local_id("event", target, int(event))
         )
         return self._local_id("user", target, int(user)) in seated
@@ -529,7 +529,7 @@ class ShardCoordinator:
         """Hold the state locks of ``shards`` (ascending, so no deadlock)."""
         stack = ExitStack()
         for shard in sorted(shards):
-            stack.enter_context(self.shards[shard]._lock)
+            stack.enter_context(self._shards[shard]._lock)
         return stack
 
     def _check_open(self) -> None:
@@ -569,10 +569,10 @@ class ShardCoordinator:
                     target = shards[0]
             else:
                 target = min(
-                    range(len(self.shards)),
+                    range(len(self._shards)),
                     key=lambda s: (len(self._local["event"][s]), s),
                 )
-            service = self.shards[target]
+            service = self._shards[target]
             gid = len(owner)
             local_conflicts = [
                 self._local_id("event", target, g) for g in conflict_gids
@@ -605,14 +605,14 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             attributes = as_vector(attributes)
-            with self.shards[0]._lock:
-                self.shards[0].store.validate_command(
+            with self._shards[0]._lock:
+                self._shards[0].store.validate_command(
                     CMD_REGISTER_USER,
                     {"capacity": capacity, "attributes": attributes},
                 )
             attrs = tuple(float(x) for x in attributes)
             scores = []
-            for service in self.shards:
+            for service in self._shards:
                 with service._lock:
                     scores.append(service.store.best_similarity(attrs))
             best = max(scores)
@@ -622,7 +622,7 @@ class ShardCoordinator:
             )
             gid = len(self._owner["user"])
             self.manifest.append("user", {"gid": gid, "shard": target})
-            local = self.shards[target].register_user(capacity, attributes)
+            local = self._shards[target].register_user(capacity, attributes)
             self._bind("user", target, gid, local)
             self._owner["user"].append(target)
             return gid
@@ -647,7 +647,7 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             shard = self._shard_of("user", user)
-            service = self.shards[shard]
+            service = self._shards[shard]
             request = service.request_assignment(
                 self._local_id("user", shard, user), wait=False
             )
@@ -656,7 +656,7 @@ class ShardCoordinator:
             stale = (
                 []
                 if self._threaded
-                else [s for s in self.shards if s is not service and s.engine.dirty]
+                else [s for s in self._shards if s is not service and s.engine.dirty]
             )
         if not self._threaded:
             for other in stale:
@@ -668,19 +668,19 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             shard = self._shard_of("event", event)
-            self.shards[shard].freeze_event(self._local_id("event", shard, event))
-            self.shards[shard].engine.mark_dirty()
+            self._shards[shard].freeze_event(self._local_id("event", shard, event))
+            self._shards[shard].engine.mark_dirty()
 
     def cancel_event(self, event: int) -> None:
         with self._lock:
             self._check_open()
             shard = self._shard_of("event", event)
-            self.shards[shard].cancel_event(self._local_id("event", shard, event))
-            self.shards[shard].engine.mark_dirty()
+            self._shards[shard].cancel_event(self._local_id("event", shard, event))
+            self._shards[shard].engine.mark_dirty()
 
     def run_pending_batch(self) -> int:
         """Drive one batch on every shard synchronously (tests, replay)."""
-        return sum(service.run_pending_batch() for service in self.shards)
+        return sum(service.run_pending_batch() for service in self._shards)
 
     # ------------------------------------------------------------------
     # Rebalancing (the one cross-shard mutation)
@@ -705,7 +705,7 @@ class ShardCoordinator:
             involved[shard] = involved.get(shard, 0) + len(members[comp])
         target = max(sorted(involved), key=lambda s: involved[s])
         for shard in sorted(involved):
-            self.shards[shard].run_pending_batch()
+            self._shards[shard].run_pending_batch()
         with self._shard_locks(involved):
             moves = []
             for comp in sorted(components):
@@ -749,7 +749,7 @@ class ShardCoordinator:
         moving events and they hold at least one; capacity they may have
         on other shards' user records is unaffected.
         """
-        store = self.shards[shard].store
+        store = self._shards[shard].store
         event_gids_of = self._gids["event"][shard]
         user_gids_of = self._gids["user"][shard]
         moving = set(event_gids)
@@ -787,7 +787,7 @@ class ShardCoordinator:
         with self._lock:
             self._check_open()
             return ShardedCompactionStats(
-                [service.compact() for service in self.shards]
+                [service.compact() for service in self._shards]
             )
 
     def _crash_after_snapshot(self) -> None:
@@ -796,7 +796,7 @@ class ShardCoordinator:
         The process dies between the snapshot write and the journal trim
         (``geacc serve --crash-after-snapshot``, smoke scenario B).
         """
-        for service in self.shards:
+        for service in self._shards:
             service._crash_after_snapshot = True
 
     # ------------------------------------------------------------------
@@ -807,13 +807,13 @@ class ShardCoordinator:
     def seq(self) -> int:
         """Total journal sequence across shards."""
         with self._lock:
-            return sum(service.seq for service in self.shards)
+            return sum(service.seq for service in self._shards)
 
     def assignments_of(self, user: int) -> tuple[int, ...]:
         """The user's standing events, as sorted global ids."""
         with self._lock:
             shard = self._shard_of("user", user)
-            service = self.shards[shard]
+            service = self._shards[shard]
             gids = self._gids["event"][shard]
             with service._lock:
                 local = self._local_id("user", shard, user)
@@ -829,7 +829,7 @@ class ShardCoordinator:
                     "retired_events": self._retired["event"][shard],
                     "retired_users": self._retired["user"][shard],
                 }
-                for shard, service in enumerate(self.shards)
+                for shard, service in enumerate(self._shards)
             ]
             sizes = self.partitioner.component_sizes()
             # A recovered fleet reports its slowest shard's ladder rung and
@@ -862,7 +862,7 @@ class ShardCoordinator:
                     else None
                 ),
                 "sharding": {
-                    "shards": len(self.shards),
+                    "shards": len(self._shards),
                     "components": len(sizes),
                     "component_sizes": sorted(sizes.values(), reverse=True),
                     "merges": self.partitioner.merges,
@@ -886,11 +886,11 @@ class ShardCoordinator:
         across sharded and unsharded runs is the sharding equivalence
         contract.
         """
-        with self._lock, self._shard_locks(range(len(self.shards))):
+        with self._lock, self._shard_locks(range(len(self._shards))):
             events = []
             event_remaining = []
             for gid, shard in enumerate(self._owner["event"]):
-                store = self.shards[shard].store
+                store = self._shards[shard].store
                 gids = self._gids["event"][shard]
                 local = self._local_id("event", shard, gid)
                 record = store.event_record(local)
@@ -902,13 +902,13 @@ class ShardCoordinator:
             users = []
             user_remaining = []
             for gid, shard in enumerate(self._owner["user"]):
-                store = self.shards[shard].store
+                store = self._shards[shard].store
                 local = self._local_id("user", shard, gid)
                 users.append(store.user_record(local))
                 user_remaining.append(store.user_remaining(local))
             assignments = sorted(
                 (self._gids["event"][shard][e], self._gids["user"][shard][u])
-                for shard, service in enumerate(self.shards)
+                for shard, service in enumerate(self._shards)
                 for e, u in service.store.pairs()
             )
             return {
@@ -927,7 +927,7 @@ class ShardCoordinator:
     def check_invariants(self) -> None:
         """Per-shard invariants plus the cross-shard routing contract."""
         with self._lock:
-            for shard, service in enumerate(self.shards):
+            for shard, service in enumerate(self._shards):
                 service.check_invariants()
                 store = service.store
                 for kind, n_local in (
@@ -980,7 +980,7 @@ class ShardCoordinator:
         """Stop every shard (flushing final batches) and the manifest."""
         if self._closed:
             return
-        for service in self.shards:
+        for service in self._shards:
             service.close()
         with self._lock:
             self._closed = True
@@ -994,7 +994,7 @@ class ShardCoordinator:
 
     def __repr__(self) -> str:
         return (
-            f"ShardCoordinator({self.root}, shards={len(self.shards)}, "
+            f"ShardCoordinator({self.root}, shards={len(self._shards)}, "
             f"events={len(self._owner['event'])}, "
             f"users={len(self._owner['user'])})"
         )

@@ -5,8 +5,8 @@ snapshot -- exactly what a long-lived service cannot use, because events
 and users keep arriving. :class:`ArrangementStore` is the mutable
 counterpart: events and users are appended by journaled commands, the
 conflict set grows edge-by-edge, and the standing arrangement is edited
-through O(1) :class:`Delta` objects that the micro-batch engine can
-apply and revert without rebuilding anything.
+by ``commit_batch`` records, each an O(1)-per-pair :class:`Delta` the
+micro-batch engine solved.
 
 The store is also the single source of truth for recovery: it is a pure
 state machine over journal records (:meth:`ArrangementStore.apply`), so
@@ -193,9 +193,9 @@ class StoreConfig:
 class Delta:
     """One micro-batch's arrangement edit: unassigns, then assigns.
 
-    Both lists hold ``(event, user)`` pairs. Application cost is O(1)
-    per pair (set insert/remove + counter bump); :meth:`reverse` gives
-    the exact inverse delta, so a failed batch can be rolled back
+    Both lists hold ``(event, user)`` pairs. The store applies one as a
+    ``commit_batch`` record at O(1) per pair (seat insert/remove plus a
+    counter bump) and rolls a batch that fails midway back pair by pair,
     without snapshotting the store.
     """
 
@@ -204,10 +204,6 @@ class Delta:
 
     def __bool__(self) -> bool:
         return bool(self.assigns or self.unassigns)
-
-    def reverse(self) -> "Delta":
-        """The inverse edit (applying both is a no-op)."""
-        return Delta(assigns=self.unassigns, unassigns=self.assigns)
 
     def to_json(self) -> dict:
         return {
@@ -270,13 +266,16 @@ def _attributes(entries: list, dimension: int) -> np.ndarray:
 class ArrangementStore:
     """Live GEACC state: entities, conflicts, assignments, capacities.
 
-    All mutation goes through :meth:`apply` (a journal record in, a
-    state transition out) or :meth:`apply_delta` / :meth:`revert_delta`
-    for the engine's batch edits. Validation of *inputs* happens before
-    journaling (:meth:`validate_command`); :meth:`apply` assumes the
-    record was accepted and raises :class:`JournalError` if a replayed
-    record no longer fits the state -- that means the journal is corrupt,
-    not merely that a client sent garbage.
+    :meth:`apply` is the one mutator: a journal record in, a state
+    transition out, the engine's batch edits included (``commit_batch``
+    records). Inside ``repro`` it runs at two places only: the service's
+    write-ahead spine, right after the record is fsync'd
+    (:meth:`~repro.service.frontend.ArrangementService._journal_and_apply`),
+    and :func:`~repro.service.journal.replay`. Validation of *inputs*
+    happens before journaling (:meth:`validate_command`); :meth:`apply`
+    assumes the record was accepted and raises :class:`JournalError` if a
+    replayed record no longer fits the state -- that means the journal is
+    corrupt, not merely that a client sent garbage.
     """
 
     def __init__(self, config: StoreConfig) -> None:
@@ -748,7 +747,7 @@ class ArrangementStore:
 
     def _apply_commit_batch(self, record: dict) -> None:
         delta = Delta.from_json(record)
-        self.apply_delta(delta, _strict=JournalError)
+        self._apply_delta(delta)
         self.batches_committed += 1
         self.changes.events.update(e for e, _ in delta.assigns)
         self.changes.events.update(e for e, _ in delta.unassigns)
@@ -793,35 +792,31 @@ class ArrangementStore:
         self._user_capacity[user] = 0
         self._user_remaining[user] = 0
 
-    # ------------------------------------------------------------------
-    # O(1) delta application (the engine's edit path)
-    # ------------------------------------------------------------------
-
-    def apply_delta(
-        self, delta: Delta, _strict: type[Exception] = ServiceError
-    ) -> None:
-        """Apply ``delta`` (unassigns first); each pair edit is O(1).
+    def _apply_delta(self, delta: Delta) -> None:
+        """Apply a ``commit_batch`` delta (unassigns first), O(1) per pair.
 
         Every edit must target an *open* event; assigns must pass the
         full :meth:`can_assign` guard minus the sim check (the engine
         guarantees sim > 0 by construction; replay trusts the journal
-        and the invariant checker re-certifies afterwards).
+        and the invariant checker re-certifies afterwards). A pair that
+        does not fit raises :class:`JournalError` after the pairs before
+        it are rolled back, so the store never holds a half-applied batch.
         """
         applied_un: list[tuple[int, int]] = []
         applied_as: list[tuple[int, int]] = []
         try:
             for event, user in delta.unassigns:
                 if not (0 <= event < self.n_events and 0 <= user < self.n_users):
-                    raise _strict(f"delta references unknown pair ({event}, {user})")
+                    raise JournalError(f"delta references unknown pair ({event}, {user})")
                 if not self.is_open(event):
-                    raise _strict(f"delta edits non-open event {event}")
+                    raise JournalError(f"delta edits non-open event {event}")
                 if event not in self._events_of_user[user]:
-                    raise _strict(f"delta unassigns unmatched pair ({event}, {user})")
+                    raise JournalError(f"delta unassigns unmatched pair ({event}, {user})")
                 self._unassign(event, user)
                 applied_un.append((event, user))
             for event, user in delta.assigns:
                 if not (0 <= event < self.n_events and 0 <= user < self.n_users):
-                    raise _strict(f"delta references unknown pair ({event}, {user})")
+                    raise JournalError(f"delta references unknown pair ({event}, {user})")
                 if (
                     not self.is_open(event)
                     or self._event_remaining[event] <= 0
@@ -829,21 +824,15 @@ class ArrangementStore:
                     or event in self._events_of_user[user]
                     or self.conflicts_with_any(event, self._events_of_user[user])
                 ):
-                    raise _strict(f"delta assign ({event}, {user}) is infeasible")
+                    raise JournalError(f"delta assign ({event}, {user}) is infeasible")
                 self._assign(event, user)
                 applied_as.append((event, user))
         except Exception:
-            # Roll the partial application back so the store never holds
-            # a half-applied batch.
             for event, user in reversed(applied_as):
                 self._unassign(event, user)
             for event, user in reversed(applied_un):
                 self._assign(event, user)
             raise
-
-    def revert_delta(self, delta: Delta) -> None:
-        """Undo a previously applied delta (O(1) per pair)."""
-        self.apply_delta(delta.reverse())
 
     def _assign(self, event: int, user: int) -> None:
         self._events_of_user[user][event] = len(self._seat_events)

@@ -67,7 +67,7 @@ def test_rule_table_is_complete() -> None:
     load_rules()
     assert set(RULES) == {
         "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-        "R9", "R11", "R12", "R13", "R14", "R15", "R16",
+        "R11", "R13", "R14", "R15",
     }
     for rule_id, cls in RULES.items():
         assert cls.rule_id == rule_id
@@ -78,8 +78,8 @@ def test_rule_table_is_complete() -> None:
 def test_select_and_ignore_filter_rules() -> None:
     assert [r.rule_id for r in load_rules(select=["R1", "R3"])] == ["R1", "R3"]
     assert [r.rule_id for r in load_rules(ignore=["R2"])] == [
-        "R1", "R11", "R12", "R13", "R14", "R15", "R16",
-        "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+        "R1", "R11", "R13", "R14", "R15",
+        "R3", "R4", "R5", "R6", "R7", "R8",
     ]
 
 

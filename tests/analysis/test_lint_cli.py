@@ -9,6 +9,10 @@ from repro.analysis.cli import main as lint_main
 from repro.cli import main as geacc_main
 from tests.analysis.conftest import FIXTURES
 
+#: Fixture packs of the two directory-scoped rules that survive, R11
+#: (under ``algorithms/``) and R14 (under ``service/``), linted together.
+SCOPED_PACKS = [str(FIXTURES / "checkpoint_bad"), str(FIXTURES / "atomicio_bad")]
+
 
 def test_exit_zero_on_clean_tree(capsys: pytest.CaptureFixture) -> None:
     code = lint_main([str(FIXTURES / "determinism_good.py")])
@@ -37,18 +41,19 @@ def test_statistics_footer(capsys: pytest.CaptureFixture) -> None:
 def test_list_rules(capsys: pytest.CaptureFixture) -> None:
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for number in [*range(1, 10), *range(11, 17)]:
+    for number in [*range(1, 9), 11, 13, 14, 15]:
         assert f"R{number} " in out
-    assert "R10 " not in out  # retired; its id is not reused
+    for retired in (9, 10, 12, 16):  # retired; their ids are not reused
+        assert f"R{retired} " not in out
 
 
-def test_select_runs_the_typestate_rules(capsys: pytest.CaptureFixture) -> None:
-    code = lint_main(
-        [str(FIXTURES / "typestate_bad"), "--select", "R9,R11,R12"]
-    )
+def test_select_runs_the_directory_scoped_rules(
+    capsys: pytest.CaptureFixture,
+) -> None:
+    code = lint_main([*SCOPED_PACKS, "--select", "R11,R14"])
     assert code == 1
     out = capsys.readouterr().out
-    for rule_id in ("R9", "R11", "R12"):
+    for rule_id in ("R11", "R14"):
         assert rule_id in out
 
 
@@ -132,7 +137,7 @@ def test_json_format_includes_suppressed_findings_without_failing(
 
 
 def test_jobs_output_is_identical_to_serial(capsys: pytest.CaptureFixture) -> None:
-    args = [str(FIXTURES / "typestate_bad"), "--select", "R9,R11,R12"]
+    args = [*SCOPED_PACKS, "--select", "R11,R14"]
     serial_code = lint_main(args)
     serial_out = capsys.readouterr().out
     parallel_code = lint_main([*args, "--jobs", "2"])
@@ -148,11 +153,11 @@ def test_negative_jobs_is_a_usage_error(capsys: pytest.CaptureFixture) -> None:
 
 
 def test_exclude_skips_matching_subtrees(capsys: pytest.CaptureFixture) -> None:
-    bad = lint_main([str(FIXTURES / "typestate_bad"), "--select", "R9"])
+    bad = lint_main([str(FIXTURES / "checkpoint_bad"), "--select", "R11"])
     assert bad == 1
     capsys.readouterr()
     code = lint_main(
-        [str(FIXTURES / "typestate_bad"), "--select", "R9", "--exclude", "service"]
+        [str(FIXTURES / "checkpoint_bad"), "--select", "R11", "--exclude", "algorithms"]
     )
     assert code == 0
     assert capsys.readouterr().out == ""
@@ -160,16 +165,12 @@ def test_exclude_skips_matching_subtrees(capsys: pytest.CaptureFixture) -> None:
 
 def test_exclude_matches_single_files(capsys: pytest.CaptureFixture) -> None:
     code = lint_main(
-        [
-            str(FIXTURES / "typestate_bad"),
-            "--select", "R9,R12",
-            "--exclude", "service/journal_bad.py",
-        ]
+        [*SCOPED_PACKS, "--select", "R11,R14", "--exclude", "service/writer_bad.py"]
     )
     assert code == 1
     out = capsys.readouterr().out
-    assert "journal_bad.py" not in out
-    assert "fsync_bad.py" in out
+    assert "writer_bad.py" not in out
+    assert "checkpoint_bad.py" in out
 
 
 def test_geacc_lint_subcommand_forwards_new_flags(
@@ -177,8 +178,8 @@ def test_geacc_lint_subcommand_forwards_new_flags(
 ) -> None:
     code = geacc_main(
         [
-            "lint", str(FIXTURES / "typestate_bad"),
-            "--select", "R11",
+            "lint", *SCOPED_PACKS,
+            "--select", "R11,R14",
             "--format", "json",
             "--jobs", "2",
             "--exclude", "service",

@@ -49,7 +49,7 @@ def test_snapshot_plus_tail_equals_full_replay(
             if 0 in snap_seqs:
                 write_snapshot(store, snapshot_dir)
             continue
-        store.apply(item)  # geacc-lint: disable=R9 reason=re-folding records already durable in this journal
+        store.apply(item)
         if store.seq in snap_seqs:
             write_snapshot(store, snapshot_dir)
 

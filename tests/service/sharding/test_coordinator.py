@@ -9,9 +9,11 @@ import pytest
 
 from repro.exceptions import JournalError, ServiceError
 from repro.service.engine import PendingRequest
+from repro.service.frontend import ArrangementService
 from repro.service.http import make_server
+from repro.service.journal import Journal
 from repro.service.sharding import MANIFEST_NAME, ShardCoordinator
-from repro.service.store import StoreConfig
+from repro.service.store import ArrangementStore, StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
 
@@ -163,9 +165,26 @@ def test_open_refuses_a_shard_count_the_manifest_disagrees_with(
         ShardCoordinator.open(root, CONFIG, 4, threaded=False)
     # No count: the manifest's; a new root gets one shard.
     with ShardCoordinator.open(root, CONFIG, threaded=False) as coordinator:
-        assert len(coordinator.shards) == 2
+        assert coordinator.state_summary()["sharding"]["shards"] == 2
     with ShardCoordinator.open(tmp_path / "new", CONFIG, threaded=False) as fresh:
-        assert len(fresh.shards) == 1
+        assert fresh.state_summary()["sharding"]["shards"] == 1
+
+
+def test_no_public_attribute_reaches_into_a_shard(tmp_path: Path) -> None:
+    # Front ends hold the coordinator; a shard's service, store or
+    # journal reached through one of its public attributes would bypass
+    # the coordinator's locks and id translation.
+    shard_parts = (ArrangementService, ArrangementStore, Journal)
+    with make_fleet(tmp_path / "fleet", shards=2) as coordinator:
+        populate(coordinator)
+        for name in dir(coordinator):
+            if name.startswith("_"):
+                continue
+            value = getattr(coordinator, name)
+            if isinstance(value, dict):
+                value = list(value.values())
+            items = value if isinstance(value, (list, tuple, set)) else [value]
+            assert not any(isinstance(item, shard_parts) for item in items), name
 
 
 def test_a_file_is_not_a_fleet_root(tmp_path: Path) -> None:

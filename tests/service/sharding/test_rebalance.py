@@ -137,10 +137,11 @@ def test_applying_a_rebalance_entry_twice_journals_nothing_more(
     with coordinator:
         coordinator.post_event(capacity=1, attributes=[5.0, 5.0], conflicts=events)
         assert len(applied) == 1
-        seqs = [shard.seq for shard in coordinator.shards]
+        seqs = [row["seq"] for row in coordinator.state_summary()["sharding"]["per_shard"]]
         digest = coordinator.arrangement_digest()
         apply(coordinator, applied[0])
-        assert [shard.seq for shard in coordinator.shards] == seqs
+        after = [row["seq"] for row in coordinator.state_summary()["sharding"]["per_shard"]]
+        assert after == seqs
         assert coordinator.arrangement_digest() == digest
         coordinator.check_invariants()
 

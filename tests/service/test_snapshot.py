@@ -212,7 +212,7 @@ def test_compact_requires_store_journal_agreement(tmp_path: Path) -> None:
         store.apply(
             {"seq": 5, "cmd": "register_user", "capacity": 1,
              "attributes": [1.0, 1.0]}
-        )  # geacc-lint: disable=R9 reason=test constructs a deliberate store/journal divergence
+        )
         with pytest.raises(ServiceError, match="store seq 5 != journal seq 4"):
             compact(journal, store, tmp_path / "snaps")
 

@@ -17,6 +17,11 @@ def apply_next(store: ArrangementStore, cmd: str, **args) -> None:
     store.apply({"seq": store.seq + 1, "cmd": cmd, **args})
 
 
+def commit_next(store: ArrangementStore, delta: Delta) -> None:
+    """Apply ``delta`` the way the engine does: as a commit_batch record."""
+    apply_next(store, "commit_batch", **delta.to_json(), users=[])
+
+
 def populated_store() -> ArrangementStore:
     store = fresh_store()
     apply_next(store, "post_event", capacity=2, attributes=[1.0, 1.0])
@@ -105,37 +110,89 @@ def test_lifecycle_transitions_are_guarded() -> None:
 
 def test_delta_apply_revert_roundtrip() -> None:
     store = populated_store()
-    before = store.digest()
-    delta = Delta(assigns=((0, 0), (1, 1)))
-    store.apply_delta(delta)
+    before = store.arrangement_digest()
+    assigns = ((0, 0), (1, 1))
+    commit_next(store, Delta(assigns=assigns))
     assert store.events_of(0) == {0}
     assert store.event_remaining(0) == 1
     assert store.user_remaining(1) == 0
     assert store.n_assignments == 2
-    store.revert_delta(delta)
-    assert store.digest() == before
+    assert store.batches_committed == 1
+    # The inverse batch (the same pairs unassigned) restores every seat
+    # and capacity; only the journal counters moved on.
+    commit_next(store, Delta(unassigns=assigns))
+    assert store.n_assignments == 0
+    assert store.batches_committed == 2
+    assert store.arrangement_digest() == before
+    store.check_invariants()
 
 
 def test_infeasible_delta_rolls_back_cleanly() -> None:
     store = populated_store()
-    store.apply_delta(Delta(assigns=((0, 0),)))
+    commit_next(store, Delta(assigns=((0, 0),)))
     before = store.digest()
-    # Second assign conflicts with user 0's standing event 0.
-    with pytest.raises(ServiceError, match="infeasible"):
-        store.apply_delta(Delta(assigns=((1, 1), (1, 0))))
+    # Second assign conflicts with user 0's standing event 0: the first
+    # (feasible) assign of the batch must be rolled back too, and the
+    # record must not count as applied.
+    with pytest.raises(JournalError, match=r"delta assign \(1, 0\) is infeasible"):
+        commit_next(store, Delta(assigns=((1, 1), (1, 0))))
     assert store.digest() == before
+    store.check_invariants()
+
+
+def test_half_applied_unassigns_roll_back_cleanly() -> None:
+    store = populated_store()
+    commit_next(store, Delta(assigns=((0, 0), (1, 1))))
+    before = store.digest()
+    # Both unassigns and the first assign land; the second assign, onto
+    # event 1 (capacity 1, just re-seated by user 1), fails.
+    with pytest.raises(JournalError, match="infeasible"):
+        commit_next(
+            store,
+            Delta(unassigns=((0, 0), (1, 1)), assigns=((1, 1), (1, 0))),
+        )
+    assert store.digest() == before
+    assert sorted(store.pairs()) == [(0, 0), (1, 1)]
     store.check_invariants()
 
 
 def test_delta_unassign_of_unmatched_pair_is_rejected() -> None:
     store = populated_store()
-    with pytest.raises(ServiceError, match="unmatched"):
-        store.apply_delta(Delta(unassigns=((0, 0),)))
+    before = store.digest()
+    with pytest.raises(JournalError, match=r"unassigns unmatched pair \(0, 0\)"):
+        commit_next(store, Delta(unassigns=((0, 0),)))
+    assert store.digest() == before
+
+
+@pytest.mark.parametrize(
+    "delta,match",
+    [
+        (Delta(unassigns=((0, 9),)), r"unknown pair \(0, 9\)"),
+        (Delta(assigns=((7, 0),)), r"unknown pair \(7, 0\)"),
+        (Delta(assigns=((0, 0), (0, 0))), r"delta assign \(0, 0\) is infeasible"),
+    ],
+)
+def test_delta_that_does_not_fit_is_rejected(delta: Delta, match: str) -> None:
+    store = populated_store()
+    before = store.digest()
+    with pytest.raises(JournalError, match=match):
+        commit_next(store, delta)
+    assert store.digest() == before
+
+
+def test_delta_edits_of_non_open_events_are_rejected() -> None:
+    store = populated_store()
+    commit_next(store, Delta(assigns=((0, 0),)))
+    apply_next(store, "freeze_event", event=0)
+    with pytest.raises(JournalError, match="non-open event 0"):
+        commit_next(store, Delta(unassigns=((0, 0),)))
+    with pytest.raises(JournalError, match=r"delta assign \(0, 1\) is infeasible"):
+        commit_next(store, Delta(assigns=((0, 1),)))
 
 
 def test_cancel_releases_every_seat() -> None:
     store = populated_store()
-    store.apply_delta(Delta(assigns=((0, 0),)))
+    commit_next(store, Delta(assigns=((0, 0),)))
     apply_next(store, "cancel_event", event=0)
     assert store.is_cancelled(0)
     assert store.events_of(0) == frozenset()
@@ -148,7 +205,7 @@ def test_can_assign_enforces_every_guard() -> None:
     store = populated_store()
     assert store.can_assign(0, 0)
     assert not store.can_assign(5, 0)  # unknown event
-    store.apply_delta(Delta(assigns=((0, 0),)))
+    commit_next(store, Delta(assigns=((0, 0),)))
     assert not store.can_assign(0, 0)  # already matched
     assert not store.can_assign(1, 0)  # conflicts with standing event 0
     apply_next(store, "freeze_event", event=1)
@@ -175,7 +232,7 @@ def test_snapshot_zeroes_cancelled_capacity() -> None:
 
 def test_invariant_checker_catches_counter_drift() -> None:
     store = populated_store()
-    store.apply_delta(Delta(assigns=((0, 0),)))
+    commit_next(store, Delta(assigns=((0, 0),)))
     store.check_invariants()
     store._event_remaining[0] += 1
     with pytest.raises(ServiceError, match="drift"):
@@ -210,7 +267,6 @@ def test_delta_json_round_trip() -> None:
     delta = Delta(assigns=((0, 1), (2, 3)), unassigns=((4, 5),))
     assert Delta.from_json(delta.to_json()) == delta
     assert not Delta()
-    assert delta.reverse().reverse() == delta
     with pytest.raises(JournalError, match="malformed delta"):
         Delta.from_json({"assign": [["x", "y"]]})
 
@@ -228,7 +284,7 @@ def test_max_sum_is_one_summation_order() -> None:
         apply_next(store, "register_user", capacity=6, attributes=rng.uniform(0, 10, 2).tolist())
     seats = [(e, u) for e in range(6) for u in range(3000) if rng.random() < 0.02]
     rng.shuffle(seats)
-    store.apply_delta(Delta(assigns=tuple((int(e), int(u)) for e, u in seats)))
+    commit_next(store, Delta(assigns=tuple((int(e), int(u)) for e, u in seats)))
     sims = store.similarities()
     expected = 0.0
     for event, user in store.pairs():
