@@ -30,15 +30,21 @@ def max_weight_matching(weights: np.ndarray) -> tuple[list[tuple[int, int]], flo
     Args:
         weights: ``(n_left, n_right)`` weight matrix. Pairs with weight
             <= 0 are never part of the reported matching (they can never
-            increase the total).
+            increase the total); ``-inf`` marks a pair that can never
+            match. NaN and ``+inf`` weights are rejected.
 
     Returns:
         ``(pairs, total)`` -- matched ``(left, right)`` pairs sorted by
         left index, and the sum of their weights.
+
+    Raises:
+        ValueError: On a non-2-D matrix or a NaN or ``+inf`` weight.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
         raise ValueError(f"weights must be 2-D, got shape {weights.shape}")
+    if np.isnan(weights).any() or np.isposinf(weights).any():
+        raise ValueError("weights must not contain NaN or +inf")
     n_left, n_right = weights.shape
     if n_left == 0 or n_right == 0:
         return [], 0.0

@@ -550,6 +550,14 @@ class Journal(JsonlLog):
         a mix -- and both replay to the same state given the snapshot at
         ``base_seq`` (which the caller,
         :func:`repro.service.snapshot.compact`, wrote first).
+
+        The kept records are copied byte for byte. A live journal holds
+        records ``self.base_seq + 1`` to ``self.seq``, one
+        :func:`encode_line` line each after the header, so the tail is
+        the file past the header and the first ``base_seq -
+        self.base_seq`` records; only the first and last kept records
+        are decoded, to confirm their seqs. A file of any other shape
+        raises :class:`JournalError` and is left as it is.
         """
         if self._handle is None:
             raise JournalError(f"{self.path}: journal is closed")
@@ -558,11 +566,30 @@ class Journal(JsonlLog):
                 f"{self.path}: cannot rebase journal to seq {base_seq} "
                 f"(live range is [{self.base_seq}, {self.seq}])"
             )
-        parts = [self._header(self.config, base_seq)]
-        for item, _ in self.scan(self.path, fs=self._fs):
-            if isinstance(item, dict) and item["seq"] > base_seq:
-                parts.append(encode_line(item))
-        self._replace(b"".join(parts))
+        try:
+            blob = self._fs.read_bytes(self.path)
+        except OSError as exc:
+            raise JournalError(f"{self.path}: cannot read journal: {exc}") from exc
+        lines = blob.split(b"\n")
+        if lines.pop() != b"" or len(lines) - 1 != self.seq - self.base_seq:
+            raise JournalError(
+                f"{self.path}: expected a header and records "
+                f"{self.base_seq + 1}..{self.seq}, one per line"
+            )
+        skipped = 1 + base_seq - self.base_seq
+        kept = lines[skipped:]
+        if kept:
+            for line, seq in ((kept[0], base_seq + 1), (kept[-1], self.seq)):
+                try:
+                    found = json.loads(line).get(self.COUNTER)
+                except (ValueError, AttributeError):
+                    found = None
+                if found != seq:
+                    raise JournalError(
+                        f"{self.path}: expected record {seq}, found {line[:80]!r}"
+                    )
+        start = sum(len(line) + 1 for line in lines[:skipped])
+        self._replace(self._header(self.config, base_seq) + blob[start:])
         self.base_seq = base_seq
 
     def __repr__(self) -> str:

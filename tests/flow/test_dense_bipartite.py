@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import FlowError
 from repro.flow.dense_bipartite import DenseBipartiteMinCostFlow
 from repro.flow.network import FlowNetwork
+from repro.flow.reference import ReferenceBipartiteMinCostFlow
 from repro.flow.sspa import SuccessiveShortestPaths
 
 
@@ -109,3 +110,50 @@ def test_input_validation():
         DenseBipartiteMinCostFlow(-np.ones((2, 2)), np.ones(2), np.ones(2))
     with pytest.raises(FlowError):
         DenseBipartiteMinCostFlow(np.ones((2, 2)), np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "flow_class", [DenseBipartiteMinCostFlow, ReferenceBipartiteMinCostFlow]
+)
+def test_nan_cost_is_rejected(flow_class):
+    # NaN compares False against 0, so a "< 0" check let it through and
+    # the solver routed 2 units through an event of capacity 1.
+    with pytest.raises(FlowError, match="NaN"):
+        flow_class(np.array([[np.nan, 0.5]]), np.array([1]), np.array([1, 1]))
+
+
+def test_inf_cost_means_no_arc():
+    costs = np.array([[np.inf, 0.5], [0.2, np.inf]])
+    dense = DenseBipartiteMinCostFlow(costs, np.array([2, 2]), np.array([2, 2]))
+    assert dense.run() == 2
+    assert np.array_equal(dense.flow, [[False, True], [True, False]])
+    assert dense.total_cost == pytest.approx(0.7)
+
+
+#: Costs (in quarters) on which following the first tight parent from the
+#: sink cycled forever (u8 <- v1 <- u3 <- v3 <- u8, every label 0) at the
+#: 10th augmentation, growing the path list without bound.
+_CYCLING_QUARTERS = [
+    [3, 3, 4, 1, 2, 4, 4, 0, 0, 4, 4, 3, 2, 1],
+    [3, 4, 2, 1, 4, 1, 4, 1, 1, 0, 2, 1, 1, 4],
+    [4, 1, 0, 2, 4, 1, 4, 1, 3, 4, 3, 4, 4, 1],
+    [4, 4, 2, 1, 2, 0, 2, 2, 1, 4, 4, 3, 3, 4],
+    [0, 0, 3, 4, 3, 0, 0, 4, 0, 0, 0, 2, 4, 1],
+    [2, 3, 1, 4, 4, 2, 0, 2, 4, 3, 4, 1, 1, 0],
+    [4, 4, 2, 3, 2, 0, 1, 2, 4, 4, 2, 4, 4, 0],
+]
+
+
+def test_zero_cost_cycle_in_the_labels_does_not_trap_the_path_walk():
+    costs = np.array(_CYCLING_QUARTERS) * 0.25
+    cv = np.array([0, 3, 3, 1, 0, 3, 3])
+    cu = np.array([3, 1, 0, 1, 0, 0, 0, 1, 3, 2, 2, 2, 1, 2])
+    dense = DenseBipartiteMinCostFlow(costs, cv, cu)
+    reference = ReferenceBipartiteMinCostFlow(costs, cv, cu)
+    assert dense.run() == reference.run() == 13
+    assert np.array_equal(dense.flow, reference.flow)
+    assert dense.total_cost == reference.total_cost
+    _, generic_cost = generic_reference(costs, cv, cu)
+    assert dense.total_cost == pytest.approx(generic_cost, abs=1e-9)
+    assert np.all(dense.flow.sum(axis=1) <= cv)
+    assert np.all(dense.flow.sum(axis=0) <= cu)

@@ -126,3 +126,16 @@ class TestHopcroftKarp:
     def test_duplicate_edges_harmless(self):
         matching = maximum_matching(1, 1, [(0, 0), (0, 0)])
         assert matching == [(0, 0)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nan_or_inf_weight_is_rejected(bad):
+    # Before NaN was rejected this matched left vertex 0 twice.
+    with pytest.raises(ValueError, match=r"NaN or \+inf"):
+        max_weight_matching(np.array([[0.3, 0.5], [0.2, bad]]))
+
+
+def test_minus_inf_weight_never_matches():
+    pairs, total = max_weight_matching(np.array([[-np.inf, 0.5], [0.4, 0.1]]))
+    assert pairs == [(0, 1), (1, 0)]
+    assert total == pytest.approx(0.9)

@@ -196,3 +196,26 @@ def test_iter_records_reports_durable_offsets(tmp_path: Path) -> None:
     assert offsets == sorted(offsets)
     # Each offset lands exactly one byte past a newline.
     assert all(blob[offset - 1:offset] == b"\n" for offset in offsets)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob + b'{"cmd":"request_assignment","seq":6,"user":0}\n',  # extra line
+        lambda blob: blob + b'{"cmd":"req',  # torn tail
+        lambda blob: blob[: blob.rindex(b"\n", 0, len(blob) - 1) + 1],  # lost record
+        lambda blob: blob.replace(b'"seq":3', b'"seq":9'),  # wrong seq kept
+    ],
+)
+def test_rewrite_tail_refuses_a_file_that_is_not_the_live_journal(
+    tmp_path: Path, damage
+) -> None:
+    path = tmp_path / "j.jsonl"
+    write_sample(path)
+    journal, _ = Journal.recover(path)
+    with journal:
+        path.write_bytes(damage(path.read_bytes()))
+        before = path.read_bytes()
+        with pytest.raises(JournalError):
+            journal.rewrite_tail(2)
+        assert path.read_bytes() == before
