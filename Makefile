@@ -48,6 +48,7 @@ typecheck:
 	fi
 
 check: lint typecheck test bench-selftest
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks --collect-only -q
 
 # `geacc bench` times the paper's solvers (Figs. 3-5); the serving,
 # recovery and shard paths are timed by bench/ and gated by bench-gate.

@@ -6,12 +6,12 @@ the random baselines on MaxSum but costs far more time; MaxSum grows
 with |V| and |U| with diminishing returns as capacities saturate.
 """
 
-from repro.experiments.figures import fig3_vary_events, fig3_vary_users
+from repro.experiments.figures import run_sweep
 
 
 def test_fig3_effect_of_events(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig3_vary_events(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig3-events", scale), rounds=1, iterations=1
     )
     record_series("fig3_col1_events", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))
@@ -28,7 +28,7 @@ def test_fig3_effect_of_events(benchmark, scale, record_series):
 
 def test_fig3_effect_of_users(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig3_vary_users(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig3-users", scale), rounds=1, iterations=1
     )
     record_series("fig3_col2_users", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

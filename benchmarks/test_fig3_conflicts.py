@@ -5,12 +5,12 @@ MinCostFlow-GEACC is (optimal, hence) at least as good as Greedy; |CF|
 barely affects running time.
 """
 
-from repro.experiments.figures import fig3_vary_conflicts
+from repro.experiments.figures import run_sweep
 
 
 def test_fig3_effect_of_conflicts(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig3_vary_conflicts(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig3-conflicts", scale), rounds=1, iterations=1
     )
     record_series("fig3_col4_conflicts", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

@@ -4,12 +4,12 @@ Paper shape: MaxSum decreases as d grows (the attribute space gets
 sparser, average pairwise distance grows); d barely affects time/memory.
 """
 
-from repro.experiments.figures import fig3_vary_dimension
+from repro.experiments.figures import run_sweep
 
 
 def test_fig3_effect_of_dimension(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig3_vary_dimension(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig3-dimension", scale), rounds=1, iterations=1
     )
     record_series("fig3_col3_dimension", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

@@ -5,15 +5,12 @@ interested users) and with max c_u; growing c_v inflates MinCostFlow's
 time (more flow to sweep) but leaves Greedy and the baselines flat.
 """
 
-from repro.experiments.figures import (
-    fig4_vary_event_capacity,
-    fig4_vary_user_capacity,
-)
+from repro.experiments.figures import run_sweep
 
 
 def test_fig4_effect_of_event_capacity(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig4_vary_event_capacity(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig4-event-capacity", scale), rounds=1, iterations=1
     )
     record_series("fig4_col1_event_capacity", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))
@@ -25,7 +22,7 @@ def test_fig4_effect_of_event_capacity(benchmark, scale, record_series):
 
 def test_fig4_effect_of_user_capacity(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig4_vary_user_capacity(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig4-user-capacity", scale), rounds=1, iterations=1
     )
     record_series("fig4_col2_user_capacity", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

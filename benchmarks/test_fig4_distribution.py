@@ -5,12 +5,12 @@ Uniform/Normal capacity generation -- the algorithm ordering (Greedy
 first, MinCostFlow second, baselines last) is distribution-independent.
 """
 
-from repro.experiments.figures import fig4_distributions
+from repro.experiments.figures import run_sweep
 
 
 def test_fig4_effect_of_distribution(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig4_distributions(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig4-distributions", scale), rounds=1, iterations=1
     )
     record_series("fig4_col3_distribution", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

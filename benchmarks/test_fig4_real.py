@@ -4,12 +4,12 @@ Paper shape: the real-data curves mirror the synthetic ones -- MaxSum
 falls as the conflict ratio rises, Greedy dominates.
 """
 
-from repro.experiments.figures import fig4_real
+from repro.experiments.figures import run_sweep
 
 
 def test_fig4_real_auckland(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig4_real(scale, city="auckland"), rounds=1, iterations=1
+        lambda: run_sweep("fig4-real", scale), rounds=1, iterations=1
     )
     record_series("fig4_col4_real_auckland", sweep.render())
     greedy = dict(sweep.series("greedy", "max_sum"))

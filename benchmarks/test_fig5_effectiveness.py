@@ -11,12 +11,12 @@ ablation).
 
 import pytest
 
-from repro.experiments.figures import fig5_effectiveness
+from repro.experiments.figures import run_sweep
 
 
 def test_fig5_effectiveness(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig5_effectiveness(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig5-effectiveness", scale), rounds=1, iterations=1
     )
     record_series("fig5cd_effectiveness", sweep.render())
     optimum = dict(sweep.series("ilp", "max_sum"))

@@ -5,12 +5,12 @@ size. Verified here by checking that time grows sub-quadratically when
 |U| is scaled up at fixed |V|.
 """
 
-from repro.experiments.figures import fig5_scalability
+from repro.experiments.figures import run_sweep
 
 
 def test_fig5_greedy_scalability(benchmark, scale, record_series):
     sweep = benchmark.pedantic(
-        lambda: fig5_scalability(scale), rounds=1, iterations=1
+        lambda: run_sweep("fig5-scalability", scale), rounds=1, iterations=1
     )
     record_series("fig5ab_scalability", sweep.render())
     times = dict(sweep.series("greedy", "seconds"))

@@ -57,7 +57,7 @@ from repro.datagen.synthetic import SyntheticConfig, generate_instance
 from repro.datasets.meetup import CITIES, MeetupCityConfig, meetup_city
 from repro.datasets.scenarios import SCENARIOS, build_scenario
 from repro.experiments.config import SCALES
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import ALL_FIGURES, SWEEPS, run_sweep
 from repro.experiments.metrics import measure
 from repro.robustness import Outcome, run_with_budget
 
@@ -210,61 +210,43 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    driver = ALL_FIGURES[args.figure]
-    result = driver(args.scale)
-    if args.chart and hasattr(result, "records") and hasattr(result, "solvers"):
+    if args.chart and args.figure in SWEEPS:
         from repro.experiments.charts import render_sweep_charts
 
-        print(render_sweep_charts(result))
+        print(render_sweep_charts(run_sweep(args.figure, args.scale)))
     else:
-        print(result.render())
+        print(ALL_FIGURES[args.figure](args.scale).render())
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import inspect
-
-    driver = ALL_FIGURES[args.figure]
-    parameters = inspect.signature(driver).parameters
-    if "checkpoint_path" not in parameters:
+    spec = SWEEPS.get(args.figure)
+    if spec is None:
         print(
             f"error: figure {args.figure} does not support checkpointing",
             file=sys.stderr,
         )
         return 2
-    kwargs: dict = {
-        "checkpoint_path": args.checkpoint,
-        "resume": args.resume,
-    }
-    if args.solvers:
-        if "solvers" not in parameters:
-            print(
-                f"error: figure {args.figure} has a fixed solver set",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["solvers"] = tuple(args.solvers)
-    if args.jobs != 1:
-        if "jobs" not in parameters:
-            print(
-                f"error: figure {args.figure} does not support --jobs",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["jobs"] = args.jobs
+    if args.solvers and spec.solvers is not None:
+        print(
+            f"error: figure {args.figure} has a fixed solver set",
+            file=sys.stderr,
+        )
+        return 2
     budget = None
     if args.timeout is not None:
-        if "budget" not in parameters:
-            print(
-                f"error: figure {args.figure} does not support --timeout",
-                file=sys.stderr,
-            )
-            return 2
         from repro.robustness.budget import Budget
 
         budget = Budget(deadline=args.timeout)
-        kwargs["budget"] = budget
-    result = driver(args.scale, **kwargs)
+    result = run_sweep(
+        args.figure,
+        args.scale,
+        solvers=tuple(args.solvers) if args.solvers else None,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        jobs=args.jobs,
+        budget=budget,
+    )
     print(result.render())
     if budget is not None and budget.exhausted:
         print(

@@ -55,10 +55,11 @@ class Solver(ABC):
     :class:`~repro.exceptions.BudgetExceededError` *inside* ``solve``,
     and (c) return its feasible best-so-far arrangement instead of
     raising. The solver's intermediate state must therefore stay
-    feasible at every checkpoint. Solvers that ignore the budget remain
-    correct -- they just cannot be preempted; the harness
-    (:mod:`repro.robustness.harness`) degrades an escaped exhaustion to
-    the empty arrangement.
+    feasible at every checkpoint. A solver may ignore the budget -- it
+    stays correct, it just cannot be preempted -- but its ``solve``
+    still takes the parameter: the harness
+    (:mod:`repro.robustness.harness`) always passes it, and degrades an
+    escaped exhaustion to the empty arrangement.
     """
 
     name: str = "abstract"

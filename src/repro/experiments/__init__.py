@@ -1,10 +1,11 @@
 """Experiment harness regenerating every figure of the paper.
 
-Each ``fig*`` function in :mod:`repro.experiments.figures` reproduces one
-figure (or one column of a multi-column figure): it sweeps the same
-parameter the paper sweeps, runs the same algorithms, and returns a
-:class:`repro.experiments.runner.Sweep` whose ``render()`` prints the
-series the paper plots (MaxSum, running time, peak memory per algorithm).
+Each row of the ``SWEEPS`` table in :mod:`repro.experiments.figures`
+reproduces one figure (or one column of a multi-column figure): it sweeps
+the same parameter the paper sweeps with the same algorithms, and
+``run_sweep(name, scale)`` returns a :class:`repro.experiments.runner.Sweep`
+whose ``render()`` prints the series the paper plots (MaxSum, running
+time, peak memory per algorithm).
 
 Two parameter scales exist (:mod:`repro.experiments.config`): ``scaled``
 (default; minutes on a laptop, same shapes) and ``paper`` (the literal
@@ -14,7 +15,7 @@ environment variable or an explicit argument.
 
 from repro.experiments.config import SCALES, ExperimentScale, get_scale
 from repro.experiments.metrics import MeasuredRun, measure
-from repro.experiments.runner import Record, Sweep, run_solver_on, sweep_parameter
+from repro.experiments.runner import Record, Sweep, sweep_parameter
 
 __all__ = [
     "SCALES",
@@ -24,6 +25,5 @@ __all__ = [
     "measure",
     "Record",
     "Sweep",
-    "run_solver_on",
     "sweep_parameter",
 ]

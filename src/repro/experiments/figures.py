@@ -1,34 +1,44 @@
 """Per-figure experiment drivers.
 
-One function per figure (or column of a multi-column figure) of the
-paper's evaluation section. Every driver returns a
-:class:`repro.experiments.runner.Sweep` (Fig. 6 returns its own richer
-result type) whose ``render()`` prints the plotted series.
+Each sweep figure -- one figure, or one column of a multi-column figure,
+of the paper's evaluation section -- is one :class:`SweepSpec` row of
+:data:`SWEEPS`, and :func:`run_sweep` runs any row through
+:func:`repro.experiments.runner.sweep_parameter`, returning a
+:class:`~repro.experiments.runner.Sweep`. Fig. 6 instruments Prune-GEACC
+instead of sweeping solvers, so :func:`fig6_pruning` returns its own
+richer result type. Every result's ``render()`` prints the plotted
+series; :data:`ALL_FIGURES` maps every name to a ``driver(scale)``.
 
 The mapping to the paper:
 
 =====================  ====================================================
-Driver                 Paper figure
+Name                   Paper figure
 =====================  ====================================================
-fig3_vary_events       Fig. 3 column 1 (effect of |V|)
-fig3_vary_users        Fig. 3 column 2 (effect of |U|)
-fig3_vary_dimension    Fig. 3 column 3 (effect of d)
-fig3_vary_conflicts    Fig. 3 column 4 (effect of |CF|)
-fig4_vary_event_cap    Fig. 4 column 1 (effect of c_v)
-fig4_vary_user_cap     Fig. 4 column 2 (effect of c_u)
-fig4_distributions     Fig. 4 column 3 (effect of distribution)
-fig4_real              Fig. 4 column 4 (real dataset, Auckland)
-fig5_scalability       Fig. 5a-b (Greedy scalability)
-fig5_effectiveness     Fig. 5c-d (approximate vs exact)
-fig6_pruning           Fig. 6a-d (Prune-GEACC instrumentation)
+fig3-events            Fig. 3 column 1 (effect of |V|)
+fig3-users             Fig. 3 column 2 (effect of |U|)
+fig3-dimension         Fig. 3 column 3 (effect of d)
+fig3-conflicts         Fig. 3 column 4 (effect of |CF|)
+fig4-event-capacity    Fig. 4 column 1 (effect of c_v)
+fig4-user-capacity     Fig. 4 column 2 (effect of c_u)
+fig4-distributions     Fig. 4 column 3 (effect of distribution)
+fig4-real              Fig. 4 column 4 (real dataset, Auckland)
+fig5-scalability       Fig. 5a-b (Greedy scalability)
+fig5-effectiveness     Fig. 5c-d (approximate vs exact)
+fig6-pruning           Fig. 6a-d (Prune-GEACC instrumentation)
 =====================  ====================================================
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
+from pathlib import Path
+from typing import Any
 
 from repro.core.algorithms import ExhaustiveGEACC, PruneGEACC
+from repro.core.model import Instance
 from repro.core.validation import validate_arrangement
 from repro.datagen.synthetic import generate_instance
 from repro.datasets.meetup import MeetupCityConfig, meetup_city
@@ -36,6 +46,7 @@ from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.metrics import measure
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import DEFAULT_SOLVERS, Sweep, sweep_parameter
+from repro.robustness.budget import Budget
 
 
 def _resolve(scale: ExperimentScale | str | None) -> ExperimentScale:
@@ -44,171 +55,41 @@ def _resolve(scale: ExperimentScale | str | None) -> ExperimentScale:
     return get_scale(scale)
 
 
-# ----------------------------------------------------------------------
-# Fig. 3: cardinality, dimensionality, conflict-set size
-# ----------------------------------------------------------------------
+#: ``(scale, grid value, seed) -> Instance``.
+InstanceFactory = Callable[[ExperimentScale, Any, int], Instance]
 
 
-def fig3_vary_events(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 3 col 1: sweep |V|, other parameters at defaults."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 3 col 1: effect of |V|",
-        "|V|",
-        scale.v_grid,
-        lambda x, seed: generate_instance(scale.default.with_(n_events=x), seed),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep figure: the grid it walks and the instances it solves.
+
+    Attributes:
+        title: The sweep's name. It heads the rendered tables and the
+            checkpoint header, and ``--resume`` refuses a checkpoint whose
+            name differs, so a changed title orphans old checkpoints.
+        x_label: Heading of the swept parameter's column.
+        grid: The x-axis values at a scale.
+        instance: One instance per (scale, grid value, seed).
+        solvers: A fixed solver set, or ``None`` for
+            :data:`~repro.experiments.runner.DEFAULT_SOLVERS`, which the
+            caller may override.
+        repeats_offset: Added to ``scale.repeats`` (one seed at least).
+        memory: Whether peak memory is measured unless the caller says.
+    """
+
+    title: str
+    x_label: str
+    grid: Callable[[ExperimentScale], Sequence[object]]
+    instance: InstanceFactory
+    solvers: tuple[str, ...] | None = None
+    repeats_offset: int = 0
+    memory: bool = True
 
 
-def fig3_vary_users(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 3 col 2: sweep |U|."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 3 col 2: effect of |U|",
-        "|U|",
-        scale.u_grid,
-        lambda x, seed: generate_instance(scale.default.with_(n_users=x), seed),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-def fig3_vary_dimension(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 3 col 3: sweep attribute dimensionality d."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 3 col 3: effect of d",
-        "d",
-        scale.d_grid,
-        lambda x, seed: generate_instance(scale.default.with_(d=x), seed),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-def fig3_vary_conflicts(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 3 col 4: sweep |CF| / (|V|(|V|-1)/2) from 0 to 1."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 3 col 4: effect of |CF|",
-        "cf_ratio",
-        scale.cf_grid,
-        lambda x, seed: generate_instance(
-            scale.default.with_(conflict_ratio=x), seed
-        ),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fig. 4: capacities, distributions, real data
-# ----------------------------------------------------------------------
-
-
-def fig4_vary_event_capacity(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 4 col 1: c_v ~ Uniform[1, max c_v], sweep max c_v."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 4 col 1: effect of c_v",
-        "max c_v",
-        scale.cv_max_grid,
-        lambda x, seed: generate_instance(scale.default.with_(cv_high=x), seed),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-def fig4_vary_user_capacity(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 4 col 2: c_u ~ Uniform[1, max c_u], sweep max c_u."""
-    scale = _resolve(scale)
-    return sweep_parameter(
-        "Fig. 4 col 2: effect of c_u",
-        "max c_u",
-        scale.cu_max_grid,
-        lambda x, seed: generate_instance(scale.default.with_(cu_high=x), seed),
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
+def _vary(name: str) -> InstanceFactory:
+    """Synthetic instances at the scale's defaults with field ``name`` = x."""
+    return lambda scale, x, seed: generate_instance(
+        scale.default.with_(**{name: x}), seed
     )
 
 
@@ -223,145 +104,148 @@ DISTRIBUTION_GRID = (
 )
 
 
-def fig4_distributions(
-    scale=None,
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 4 col 3: attribute/capacity distribution combinations."""
-    scale = _resolve(scale)
+def _distributions(scale: ExperimentScale, combo: str, seed: int) -> Instance:
+    attr_dist, cap_dist = combo.split("/")
+    config = scale.default.with_(
+        attr_distribution=attr_dist,
+        cv_distribution=cap_dist,
+        cu_distribution=cap_dist,
+    )
+    return generate_instance(config, seed)
 
-    def factory(combo: str, seed: int):
-        attr_dist, cap_dist = combo.split("/")
-        config = scale.default.with_(
-            attr_distribution=attr_dist,
-            cv_distribution=cap_dist,
-            cu_distribution=cap_dist,
-        )
-        return generate_instance(config, seed)
 
-    return sweep_parameter(
+#: The Meetup city of Fig. 4 col 4 (Table II).
+REAL_CITY = "auckland"
+
+
+def _real_city(scale: ExperimentScale, ratio: float, seed: int) -> Instance:
+    return meetup_city(MeetupCityConfig(city=REAL_CITY, conflict_ratio=ratio), seed)
+
+
+def _scalability_grid(scale: ExperimentScale) -> list[tuple[int, int]]:
+    return [(v, u) for v in scale.scalability_v_grid for u in scale.scalability_u_grid]
+
+
+def _scalability(scale: ExperimentScale, point: tuple[int, int], seed: int) -> Instance:
+    v, u = point
+    config = scale.default.with_(
+        n_events=v, n_users=u, cv_high=scale.scalability_cv_max
+    )
+    return generate_instance(config, seed)
+
+
+def _effectiveness(scale: ExperimentScale, ratio: float, seed: int) -> Instance:
+    config = scale.effectiveness_config.with_(conflict_ratio=ratio)
+    return generate_instance(config, seed)
+
+
+#: Every sweep figure by name. Fig. 3 and Fig. 4 cols 1-3 vary one
+#: Table III parameter, the others at the scale's defaults.
+SWEEPS: dict[str, SweepSpec] = {
+    "fig3-events": SweepSpec(
+        "Fig. 3 col 1: effect of |V|", "|V|", attrgetter("v_grid"), _vary("n_events")
+    ),
+    "fig3-users": SweepSpec(
+        "Fig. 3 col 2: effect of |U|", "|U|", attrgetter("u_grid"), _vary("n_users")
+    ),
+    "fig3-dimension": SweepSpec(
+        "Fig. 3 col 3: effect of d", "d", attrgetter("d_grid"), _vary("d")
+    ),
+    # |CF| / (|V|(|V|-1)/2) from 0 to 1.
+    "fig3-conflicts": SweepSpec(
+        "Fig. 3 col 4: effect of |CF|",
+        "cf_ratio",
+        attrgetter("cf_grid"),
+        _vary("conflict_ratio"),
+    ),
+    # c_v ~ Uniform[1, max c_v], sweeping max c_v; likewise c_u.
+    "fig4-event-capacity": SweepSpec(
+        "Fig. 4 col 1: effect of c_v",
+        "max c_v",
+        attrgetter("cv_max_grid"),
+        _vary("cv_high"),
+    ),
+    "fig4-user-capacity": SweepSpec(
+        "Fig. 4 col 2: effect of c_u",
+        "max c_u",
+        attrgetter("cu_max_grid"),
+        _vary("cu_high"),
+    ),
+    "fig4-distributions": SweepSpec(
         "Fig. 4 col 3: effect of distribution",
         "attrs/caps",
-        DISTRIBUTION_GRID,
-        factory,
-        solvers=solvers,
-        repeats=scale.repeats,
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-def fig4_real(
-    scale=None,
-    city: str = "auckland",
-    solvers=DEFAULT_SOLVERS,
-    memory=True,
-    checkpoint_path=None,
-    resume=False,
-    jobs=1,
-    budget=None,
-) -> Sweep:
-    """Fig. 4 col 4: the (simulated) Meetup city, sweeping |CF| ratio."""
-    scale = _resolve(scale)
-
-    def factory(ratio: float, seed: int):
-        return meetup_city(
-            MeetupCityConfig(city=city, conflict_ratio=ratio), seed
-        )
-
-    return sweep_parameter(
-        f"Fig. 4 col 4: real dataset ({city})",
+        lambda scale: DISTRIBUTION_GRID,
+        _distributions,
+    ),
+    # One repeat fewer than synthetic sweeps: the city sizes are fixed
+    # (Table II) and MinCostFlow's Delta sweep dominates wall time.
+    "fig4-real": SweepSpec(
+        f"Fig. 4 col 4: real dataset ({REAL_CITY})",
         "cf_ratio",
-        scale.cf_grid,
-        factory,
-        solvers=solvers,
-        # One repeat fewer than synthetic sweeps: the city sizes are fixed
-        # (Table II) and MinCostFlow's Delta sweep dominates wall time.
-        repeats=max(1, scale.repeats - 1),
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-# ----------------------------------------------------------------------
-# Fig. 5: scalability and effectiveness
-# ----------------------------------------------------------------------
-
-
-def fig5_scalability(
-    scale=None, memory=True, checkpoint_path=None, resume=False, jobs=1, budget=None
-) -> Sweep:
-    """Fig. 5a-b: Greedy-GEACC over a |V| x |U| grid (index streams).
-
-    Follows the paper: only Greedy (MinCostFlow is not scalable),
-    ``max c_v`` raised because |U| is large.
-    """
-    scale = _resolve(scale)
-    grid = [
-        (v, u) for v in scale.scalability_v_grid for u in scale.scalability_u_grid
-    ]
-
-    def factory(point: tuple[int, int], seed: int):
-        v, u = point
-        config = scale.default.with_(
-            n_events=v, n_users=u, cv_high=scale.scalability_cv_max
-        )
-        return generate_instance(config, seed)
-
-    return sweep_parameter(
+        attrgetter("cf_grid"),
+        _real_city,
+        repeats_offset=-1,
+    ),
+    # Follows the paper: only Greedy (MinCostFlow is not scalable), over
+    # a |V| x |U| grid through the index streams, max c_v raised because
+    # |U| is large.
+    "fig5-scalability": SweepSpec(
         "Fig. 5a-b: Greedy-GEACC scalability",
         "(|V|, |U|)",
-        grid,
-        factory,
+        _scalability_grid,
+        _scalability,
         solvers=("greedy",),
-        repeats=max(1, scale.repeats - 1),
-        memory=memory,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        jobs=jobs,
-        budget=budget,
-    )
-
-
-def fig5_effectiveness(
-    scale=None, memory=False, checkpoint_path=None, resume=False, jobs=1, budget=None
-) -> Sweep:
-    """Fig. 5c-d: approximation quality against the exact optimum.
-
-    The paper's configuration: |V|=5, |U|=15, c_v ~ U[1, 10], Table III
-    defaults otherwise, sweeping the conflict ratio. The ``ilp`` series
-    is the exact optimum the paper plots as OPT.
-
-    The exact oracle here is the MILP solver rather than Prune-GEACC:
-    branch-and-bound with the Lemma 6 bound needs >10^7 search nodes on
-    some seeds of these instances -- hours in pure Python, where the
-    authors' C++ absorbed it. The optimum values are identical by
-    construction (cross-checked in tests); Prune-GEACC's own running-time
-    behaviour is measured in Fig. 6 and in the bound ablation. Recorded
-    as a deviation in EXPERIMENTS.md.
-    """
-    scale = _resolve(scale)
-    base = scale.effectiveness_config
-
-    return sweep_parameter(
+        repeats_offset=-1,
+    ),
+    # The paper's configuration: |V|=5, |U|=15, c_v ~ U[1, 10], Table III
+    # defaults otherwise, sweeping the conflict ratio. The ``ilp`` series
+    # is the exact optimum the paper plots as OPT: the MILP solver, not
+    # Prune-GEACC, whose Lemma 6 search needs >10^7 nodes on some seeds
+    # of these instances in pure Python (a deviation; see EXPERIMENTS.md).
+    "fig5-effectiveness": SweepSpec(
         "Fig. 5c-d: approximate vs exact",
         "cf_ratio",
-        scale.cf_grid,
-        lambda x, seed: generate_instance(base.with_(conflict_ratio=x), seed),
+        attrgetter("cf_grid"),
+        _effectiveness,
         solvers=("mincostflow", "greedy", "ilp"),
-        repeats=scale.repeats,
-        memory=memory,
+        memory=False,
+    ),
+}
+
+
+def run_sweep(
+    name: str,
+    scale: ExperimentScale | str | None = None,
+    *,
+    solvers: Sequence[str] | None = None,
+    memory: bool | None = None,
+    checkpoint_path: str | Path | None = None,
+    resume: bool = False,
+    jobs: int = 1,
+    budget: Budget | None = None,
+) -> Sweep:
+    """Run the sweep figure ``name`` (a key of :data:`SWEEPS`) at ``scale``.
+
+    ``solvers`` replaces the default solver set; a figure with a fixed
+    set refuses it (``ValueError``). ``memory`` defaults to the spec's.
+    The other keywords go to :func:`sweep_parameter` unchanged.
+    """
+    spec = SWEEPS[name]
+    if spec.solvers is not None:
+        if solvers is not None:
+            raise ValueError(f"figure {name} has a fixed solver set")
+        solvers = spec.solvers
+    elif solvers is None:
+        solvers = DEFAULT_SOLVERS
+    scale = _resolve(scale)
+    return sweep_parameter(
+        spec.title,
+        spec.x_label,
+        spec.grid(scale),
+        functools.partial(spec.instance, scale),
+        solvers=solvers,
+        repeats=max(1, scale.repeats + spec.repeats_offset),
+        memory=spec.memory if memory is None else memory,
         checkpoint_path=checkpoint_path,
         resume=resume,
         jobs=jobs,
@@ -464,16 +348,7 @@ def fig6_pruning(scale=None) -> Fig6Result:
     return result
 
 
-ALL_FIGURES = {
-    "fig3-events": fig3_vary_events,
-    "fig3-users": fig3_vary_users,
-    "fig3-dimension": fig3_vary_dimension,
-    "fig3-conflicts": fig3_vary_conflicts,
-    "fig4-event-capacity": fig4_vary_event_capacity,
-    "fig4-user-capacity": fig4_vary_user_capacity,
-    "fig4-distributions": fig4_distributions,
-    "fig4-real": fig4_real,
-    "fig5-scalability": fig5_scalability,
-    "fig5-effectiveness": fig5_effectiveness,
+ALL_FIGURES: dict[str, Callable[..., Sweep | Fig6Result]] = {
+    **{name: functools.partial(run_sweep, name) for name in SWEEPS},
     "fig6-pruning": fig6_pruning,
 }

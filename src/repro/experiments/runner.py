@@ -49,9 +49,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.algorithms import get_solver
 from repro.core.model import Instance
-from repro.core.validation import validate_arrangement
 from repro.exceptions import ReproError
 from repro.experiments.metrics import measure
 from repro.experiments.reporting import format_table
@@ -334,24 +332,6 @@ class Sweep:
                 format_table([self.x_label, "seed", "solver", "attempts", "errors"], rows)
             )
         return "\n".join(blocks)
-
-
-def run_solver_on(
-    instance: Instance, solver_name: str, memory: bool = True, **solver_kwargs
-) -> Record:
-    """Run one solver on one instance, validating the output."""
-    solver = get_solver(solver_name, **solver_kwargs)
-    run = measure(lambda: solver.solve(instance), memory=memory)
-    arrangement = run.result
-    validate_arrangement(arrangement)
-    return Record(
-        x=None,
-        solver=solver_name,
-        max_sum=arrangement.max_sum(),
-        seconds=run.seconds,
-        peak_mb=run.peak_mb if run.peak_mb is not None else 0.0,
-        n_pairs=float(len(arrangement)),
-    )
 
 
 def run_cell(

@@ -18,8 +18,6 @@ floor is its Greedy warm-start seed), so the ladder stops there.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import time
 from collections.abc import Mapping, Sequence
 
@@ -52,27 +50,6 @@ def _solver_name(solver: object) -> str:
     if isinstance(name, str) and name and name != "abstract":
         return name
     return type(solver).__name__
-
-
-@functools.cache
-def _takes_budget(solver_class: type) -> bool:
-    """True when ``solver_class.solve`` has a ``budget`` parameter."""
-    try:
-        return "budget" in inspect.signature(solver_class.solve).parameters
-    except (AttributeError, TypeError, ValueError):  # builtins / C callables
-        return False
-
-
-def _call_solve(solver, instance: Instance, budget: Budget) -> Arrangement:
-    """Call ``solver.solve``, passing the budget when the solver takes one.
-
-    Legacy / third-party solvers whose ``solve`` predates the budget
-    parameter still run -- they just cannot be preempted cooperatively.
-    The signature is looked up once per solver class.
-    """
-    if _takes_budget(type(solver)):
-        return solver.solve(instance, budget=budget)
-    return solver.solve(instance)
 
 
 def run_with_budget(
@@ -131,7 +108,7 @@ def run_with_budget(
     name = _solver_name(instantiated)
 
     try:
-        arrangement: Arrangement | None = _call_solve(instantiated, instance, budget)
+        arrangement: Arrangement | None = instantiated.solve(instance, budget=budget)
     except BudgetExceededError:
         # The solver let the exhaustion escape instead of returning its
         # best-so-far; the empty arrangement is the universal feasible

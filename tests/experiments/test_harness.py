@@ -5,7 +5,7 @@ import pytest
 from repro.experiments.config import SCALES, get_scale
 from repro.experiments.metrics import measure
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import Record, Sweep, run_solver_on, sweep_parameter
+from repro.experiments.runner import Record, Sweep, run_cell, sweep_parameter
 from repro.datagen.synthetic import SyntheticConfig, generate_instance
 
 
@@ -65,14 +65,15 @@ class TestReporting:
 
 
 class TestRunner:
-    def test_run_solver_on_validates(self):
+    def test_run_cell_validates(self):
         instance = generate_instance(
             SyntheticConfig(n_events=5, n_users=15, cv_high=4), 0
         )
-        record = run_solver_on(instance, "greedy", memory=False)
-        assert record.solver == "greedy"
-        assert record.max_sum > 0
-        assert record.n_pairs >= 1
+        cell = run_cell(lambda x, seed: instance, None, 0, "greedy", memory=False)
+        assert cell.ok and cell.outcome == "optimal"
+        assert cell.solver == "greedy"
+        assert cell.max_sum > 0
+        assert cell.n_pairs >= 1
 
     def test_sweep_parameter_shapes(self):
         sweep = sweep_parameter(

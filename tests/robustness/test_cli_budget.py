@@ -57,3 +57,10 @@ def test_sweep_command_rejects_uncheckpointable_figure(tmp_path, capsys):
                  "--checkpoint", str(tmp_path / "x.jsonl")])
     assert code == 2
     assert "does not support checkpointing" in capsys.readouterr().err
+    # Fig. 5 sweeps run a fixed solver set; --solvers cannot override it.
+    code = main(["sweep", "fig5-effectiveness",
+                 "--checkpoint", str(tmp_path / "x.jsonl"),
+                 "--scale", "smoke", "--solvers", "greedy"])
+    assert code == 2
+    assert "has a fixed solver set" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
