@@ -38,31 +38,48 @@ built on it must be digest-reproducible:
 
 * direct labels: ``dist_u = min_v costs_masked[v, u] - pot_u[u]`` where
   ``costs_masked`` carries ``inf`` on saturated arcs and closed events;
-* residual arcs: ``cres = (-costs[v, u] + pot_u[u]) - pot_v[v]``;
-* sweep row relaxation: ``((costs[v, u] + pot_v[v]) - pot_u[u]) + dist_v``;
+* residual arcs: ``cres = max((-costs[v, u] + pot_u[u]) - pot_v[v], 0)``;
+* sweep row relaxation:
+  ``max((costs[v, u] + pot_v[v]) - pot_u[u], 0) + dist_v``;
 * sweeps are two-phase (all event labels from the pre-sweep user labels,
-  then all user labels from the changed event rows), improvements are
-  strict, and every argmin tie resolves to the lowest index.
+  then all user labels from the changed event rows) and improvements are
+  strict;
+* a node's parent is the lowest-index argmin of the relaxation that last
+  lowered its label: the masked cost column for a direct label, the
+  event's matched arcs for an event label, the changed event rows of its
+  generation for a user label lowered by a sweep.
+
+The two clamps at 0 change a value only where rounding has made a
+reduced cost a few ulps negative. They are what keeps the parents
+acyclic: a sweep sets a label to its parent's label plus a non-negative
+term and labels only fall, so every label is at least its parent's. On a
+cycle of parents all labels would then be equal, yet the last label
+lowered on it fell strictly below the value its child was built from.
+Without the clamps, labels near ``0.1`` with reduced costs rounding to
+``-5.55e-17`` made the parents cycle (``u2 <- v11 <- u6 <- v9 <- u2``).
+
+A search records parents lazily: each node is stamped with the sweep
+generation that last lowered it, and each generation keeps the arrays it
+built anyway (the candidate vector of its event phase, the changed rows
+and their new labels). :meth:`DenseBipartiteMinCostFlow._path` takes the
+argmin only for the nodes on the path, in O(path) small array ops and
+with no float equality test. A direct label's argmin is over the masked
+cost column, which no sweep changes.
 
 One Dijkstra cut skips the sweeps: they start only if some improved
 event label is below the direct sink distance (reduced costs are
 non-negative, so no residual path can win otherwise). Once started they
-run to fixpoint. A second cut that stops after a generation whose
-improved event labels all exceed the best sink label so far is *not*
-bit-identical: reduced costs that round a few ulps below zero let a later
-generation lower a user label back under ``dist_t`` (0.2 -> 0.1 under
-``dist_t = 0.10000000000000009`` with costs rounded to tenths), so the
-kernel does not take it.
-
-Paths are recovered from the labels by
-:func:`repro.flow.tight_path.tight_path`, which backtracks where the
-first tight parent would cycle on ties and raises ``FlowError`` where no
-tight path exists, instead of looping forever.
+run to fixpoint. A second cut, after a generation whose improved event
+labels all exceed the best sink label so far, is not taken. Without the
+clamps it was not bit-identical: reduced costs that rounded a few ulps
+below zero let a later generation lower a user label back under
+``dist_t`` (0.2 -> 0.1 under ``dist_t = 0.10000000000000009`` with costs
+rounded to tenths). With them it has not been re-checked.
 
 ``repro.flow.reference.ReferenceBipartiteMinCostFlow`` implements the
-same specification with scalar loops, its path walk included; the
-kernel-equivalence property suite asserts bit-identical flows, path
-costs and potentials, ties included.
+same specification with scalar loops, recording each parent as it
+lowers the label; the kernel-equivalence property suite asserts
+bit-identical flows, path costs and potentials, ties included.
 
 Every middle arc has capacity 1, so each augmenting path carries exactly
 one unit: the Delta-sweep of Algorithm 1 falls out one augmentation at a
@@ -73,17 +90,13 @@ to MaxSum). Both the early-stopping and full-sweep behaviours are exposed.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.exceptions import FlowError
-from repro.flow.tight_path import preference_order, tight_path
 
-#: parent_u markers: the label came from a direct source path, or was
-#: improved by a residual sweep (feeding event recovered by equality).
+#: Generation stamp of a label no sweep lowered: a user's direct source
+#: path, an event's source arc.
 _SOURCE_FED = -1
-_SWEEP_FED = -3
 
 
 class DenseBipartiteMinCostFlow:
@@ -139,7 +152,7 @@ class DenseBipartiteMinCostFlow:
         self._cached_search: _Search | None = None
         # Search scratch (safe to reuse: a search's buffers are consumed
         # by the following _commit before the next search runs).
-        self._parent_u_buf = np.empty(self.n_users, dtype=np.int64)
+        self._gen_u_buf = np.empty(self.n_users, dtype=np.int64)
         self._tvals_buf = np.empty(self.n_users, dtype=np.float64)
 
     @property
@@ -222,9 +235,11 @@ class DenseBipartiteMinCostFlow:
 
         # Phase 1: direct labels.
         dist_u = self._colmin - pot_u
-        parent_u = self._parent_u_buf
-        parent_u.fill(_SOURCE_FED)
+        gen_u = self._gen_u_buf
+        gen_u.fill(_SOURCE_FED)
         dist_v = np.where(self._open_v, -pot_v, np.inf)
+        gen_v = np.full(nv, _SOURCE_FED)
+        sweeps: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
         # Direct sink distance (sink relaxation over open users).
         tvals = self._tvals_buf
@@ -236,12 +251,12 @@ class DenseBipartiteMinCostFlow:
 
         # Phase 2: residual sweeps. Matched arcs in row-major (v, u)
         # order; both phases of a sweep read the labels produced by the
-        # previous phase, improvements are strict, ties keep the earliest
-        # (lowest-index) writer.
+        # previous phase, improvements are strict.
         keys = self._matched
         if keys.shape[0]:
             mv, mu = self._matched_arcs()
             cres = (-self.costs.reshape(-1)[keys] + pot_u[mu]) - pot_v[mv]
+            np.maximum(cres, 0.0, out=cres)
             # Generation 1 considers every matched arc at once (every
             # user label was just set): segmented min per event over the
             # row-major arc list (mv is sorted).
@@ -253,35 +268,39 @@ class DenseBipartiteMinCostFlow:
             cand = dist_u[mu] + cres
             seg_min = np.minimum.reduceat(cand, starts)
             changed = seg_min < dist_v[seg_v]
-            vc = seg_v[changed]
+            vc, lowered = seg_v[changed], seg_min[changed]
             # Dijkstra cut: every label on a residual path is at least
             # its first improved event label (reduced costs >= 0), so if
             # no improved event undercuts the direct sink distance no
             # residual path can win -- and every label below dist_t is
             # already exact, which is all the potential clamp needs.
-            if vc.shape[0] and seg_min[changed].min() < t_direct:
-                for _ in range(nu + nv + 2):
-                    dist_v[vc] = seg_min[changed]
-                    # parent_v is recovered by equality at path-walk
-                    # time. Row relaxation keeps the canonical
-                    # association ((cost + pot_v) - pot_u) + dist_v.
+            if vc.shape[0] and lowered.min() < t_direct:
+                for gen in range(nu + nv + 2):
+                    # What _path needs to recompute this generation's
+                    # argmins: the candidates that lowered the events in
+                    # vc, and vc's new labels that feed the rows below.
+                    gen_v[vc] = gen
+                    sweeps.append((cand, vc, lowered))
+                    dist_v[vc] = lowered
+                    # Row relaxation keeps the canonical association
+                    # max((cost + pot_v) - pot_u, 0) + dist_v.
                     if vc.shape[0] == 1:
                         v = int(vc[0])
                         best = self._costs_open[v] + pot_v[v]
                         best -= pot_u
+                        np.maximum(best, 0.0, out=best)
                         best += dist_v[v]
                     else:
                         rows = self._costs_open[vc] + pot_v[vc, None]
                         rows -= pot_u
+                        np.maximum(rows, 0.0, out=rows)
                         rows += dist_v[vc, None]
                         best = rows.min(axis=0)
                     improve = best < dist_u
                     if not improve.any():
                         break
                     dist_u[improve] = best[improve]
-                    # The feeding event is recovered by equality at
-                    # path-walk time; only mark that one exists.
-                    parent_u[improve] = _SWEEP_FED
+                    gen_u[improve] = gen
                     # Fixpoint check: if no improved user feeds a
                     # residual arc, the candidate vector cannot change
                     # -- skip the verification sweep entirely.
@@ -290,7 +309,7 @@ class DenseBipartiteMinCostFlow:
                     cand = dist_u[mu] + cres
                     seg_min = np.minimum.reduceat(cand, starts)
                     changed = seg_min < dist_v[seg_v]
-                    vc = seg_v[changed]
+                    vc, lowered = seg_v[changed], seg_min[changed]
                     if not vc.shape[0]:
                         break
                 # Labels moved; rebuild the sink relaxation.
@@ -306,50 +325,56 @@ class DenseBipartiteMinCostFlow:
             dist_v=dist_v,
             dist_u=dist_u,
             dist_t=dist_t,
-            parent_u=parent_u,
+            gen_v=gen_v,
+            gen_u=gen_u,
+            sweeps=sweeps,
             parent_t=parent_t,
             path_cost=dist_t + pot_t,
         )
 
-    def _events_feeding(self, u: int, search: "_Search") -> Iterator[int]:
-        """Candidate events feeding ``u`` on the shortest-path tree.
+    def _path(
+        self, search: "_Search"
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """The augmenting path read off the search's parents.
 
-        Labels are recovered by equality against the exact expression
-        that produced them (lowest event index first): the masked cost
-        column for source-fed labels, the sweep row relaxation for
-        sweep-fed ones. At fixpoint the producing expression reproduces
-        the stored label bit-for-bit, because improvements are strict.
+        Each parent is the lowest-index argmin of the relaxation that last
+        lowered the node's label, recomputed from the arrays of the
+        generation that stamped it (the module docstring has the rule).
+        It reads the search-time potentials and cost views, so it runs
+        before anything mutates.
+
+        Returns:
+            ``(adds, drops)``: the ``(v, u)`` arcs to saturate, sink side
+            first, and the matched arcs the path runs backwards over.
         """
-        if search.parent_u[u] == _SOURCE_FED:
-            column = np.where(self._open_v, self._costs_open[:, u], np.inf)
-            column -= self._pot_u[u]
-        else:
-            column = (self._costs_open[:, u] + self._pot_v) - self._pot_u[u]
-            column += search.dist_v
-        return preference_order(range(self.n_events), column, search.dist_u[u])
-
-    def _users_feeding(self, v: int, search: "_Search") -> Iterator[int]:
-        """Candidate matched users feeding ``v`` through its residual arc."""
         nu, keys = self.n_users, self._matched
-        lo, hi = np.searchsorted(keys, (v * nu, (v + 1) * nu))
-        users = keys[lo:hi] - v * nu
-        cand = search.dist_u[users] + (
-            (-self.costs[v, users] + self._pot_u[users]) - self._pot_v[v]
-        )
-        return preference_order(users, cand, search.dist_v[v])
+        costs_open, pot_v, pot_u = self._costs_open, self._pot_v, self._pot_u
+        adds: list[tuple[int, int]] = []
+        drops: list[tuple[int, int]] = []
+        u = search.parent_t
+        # The clamps keep parents acyclic, so a path holds each user at
+        # most once; the bound turns a broken invariant into an error.
+        for _ in range(nu):
+            gen = int(search.gen_u[u])
+            if gen == _SOURCE_FED:
+                column = np.where(self._open_v, costs_open[:, u], np.inf)
+                adds.append((int(column.argmin()), u))
+                return adds, drops
+            _, vc, lowered = search.sweeps[gen]
+            row = (costs_open[vc, u] + pot_v[vc]) - pot_u[u]
+            np.maximum(row, 0.0, out=row)
+            row += lowered
+            v = int(vc[row.argmin()])
+            adds.append((v, u))
+            cand = search.sweeps[search.gen_v[v]][0]
+            lo, hi = np.searchsorted(keys, (v * nu, (v + 1) * nu))
+            u = int(keys[lo + cand[lo:hi].argmin()]) - v * nu
+            drops.append((v, u))
+        raise FlowError("the search's parent pointers form a cycle")
 
     def _commit(self, search: "_Search") -> None:
-        """Flip the path, update potentials and the kept state, account the unit.
-
-        The path is recovered *before* anything mutates: the equality
-        walks read the search-time potentials, flow, and cost views.
-        """
-        adds, drops = tight_path(
-            search.parent_t,
-            lambda u: self._events_feeding(u, search),
-            lambda v: self._users_feeding(v, search),
-            lambda u: search.parent_u[u] == _SOURCE_FED,
-        )
+        """Flip the path, update potentials and the kept state, account the unit."""
+        adds, drops = self._path(search)
         dist_t = search.dist_t
         # Johnson update with the standard clamp at the sink label so all
         # residual reduced costs stay non-negative (unreached labels are
@@ -393,22 +418,33 @@ class DenseBipartiteMinCostFlow:
 
 
 class _Search:
-    """One shortest-path search's labels and parent pointers."""
+    """One shortest-path search's labels and the records its parents are read from.
 
-    __slots__ = ("dist_v", "dist_u", "dist_t", "parent_u", "parent_t", "path_cost")
+    ``gen_v``/``gen_u`` stamp each node with the sweep generation that last
+    lowered its label (``_SOURCE_FED`` if none did); ``sweeps[g]`` is
+    generation ``g``'s ``(cand, vc, lowered)``.
+    """
+
+    __slots__ = (
+        "dist_v", "dist_u", "dist_t", "gen_v", "gen_u", "sweeps", "parent_t", "path_cost",
+    )
 
     def __init__(
         self,
         dist_v: np.ndarray,
         dist_u: np.ndarray,
         dist_t: float,
-        parent_u: np.ndarray,
+        gen_v: np.ndarray,
+        gen_u: np.ndarray,
+        sweeps: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         parent_t: int,
         path_cost: float,
     ) -> None:
         self.dist_v = dist_v
         self.dist_u = dist_u
         self.dist_t = dist_t
-        self.parent_u = parent_u
+        self.gen_v = gen_v
+        self.gen_u = gen_u
+        self.sweeps = sweeps
         self.parent_t = parent_t
         self.path_cost = path_cost

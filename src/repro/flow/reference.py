@@ -2,9 +2,13 @@
 
 :class:`ReferenceBipartiteMinCostFlow` implements the specification in
 :mod:`repro.flow.dense_bipartite`'s module docstring with explicit
-per-element loops: same float associations, same two-phase strict sweeps,
-same lowest-index tie-breaking, same Dijkstra cut and potential clamp.
-Every intermediate quantity is an IEEE double on both sides, so the
+per-element loops: same float associations and clamps at 0, same
+two-phase strict sweeps, same Dijkstra cut and potential clamp. Where
+the kernel stamps each label with its generation and recomputes the
+argmin for the nodes on the path, this reference records each parent as
+it lowers the label (a strict ``<`` over nodes in index order keeps the
+lowest-index argmin), and the path is read off those records. Every
+intermediate quantity is an IEEE double on both sides, so the
 kernel-equivalence property suite can assert *bitwise* identical flows,
 path costs, and potentials -- ties included -- between this reference
 and the block kernel.
@@ -22,20 +26,33 @@ import numpy as np
 
 from repro.exceptions import FlowError
 
-_SOURCE_FED = -1
-_SWEEP_FED = -3
-
 _INF = math.inf
 
 
 class _Search:
-    __slots__ = ("dist_v", "dist_u", "dist_t", "parent_u", "parent_t", "path_cost")
+    """Labels and parents; ``direct[u]``: ``u``'s label is a direct source path."""
 
-    def __init__(self, dist_v, dist_u, dist_t, parent_u, parent_t, path_cost):
+    __slots__ = (
+        "dist_v", "dist_u", "dist_t", "parent_v", "parent_u", "direct", "parent_t", "path_cost",
+    )
+
+    def __init__(
+        self,
+        dist_v: list[float],
+        dist_u: list[float],
+        dist_t: float,
+        parent_v: list[int],
+        parent_u: list[int],
+        direct: list[bool],
+        parent_t: int,
+        path_cost: float,
+    ) -> None:
         self.dist_v = dist_v
         self.dist_u = dist_u
         self.dist_t = dist_t
+        self.parent_v = parent_v
         self.parent_u = parent_u
+        self.direct = direct
         self.parent_t = parent_t
         self.path_cost = path_cost
 
@@ -147,20 +164,23 @@ class ReferenceBipartiteMinCostFlow:
 
         # Phase 1: direct labels -- min over open arcs per user column.
         dist_u = [0.0] * nu
+        parent_u = [-1] * nu
         for u in range(nu):
-            best = _INF
+            best, best_v = _INF, -1
             for v in range(nv):
                 if self._masked(v, u):
                     continue
                 c = costs[v, u]
                 if c < best:
-                    best = c
+                    best, best_v = c, v
             dist_u[u] = best - pot_u[u]
-        parent_u = [_SOURCE_FED] * nu
+            parent_u[u] = best_v
+        direct = [True] * nu
         dist_v = [
             -pot_v[v] if self.event_used[v] < self.event_capacities[v] else _INF
             for v in range(nv)
         ]
+        parent_v = [-1] * nv
 
         def sink_relax() -> tuple[int, list[float]]:
             tvals = [0.0] * nu
@@ -183,44 +203,50 @@ class ReferenceBipartiteMinCostFlow:
         ]
         if matched:
             cres = {
-                (v, u): (-costs[v, u] + pot_u[u]) - pot_v[v] for v, u in matched
+                (v, u): max((-costs[v, u] + pot_u[u]) - pot_v[v], 0.0)
+                for v, u in matched
             }
             matched_users = {u for _, u in matched}
 
-            def segment_minima() -> dict[int, float]:
-                seg: dict[int, float] = {}
+            def segment_minima() -> dict[int, tuple[float, int]]:
+                """Per event: the least candidate over its arcs and its user."""
+                seg: dict[int, tuple[float, int]] = {}
                 for v, u in matched:
                     cand = dist_u[u] + cres[(v, u)]
-                    if v not in seg or cand < seg[v]:
-                        seg[v] = cand
+                    if v not in seg or cand < seg[v][0]:
+                        seg[v] = (cand, u)
                 return seg
 
-            seg_min = segment_minima()
-            changed = {v: m for v, m in seg_min.items() if m < dist_v[v]}
-            if changed and min(changed.values()) < t_direct:
+            def lowered_events() -> dict[int, tuple[float, int]]:
+                return {v: seg for v, seg in segment_minima().items() if seg[0] < dist_v[v]}
+
+            changed = lowered_events()
+            if changed and min(m for m, _ in changed.values()) < t_direct:
                 for _ in range(nu + nv + 2):
-                    for v, m in changed.items():
+                    for v, (m, u) in changed.items():
                         dist_v[v] = m
+                        parent_v[v] = u
                     vc = sorted(changed)
                     improved: set[int] = set()
                     for u in range(nu):
-                        best = _INF
+                        best, best_v = _INF, -1
                         for v in vc:
                             if self.flow[v, u]:
                                 continue  # saturated: no forward residual
-                            cand = ((costs[v, u] + pot_v[v]) - pot_u[u]) + dist_v[v]
+                            reduced = max((costs[v, u] + pot_v[v]) - pot_u[u], 0.0)
+                            cand = reduced + dist_v[v]
                             if cand < best:
-                                best = cand
+                                best, best_v = cand, v
                         if best < dist_u[u]:
                             dist_u[u] = best
-                            parent_u[u] = _SWEEP_FED
+                            parent_u[u] = best_v
+                            direct[u] = False
                             improved.add(u)
                     if not improved:
                         break
                     if not (improved & matched_users):
                         break  # candidate vector cannot change: fixpoint
-                    seg_min = segment_minima()
-                    changed = {v: m for v, m in seg_min.items() if m < dist_v[v]}
+                    changed = lowered_events()
                     if not changed:
                         break
                 parent_t, tvals = sink_relax()
@@ -232,97 +258,28 @@ class ReferenceBipartiteMinCostFlow:
             dist_v=dist_v,
             dist_u=dist_u,
             dist_t=dist_t,
+            parent_v=parent_v,
             parent_u=parent_u,
+            direct=direct,
             parent_t=parent_t,
             path_cost=dist_t + self._pot_t,
         )
 
-    # ------------------------------------------------------------------
-    # Equality-based parent recovery (pre-mutation, like the kernel)
-    # ------------------------------------------------------------------
-
-    def _parent_events_of(self, u: int, search: _Search) -> list[int]:
-        """Events whose arc reproduces ``dist_u[u]``, lowest index first;
-        if none does, the nearest one (float-noise guard)."""
-        target = search.dist_u[u]
-        tight: list[int] = []
-        best_v, best_val = -1, _INF
-        for v in range(self.n_events):
-            if search.parent_u[u] == _SOURCE_FED:
-                if self._masked(v, u):
-                    continue
-                val = self.costs[v, u] - self._pot_u[u]
-            else:
-                if self.flow[v, u]:
-                    continue
-                val = ((self.costs[v, u] + self._pot_v[v]) - self._pot_u[u])
-                val += search.dist_v[v]
-            if val == target:
-                tight.append(v)
-            elif val < best_val:
-                best_val = val
-                best_v = v
-        if tight:
-            return tight
-        return [best_v] if best_v >= 0 else []
-
-    def _parent_users_of(self, v: int, search: _Search) -> list[int]:
-        """Matched users whose residual arc reproduces ``dist_v[v]``, lowest
-        index first; if none does, the nearest one (float-noise guard)."""
-        target = search.dist_v[v]
-        tight: list[int] = []
-        best, best_cand = -1, _INF
-        for u in range(self.n_users):
-            if not self.flow[v, u]:
-                continue
-            cand = search.dist_u[u] + (
-                (-self.costs[v, u] + self._pot_u[u]) - self._pot_v[v]
-            )
-            if cand == target:
-                tight.append(u)
-            elif cand < best_cand:
-                best_cand = cand
-                best = u
-        if tight:
-            return tight
-        return [best] if best >= 0 else []
-
     def _augmenting_path(self, search: _Search) -> list[int]:
         """``[u0, v0, u1, v1, ...]`` from the sink user back to the source.
 
-        Depth first over the parent lists, entering no user and no
-        interior event twice; an event fed by a source-fed user ends the
-        path unless the path already holds it.
+        Follows the recorded parents; a user with a direct label ends the
+        path at its parent event.
         """
         path: list[int] = []
-        entered_users: set[int] = set()
-        entered_events: set[int] = set()
-
-        def from_user(u: int) -> bool:
-            entered_users.add(u)
-            path.append(u)
-            for v in self._parent_events_of(u, search):
-                if search.parent_u[u] == _SOURCE_FED:
-                    if v not in path[1::2]:
-                        path.append(v)
-                        return True
-                elif v not in entered_events and from_event(v):
-                    return True
-            path.pop()
-            return False
-
-        def from_event(v: int) -> bool:
-            entered_events.add(v)
-            path.append(v)
-            for u in self._parent_users_of(v, search):
-                if u not in entered_users and from_user(u):
-                    return True
-            path.pop()
-            return False
-
-        if not from_user(search.parent_t):
-            raise FlowError("no tight augmenting path reaches the source")
-        return path
+        u = search.parent_t
+        for _ in range(self.n_users):
+            v = search.parent_u[u]
+            path += (u, v)
+            if search.direct[u]:
+                return path
+            u = search.parent_v[v]
+        raise FlowError("the search's parent pointers form a cycle")
 
     def _commit(self, search: _Search) -> None:
         path = self._augmenting_path(search)

@@ -184,10 +184,21 @@ def assert_kept_state(dense: DenseBipartiteMinCostFlow) -> None:
 
 
 def drive_checking_kept_state(costs, cv, cu, mode: str) -> DenseBipartiteMinCostFlow:
-    """Drive the kernel one unit at a time in ``mode``, checking after each."""
+    """Drive the kernel one unit at a time in ``mode``, checking after each
+    unit the kept state and the path it committed: it adds only open arcs,
+    drops only matched ones, and its true cost is the cost it returned."""
     dense = DenseBipartiteMinCostFlow(costs, cv, cu)
     assert_kept_state(dense)
+    committed = []
+    read_path = dense._path
+
+    def recording_path(search):
+        committed.append((read_path(search), search.path_cost))
+        return committed[-1][0]
+
+    dense._path = recording_path
     while True:
+        before = dense.flow.copy()
         if mode == "max":
             routed = dense.run(amount=1)
         elif mode == "stop":
@@ -195,6 +206,13 @@ def drive_checking_kept_state(costs, cv, cu, mode: str) -> DenseBipartiteMinCost
         else:
             routed = int(dense.augment() is not None)
         assert_kept_state(dense)
+        assert len(committed) == routed
+        for (adds, drops), path_cost in committed:
+            assert all(not before[v, u] and np.isfinite(costs[v, u]) for v, u in adds)
+            assert all(before[v, u] for v, u in drops)
+            true_cost = sum(costs[v, u] for v, u in adds) - sum(costs[v, u] for v, u in drops)
+            assert true_cost == pytest.approx(path_cost, abs=1e-9)
+        committed.clear()
         if not routed:
             return dense
 
