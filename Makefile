@@ -25,9 +25,9 @@ smoke:
 # (the tests tree legitimately uses exact float comparisons, terse
 # signatures, and raw writes under tests/service), minus the lint
 # fixture packs which exist to be flagged.
-LINT_TEST_RULES = R1,R3,R4,R6,R7,R11,R13
+LINT_TEST_RULES = R1,R4,R11,R13
 
-LINT = PYTHONPATH=src $(PYTHON) -m repro.analysis.cli --jobs 0
+LINT = PYTHONPATH=src $(PYTHON) -m repro.analysis.cli
 LINT_TESTS = --select $(LINT_TEST_RULES) --exclude analysis/fixtures tests
 
 lint:

@@ -8,14 +8,18 @@ invariants the reproduction's numbers depend on:
 * **R2 float discipline** -- no exact ``==``/``!=`` on
   similarity/objective floats in ``core/``/``flow/``; use
   :mod:`repro.core.numeric`.
-* **R3 solver-registry completeness** -- every concrete solver is
-  registered, imported, and exported.
 * **R4 ordering safety** -- no set/dict-values iteration feeding heap
   pushes or keyed tie-breaks.
 * **R5 API hygiene** -- no mutable default arguments or bare excepts;
   public ``repro.core`` functions fully annotated.
-* **R6 time API** -- no wall-clock ``time.time()``; budget deadlines
-  use ``time.monotonic()``, durations ``time.perf_counter()``.
+* **R11 budget checkpoints** -- every ``while`` loop of a budget-aware
+  solver function calls ``Budget.checkpoint()``.
+* **R13 reasoned suppressions** -- every ``# geacc-lint: disable``
+  directive carries ``reason=``.
+* **R14 atomic service writes** -- ``service/`` persists only through
+  the journal's atomic-write helpers.
+* **R15 vectorised kernels** -- no per-element numpy loops on the
+  block-kernel hot paths.
 
 Architecture: one rule = one class (:mod:`repro.analysis.rules`),
 registered in a table (:mod:`repro.analysis.registry`), driven by a
@@ -25,18 +29,15 @@ support (:mod:`repro.analysis.suppress`).  See
 """
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ParsedModule, Project, lint_project, parse_project, run_lint
+from repro.analysis.engine import ParsedModule, run_lint
 from repro.analysis.registry import RULES, Rule, load_rules, register_rule
 
 __all__ = [
     "Diagnostic",
     "ParsedModule",
-    "Project",
     "RULES",
     "Rule",
-    "lint_project",
     "load_rules",
-    "parse_project",
     "register_rule",
     "run_lint",
 ]

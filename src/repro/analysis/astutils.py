@@ -34,11 +34,6 @@ def terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def call_target(node: ast.Call) -> str | None:
-    """Dotted name of a call's callee, or None if not a plain chain."""
-    return dotted_name(node.func)
-
-
 def is_set_like(node: ast.expr) -> bool:
     """True for expressions whose iteration order is a hazard.
 

@@ -7,7 +7,6 @@ Usage::
     geacc-lint --select R1,R5 src     # run a subset
     geacc-lint --ignore R4 src        # run all but some
     geacc-lint --format json src      # one JSON object per finding
-    geacc-lint --jobs 0 src           # fan files out across all cores
     geacc-lint --exclude 'fixtures' t # skip matching subtrees
 
 Also reachable as ``geacc lint`` (same flags) and
@@ -35,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geacc-lint",
         description="GEACC-aware static analysis (determinism, float discipline, "
-        "registry completeness, ordering safety, API hygiene)",
+        "ordering safety, API hygiene, budget checkpoints, atomic service writes)",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -60,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["text", "json"], default="text",
         help="output format: grep-friendly text (default) or one JSON "
         "object per diagnostic (includes suppressed findings, marked)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for parsing and per-file rules "
-        "(default: 1; 0 = all cores); output is identical to --jobs 1",
     )
     parser.add_argument(
         "--exclude", action="append", default=None, metavar="GLOB",
@@ -105,7 +99,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             # JSON consumers get the full audit picture; text output
             # stays quiet about what directives already silenced.
             include_suppressed=(args.format == "json"),
-            jobs=args.jobs,
             exclude=args.exclude,
         )
     except ValueError as exc:  # unknown rule ids in --select/--ignore

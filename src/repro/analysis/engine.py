@@ -1,18 +1,16 @@
 """The ``geacc-lint`` engine: collect files, parse, run rules, filter.
 
 The engine is deliberately tiny: discovery (``.py`` files under the
-given roots), one :func:`ast.parse` per file, a pass over per-module
-rules, one pass of project-level rules, and suppression filtering.  All
-pattern knowledge lives in the rule classes (see
-:mod:`repro.analysis.registry`).
+given roots), one :func:`ast.parse` per file, the rules' per-module
+checks, and suppression filtering.  All pattern knowledge lives in the
+rule classes (see :mod:`repro.analysis.registry`).
 """
 
 from __future__ import annotations
 
 import fnmatch
-import functools
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path, PurePosixPath
 
 import ast
@@ -33,9 +31,10 @@ class ParsedModule:
         path: Absolute filesystem path.
         display_path: Path as shown in diagnostics (input path joined
             with the in-tree relative path).
-        relpath: POSIX-style path relative to the lint root; rules use
-            it for scoping (e.g. R2 only applies under ``core/`` and
-            ``flow/``).
+        relpath: POSIX-style path below the file's top-level package
+            (``core/model.py`` however much of ``src/repro`` was
+            linted); rules use it for scoping (e.g. R2 only applies
+            under ``core/`` and ``flow/``).
         tree: The parsed AST.
         lines: Raw source lines (1-based access via ``lines[i - 1]``).
         suppressions: Parsed ``# geacc-lint: disable`` directives.
@@ -54,26 +53,6 @@ class ParsedModule:
         return PurePosixPath(self.relpath).parts
 
 
-@dataclass
-class Project:
-    """The whole file set handed to project-level rules."""
-
-    roots: list[Path]
-    modules: list[ParsedModule] = field(default_factory=list)
-
-    def module_at(self, relpath: str) -> ParsedModule | None:
-        """Find a module by exact relative path, or None."""
-        for module in self.modules:
-            if module.relpath == relpath:
-                return module
-        return None
-
-    def modules_under(self, relprefix: str) -> list[ParsedModule]:
-        """All modules whose relpath sits under ``relprefix`` (a dir)."""
-        prefix = relprefix.rstrip("/") + "/"
-        return [m for m in self.modules if m.relpath.startswith(prefix)]
-
-
 def _excluded(relpath: str, exclude: Sequence[str]) -> bool:
     """True if ``relpath`` matches any exclusion glob.
 
@@ -89,23 +68,48 @@ def _excluded(relpath: str, exclude: Sequence[str]) -> bool:
     return False
 
 
+def _package_prefix(directory: Path) -> str:
+    """``directory``'s POSIX path below its top-level package, plus ``/``.
+
+    Walks up while both the directory and its parent are packages
+    (carry an ``__init__.py``): ``src/repro/core/algorithms`` gives
+    ``core/algorithms/``, ``src/repro`` itself and any directory outside
+    a package give ``""``.
+    """
+    parts: list[str] = []
+    current = directory.resolve()
+    while (current / "__init__.py").is_file() and (
+        current.parent / "__init__.py"
+    ).is_file():
+        parts.append(current.name)
+        current = current.parent
+    return "".join(f"{part}/" for part in reversed(parts))
+
+
 def _discover(
     paths: Sequence[str | Path], exclude: Sequence[str] | None = None
 ) -> list[tuple[Path, str, str]]:
-    """Expand input paths into ``(abs_path, display_path, relpath)`` triples."""
+    """Expand input paths into ``(abs_path, display_path, relpath)`` triples.
+
+    ``exclude`` globs match the root-relative path; the returned relpath
+    is prefixed with the root's own place in its package, so scoped
+    rules see ``core/...`` whether ``src/repro`` or ``src/repro/core``
+    was linted.
+    """
     found: list[tuple[Path, str, str]] = []
     for raw in paths:
         root = Path(raw)
         if root.is_dir():
+            prefix = _package_prefix(root)
             for file_path in sorted(root.rglob("*.py")):
                 rel = file_path.relative_to(root).as_posix()
                 if exclude and _excluded(rel, exclude):
                     continue
-                found.append((file_path, str(Path(raw) / rel), rel))
+                found.append((file_path, str(Path(raw) / rel), prefix + rel))
         else:
             if exclude and _excluded(root.name, exclude):
                 continue
-            found.append((root, str(raw), root.name))
+            found.append((root, str(raw), _package_prefix(root.parent) + root.name))
     return found
 
 
@@ -135,129 +139,26 @@ def _parse_one(
     )
 
 
-def parse_project(
-    paths: Sequence[str | Path], exclude: Sequence[str] | None = None
-) -> tuple[Project, list[Diagnostic]]:
-    """Parse every discovered file; syntax errors become ``E0`` findings."""
-    project = Project(roots=[Path(p) for p in paths])
-    errors: list[Diagnostic] = []
-    for file_path, display, rel in _discover(paths, exclude):
-        parsed = _parse_one(file_path, display, rel)
-        if isinstance(parsed, Diagnostic):
-            errors.append(parsed)
-        else:
-            project.modules.append(parsed)
-    return project, errors
-
-
-def _check_one(
-    task: tuple[str, str, str], rule_ids: tuple[str, ...]
-) -> tuple[ParsedModule | None, list[Diagnostic]]:
-    """Worker side of ``--jobs``: parse one file, run the module rules.
-
-    Module-level (and partial-friendly) so it pickles into spawn
-    workers; the parent assembles the returned modules into a
-    :class:`Project` for the project-level pass and does all
-    suppression filtering itself.
-    """
-    path_str, display, rel = task
-    parsed = _parse_one(Path(path_str), display, rel)
-    if isinstance(parsed, Diagnostic):
-        return None, [parsed]
-    rules = load_rules(select=rule_ids)
-    findings: list[Diagnostic] = []
-    for rule in rules:
-        findings.extend(rule.check_module(parsed))
-    return parsed, findings
-
-
-def lint_project(
-    project: Project,
-    rules: Sequence[Rule],
-    include_suppressed: bool = False,
-    module_findings: Sequence[Diagnostic] | None = None,
+def _check_module(
+    module: ParsedModule, rules: Sequence[Rule], include_suppressed: bool
 ) -> list[Diagnostic]:
-    """Run ``rules`` over a parsed project and filter suppressed findings.
+    """Run ``rules`` over one module and filter its suppressed findings.
 
-    Args:
-        project: The parsed file set.
-        rules: Rule instances to run.
-        include_suppressed: Keep findings silenced by inline directives,
-            marked ``suppressed=True``, instead of dropping them.
-        module_findings: Per-module findings already computed elsewhere
-            (the ``--jobs`` worker pass); when given, only the
-            project-level rules run here.
+    Suppressed findings are dropped, or kept marked ``suppressed=True``
+    when ``include_suppressed`` is set; unsuppressible rules ignore
+    directives altogether.
     """
-    findings: list[Diagnostic] = list(module_findings or ())
-    if module_findings is None:
-        for module in project.modules:
-            for rule in rules:
-                findings.extend(rule.check_module(module))
-    for rule in rules:
-        findings.extend(rule.check_project(project))
-    by_display = {m.display_path: m.suppressions for m in project.modules}
-    unsuppressible = {r.rule_id for r in rules if not r.suppressible}
     kept: list[Diagnostic] = []
-    for diag in findings:
-        if _is_suppressed(by_display, unsuppressible, diag):
-            if include_suppressed:
-                kept.append(replace(diag, suppressed=True))
-        else:
-            kept.append(diag)
-    return sorted(set(kept))
-
-
-def _is_suppressed(
-    by_display: dict[str, SuppressionIndex],
-    unsuppressible: set[str],
-    diag: Diagnostic,
-) -> bool:
-    if diag.rule_id in unsuppressible:
-        return False
-    index = by_display.get(diag.path)
-    return index is not None and index.is_suppressed(diag.line, diag.rule_id)
-
-
-def _run_lint_parallel(
-    paths: Sequence[str | Path],
-    rules: Sequence[Rule],
-    include_suppressed: bool,
-    jobs: int,
-    exclude: Sequence[str] | None,
-) -> list[Diagnostic]:
-    """The ``--jobs N`` path: per-file parse + module rules in workers.
-
-    Raises :class:`~repro.parallel.executor.ParallelUnavailableError`
-    when no usable start method exists; the caller degrades to serial.
-    """
-    from repro.parallel.maplib import parallel_map
-
-    tasks = [
-        (str(file_path), display, rel)
-        for file_path, display, rel in _discover(paths, exclude)
-    ]
-    worker = functools.partial(
-        _check_one, rule_ids=tuple(r.rule_id for r in rules)
-    )
-    results = parallel_map(worker, tasks, jobs)
-    project = Project(roots=[Path(p) for p in paths])
-    errors: list[Diagnostic] = []
-    module_findings: list[Diagnostic] = []
-    for module, diags in results:
-        if module is None:
-            errors.extend(diags)
-        else:
-            project.modules.append(module)
-            module_findings.extend(diags)
-    return sorted(
-        errors
-        + lint_project(
-            project,
-            rules,
-            include_suppressed=include_suppressed,
-            module_findings=module_findings,
-        )
-    )
+    for rule in rules:
+        for diag in rule.check_module(module):
+            if rule.suppressible and module.suppressions.is_suppressed(
+                diag.line, diag.rule_id
+            ):
+                if include_suppressed:
+                    kept.append(replace(diag, suppressed=True))
+            else:
+                kept.append(diag)
+    return kept
 
 
 def run_lint(
@@ -266,32 +167,23 @@ def run_lint(
     ignore: Iterable[str] | None = None,
     *,
     include_suppressed: bool = False,
-    jobs: int = 1,
     exclude: Sequence[str] | None = None,
 ) -> list[Diagnostic]:
     """Lint ``paths`` with the registered rules; the one-call API.
 
-    Returns the sorted findings (syntax errors first-class among them,
-    never filtered). Suppressed findings are dropped unless
-    ``include_suppressed`` is set, in which case they are kept with
-    ``suppressed=True``; callers deriving an exit code must look only
-    at unsuppressed ones. ``jobs > 1`` fans per-file work out through
-    :func:`repro.parallel.maplib.parallel_map` (``0`` = all cores) and
-    produces byte-identical output to ``jobs=1``; if process
-    parallelism is unavailable the engine silently runs serially.
-    ``exclude`` holds root-relative globs for files to skip.
+    Returns the sorted, de-duplicated findings (syntax errors
+    first-class among them, never filtered). Suppressed findings are
+    dropped unless ``include_suppressed`` is set, in which case they
+    are kept with ``suppressed=True``; callers deriving an exit code
+    must look only at unsuppressed ones. ``exclude`` holds
+    root-relative globs for files to skip.
     """
     rules = load_rules(select=select, ignore=ignore)
-    if jobs != 1:
-        # Imported lazily: the serial path must not pay for (or depend
-        # on) the numeric stack repro.parallel pulls in.
-        from repro.parallel.executor import ParallelUnavailableError
-
-        try:
-            return _run_lint_parallel(paths, rules, include_suppressed, jobs, exclude)
-        except ParallelUnavailableError:
-            pass  # fall through to the serial path
-    project, errors = parse_project(paths, exclude)
-    return sorted(
-        errors + lint_project(project, rules, include_suppressed=include_suppressed)
-    )
+    findings: list[Diagnostic] = []
+    for file_path, display, rel in _discover(paths, exclude):
+        parsed = _parse_one(file_path, display, rel)
+        if isinstance(parsed, Diagnostic):
+            findings.append(parsed)
+        else:
+            findings.extend(_check_module(parsed, rules, include_suppressed))
+    return sorted(set(findings))

@@ -1,13 +1,9 @@
 """Rule plugin architecture: one rule = one class, registered in a table.
 
-New rules are added by subclassing :class:`Rule` and decorating with
-:func:`register_rule`; the engine and CLI pick them up automatically.
-A rule may implement either (or both) of two hooks:
-
-* :meth:`Rule.check_module` -- called once per parsed file; the common
-  case for purely local patterns.
-* :meth:`Rule.check_project` -- called once with the whole parsed tree;
-  for cross-file invariants such as solver-registry completeness.
+New rules are added by subclassing :class:`Rule`, implementing
+:meth:`Rule.check_module` (called once per parsed file), and decorating
+with :func:`register_rule`; the engine and CLI pick them up
+automatically.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from typing import TYPE_CHECKING, ClassVar
 from repro.analysis.diagnostics import Diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.analysis.engine import ParsedModule, Project
+    from repro.analysis.engine import ParsedModule
 
 
 class Rule:
@@ -27,8 +23,9 @@ class Rule:
     Class attributes double as the ``--list-rules`` documentation:
 
     Attributes:
-        rule_id: Stable short identifier (``R1`` .. ``R13``); suppression
-            comments and ``--select``/``--ignore`` use it.
+        rule_id: Stable short identifier (``R1``, ``R2``, ...; retired
+            ids are not reused); suppression comments and
+            ``--select``/``--ignore`` use it.
         title: One-line summary of what the rule enforces.
         rationale: Why the invariant matters for the GEACC reproduction.
         suppressible: False for rules whose findings ignore
@@ -44,10 +41,6 @@ class Rule:
 
     def check_module(self, module: "ParsedModule") -> Iterator[Diagnostic]:
         """Yield findings local to one file (default: none)."""
-        return iter(())
-
-    def check_project(self, project: "Project") -> Iterator[Diagnostic]:
-        """Yield findings that need the whole file set (default: none)."""
         return iter(())
 
 

@@ -1,11 +1,11 @@
 """The sanctioned process-level parallelism layer.
 
 Everything in this repository that fans work out to multiple processes
-goes through this package -- ``geacc-lint`` rule R7 bans naked
-``multiprocessing.Pool`` / ``fork`` start-method selection everywhere
-else, so budgets (:mod:`repro.robustness.budget`) and the crash-safe
-sweep checkpoint (:mod:`repro.experiments.runner`) cannot be bypassed
-by ad-hoc pools.
+goes through this package -- ``tests/test_boundaries.py`` fails on a
+``multiprocessing`` pool, process, context or start-method call, or a
+``ProcessPoolExecutor``, anywhere else, so budgets
+(:mod:`repro.robustness.budget`) and the crash-safe sweep checkpoint
+(:mod:`repro.experiments.runner`) cannot be bypassed by ad-hoc pools.
 
 Two public pieces:
 
@@ -15,11 +15,9 @@ Two public pieces:
   fsynced JSONL checkpoint, records the cells of a worker that died as
   failed, and cancels running groups when a global
   :class:`~repro.robustness.budget.Budget` deadline is exhausted.
-* :mod:`repro.parallel.maplib` -- an order-preserving ``parallel_map``
-  for coarse-grained picklable tasks that need the same fork-preferred,
-  parent-aggregates conventions without the sweep machinery (used by
-  ``geacc-lint --jobs``), and its in-process sibling ``thread_map``
-  (used by the shard coordinator).
+* :mod:`repro.parallel.maplib` -- ``thread_map``, an order-preserving
+  map over threads for work that shares parent state (used by the
+  shard coordinator).
 """
 
 from repro.parallel.executor import (
@@ -27,12 +25,11 @@ from repro.parallel.executor import (
     default_jobs,
     run_cell_groups,
 )
-from repro.parallel.maplib import parallel_map, thread_map
+from repro.parallel.maplib import thread_map
 
 __all__ = [
     "ParallelUnavailableError",
     "default_jobs",
-    "parallel_map",
     "run_cell_groups",
     "thread_map",
 ]

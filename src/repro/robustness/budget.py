@@ -11,8 +11,8 @@ harness (:mod:`repro.robustness.harness`) tags ``feasible-timeout``.
 
 Deadlines are measured on ``time.monotonic()``. Wall-clock time
 (``time.time()``) is never acceptable for budgets -- NTP steps and DST
-jumps would fire (or silently extend) deadlines -- and ``geacc-lint``
-rule R6 enforces that tree-wide.
+jumps would fire (or silently extend) deadlines -- and
+``tests/test_boundaries.py`` enforces that tree-wide.
 
 The clock is read on the first node, whenever a checkpoint's count
 crosses a multiple of ``clock_stride`` (so a checkpoint in a

@@ -25,7 +25,7 @@ deployment is a one-shard fleet):
   bounded-queue admission control;
 * **front-end** -- :mod:`repro.service.http` (stdlib
   ``ThreadingHTTPServer`` JSON API, the one sanctioned home of
-  ``http.server`` under rule R8) plus :mod:`repro.service.loadgen`
+  ``http.server``, see ``tests/test_boundaries.py``) plus :mod:`repro.service.loadgen`
   (``geacc replay``: timeline-driven load generation with latency
   percentiles and clairvoyant-bound quality ratios).
 """

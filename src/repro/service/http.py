@@ -25,7 +25,8 @@ Overload is the *only* backpressure signal -- the server never queues
 beyond the engine's bound, so it degrades instead of stalling.
 
 This module is the one sanctioned home of ``http.server`` in the tree:
-``geacc-lint`` rule R8 bans socket/HTTP primitives everywhere outside
+``tests/test_boundaries.py`` fails on a ``socket``, ``socketserver`` or
+``http.server`` import anywhere in ``src/repro`` outside
 ``repro/service/``.
 """
 

@@ -40,9 +40,9 @@ After every restart each shard's recovery rung and timings
 compacted must have recovered on ``snapshot+tail`` from a
 ``geacc-snapshot-v2`` file.
 
-Uses ``urllib`` (a client, not a server -- rule R8 bans server-side
-socket primitives outside this package, and the subprocess boundary is
-exactly what a kill -9 needs anyway).
+Uses ``urllib`` (a client, not a server -- ``tests/test_boundaries.py``
+keeps server-side socket modules inside this package, and the
+subprocess boundary is exactly what a kill -9 needs anyway).
 """
 
 from __future__ import annotations

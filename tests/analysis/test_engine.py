@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import RULES, load_rules, run_lint
 from repro.analysis.registry import Rule, register_rule
 from repro.analysis.suppress import parse_suppressions
-from tests.analysis.conftest import FIXTURES, hits
+from tests.analysis.conftest import FIXTURES, REPO_ROOT, hits
 
 
 BAD_RNG = "import numpy as np\nrng = np.random.default_rng()\n"
@@ -65,10 +65,7 @@ def test_syntax_errors_become_e0_diagnostics(tmp_path: Path) -> None:
 
 def test_rule_table_is_complete() -> None:
     load_rules()
-    assert set(RULES) == {
-        "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-        "R11", "R13", "R14", "R15",
-    }
+    assert set(RULES) == {"R1", "R2", "R4", "R5", "R11", "R13", "R14", "R15"}
     for rule_id, cls in RULES.items():
         assert cls.rule_id == rule_id
         assert cls.title
@@ -76,10 +73,9 @@ def test_rule_table_is_complete() -> None:
 
 
 def test_select_and_ignore_filter_rules() -> None:
-    assert [r.rule_id for r in load_rules(select=["R1", "R3"])] == ["R1", "R3"]
+    assert [r.rule_id for r in load_rules(select=["R1", "R4"])] == ["R1", "R4"]
     assert [r.rule_id for r in load_rules(ignore=["R2"])] == [
-        "R1", "R11", "R13", "R14", "R15",
-        "R3", "R4", "R5", "R6", "R7", "R8",
+        "R1", "R11", "R13", "R14", "R15", "R4", "R5",
     ]
 
 
@@ -110,3 +106,24 @@ def test_directory_discovery_is_recursive(tmp_path: Path) -> None:
     nested.mkdir(parents=True)
     (nested / "mod.py").write_text(BAD_RNG)
     assert hits(run_lint([tmp_path])) == [("R1", 2)]
+
+
+@pytest.mark.parametrize(
+    "subtree",
+    [
+        "core",
+        "core/algorithms",
+        "core/algorithms/fair_greedy.py",
+        "service",
+    ],
+)
+def test_scoped_rules_see_the_same_tree_from_any_root(subtree: str) -> None:
+    # Directory-scoped rules (R2, R5's annotations, R11, R14, R15) must
+    # not pass vacuously when a developer lints only part of the package.
+    src = REPO_ROOT / "src" / "repro"
+    root = src / subtree
+    full = run_lint([src], include_suppressed=True)
+    under_root = [
+        d for d in full if d.path == str(root) or d.path.startswith(str(root) + "/")
+    ]
+    assert run_lint([root], include_suppressed=True) == under_root

@@ -1,9 +1,10 @@
 """Acceptance gate: the shipped tree lints clean under its own rules.
 
-This is the executable form of "geacc-lint src/repro exits 0": any PR
-that introduces unseeded randomness, exact float objective equality,
-an unregistered solver, a set-fed tie-break, or untyped core API fails
-tier-1 here, not just in CI.
+This is the executable form of "geacc-lint src/repro exits 0": a change
+that introduces unseeded randomness, exact float objective equality, a
+set-fed tie-break, untyped core API, an unreasoned suppression, a raw
+service write, an uncheckpointed solver loop or a per-element kernel
+loop fails tier-1 here, not just in CI.
 """
 
 from repro.analysis import run_lint

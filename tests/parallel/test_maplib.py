@@ -1,60 +1,65 @@
-"""repro.parallel.maplib: ordering, fallbacks, and argument checking."""
+"""repro.parallel.maplib.thread_map: ordering, fallbacks, errors, arguments."""
 
 from __future__ import annotations
 
-import functools
-import os
+import threading
 
 import pytest
 
-from repro.parallel import parallel_map
+from repro.parallel import thread_map
 
 
 def square(value: int) -> int:
     return value * value
 
 
-def offset_square(value: int, offset: int = 0) -> int:
-    return value * value + offset
-
-
 def identify(value: int) -> tuple[int, int]:
-    return value, os.getpid()
+    return value, threading.get_ident()
 
 
 def test_serial_path_preserves_order() -> None:
-    assert parallel_map(square, [3, 1, 2], jobs=1) == [9, 1, 4]
+    assert thread_map(square, [3, 1, 2], jobs=1) == [9, 1, 4]
 
 
 def test_parallel_results_match_serial_in_order() -> None:
     items = list(range(37))
-    assert parallel_map(square, items, jobs=4) == [square(i) for i in items]
+    assert thread_map(square, items, jobs=4) == [square(i) for i in items]
 
 
-def test_partial_callables_cross_the_process_boundary() -> None:
-    worker = functools.partial(offset_square, offset=100)
-    assert parallel_map(worker, [1, 2, 3], jobs=2) == [101, 104, 109]
-
-
-def test_work_actually_leaves_the_parent_process() -> None:
-    results = parallel_map(identify, list(range(8)), jobs=2)
-    assert [value for value, _pid in results] == list(range(8))
-    assert any(pid != os.getpid() for _value, pid in results)
+def test_work_actually_leaves_the_calling_thread() -> None:
+    results = thread_map(identify, list(range(8)), jobs=2)
+    assert [value for value, _ident in results] == list(range(8))
+    assert all(ident != threading.get_ident() for _value, ident in results)
 
 
 def test_jobs_zero_means_all_cores() -> None:
-    assert parallel_map(square, [1, 2, 3, 4], jobs=0) == [1, 4, 9, 16]
+    assert thread_map(square, [1, 2, 3, 4], jobs=0) == [1, 4, 9, 16]
 
 
 def test_single_item_runs_in_process() -> None:
-    results = parallel_map(identify, [7], jobs=8)
-    assert results == [(7, os.getpid())]
+    # One item runs on the calling thread: no thread is started.
+    results = thread_map(identify, [7], jobs=8)
+    assert results == [(7, threading.get_ident())]
 
 
 def test_empty_input() -> None:
-    assert parallel_map(square, [], jobs=4) == []
+    assert thread_map(square, [], jobs=4) == []
+
+
+def test_first_error_in_input_order_is_raised_after_all_items_ran() -> None:
+    ran: list[int] = []
+
+    def fail_on_odd(value: int) -> int:
+        ran.append(value)
+        if value % 2:
+            raise ValueError(f"odd {value}")
+        return value
+
+    with pytest.raises(ValueError, match="odd 1"):
+        thread_map(fail_on_odd, list(range(6)), jobs=3)
+    assert sorted(ran) == list(range(6))
 
 
 def test_negative_jobs_rejected() -> None:
     with pytest.raises(ValueError, match="jobs"):
-        parallel_map(square, [1], jobs=-1)
+        thread_map(square, [1], jobs=-1)
