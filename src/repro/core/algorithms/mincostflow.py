@@ -31,8 +31,6 @@ from repro.core.algorithms.base import Solver, register_solver
 from repro.core.model import Arrangement, Instance
 from repro.exceptions import BudgetExceededError
 from repro.flow.dense_bipartite import DenseBipartiteMinCostFlow
-from repro.flow.network import FlowNetwork
-from repro.flow.sspa import SuccessiveShortestPaths
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.robustness.budget import Budget
@@ -44,19 +42,17 @@ _COST_EPS = 1e-12
 class MinCostFlowGEACC(Solver):
     """Algorithm 1 of the paper.
 
+    The relaxation runs on :class:`~repro.flow.dense_bipartite.
+    DenseBipartiteMinCostFlow`, a vectorised SSP specialised to the
+    tripartite network (the tests cross-check it against the heap-based
+    :mod:`repro.flow.sspa` solver on an explicit ``FlowNetwork``).
+
     Args:
-        engine: ``dense`` (vectorised SSP specialised to the tripartite
-            network; default) or ``generic`` (the heap-based
-            :mod:`repro.flow.sspa` solver on an explicit
-            :class:`FlowNetwork`; used for cross-checks).
         full_sweep: Run the literal Delta sweep to ``Delta_max`` instead
             of stopping at the concavity argmax. Same result, more work.
     """
 
-    def __init__(self, engine: str = "dense", full_sweep: bool = False) -> None:
-        if engine not in ("dense", "generic"):
-            raise ValueError(f"unknown engine {engine!r}; expected dense or generic")
-        self._engine = engine
+    def __init__(self, full_sweep: bool = False) -> None:
         self._full_sweep = full_sweep
 
     def solve(self, instance: Instance, budget: "Budget | None" = None) -> Arrangement:
@@ -80,13 +76,6 @@ class MinCostFlowGEACC(Solver):
         sweep, i.e. the optimal conflict-free matching at a smaller
         Delta -- and step 2 repairs it into a feasible arrangement.
         """
-        if self._engine == "dense":
-            return self._relaxation_dense(instance, budget)
-        return self._relaxation_generic(instance, budget)
-
-    def _relaxation_dense(
-        self, instance: Instance, budget: "Budget | None" = None
-    ) -> list[tuple[int, int]]:
         sims = instance.sims
         solver = DenseBipartiteMinCostFlow(
             1.0 - sims, instance.event_capacities, instance.user_capacities
@@ -128,45 +117,6 @@ class MinCostFlowGEACC(Solver):
             pass
         events, users = np.nonzero(solver.flow & (sims > 0))
         return list(zip(events.tolist(), users.tolist()))
-
-    def _relaxation_generic(
-        self, instance: Instance, budget: "Budget | None" = None
-    ) -> list[tuple[int, int]]:
-        sims = instance.sims
-        network = FlowNetwork()
-        source = network.add_node()
-        event_nodes = network.add_nodes(instance.n_events)
-        user_nodes = network.add_nodes(instance.n_users)
-        sink = network.add_node()
-        for v in range(instance.n_events):
-            network.add_arc(source, event_nodes[v], int(instance.event_capacities[v]))
-        middle_arcs: dict[int, tuple[int, int]] = {}
-        for v in range(instance.n_events):
-            for u in range(instance.n_users):
-                arc = network.add_arc(
-                    event_nodes[v], user_nodes[u], 1, 1.0 - float(sims[v, u])
-                )
-                middle_arcs[arc] = (v, u)
-        for u in range(instance.n_users):
-            network.add_arc(user_nodes[u], sink, int(instance.user_capacities[u]))
-        solver = SuccessiveShortestPaths(network, source, sink)
-
-        def stop_when(cost: float) -> bool:
-            # Called once before each augmentation: exactly the per-Delta
-            # checkpoint cadence the budget contract asks for.
-            if budget is not None:
-                budget.checkpoint()
-            return cost >= 1.0 - _COST_EPS
-
-        try:
-            solver.run(stop_when=stop_when)
-        except BudgetExceededError:
-            pass  # arcs hold a valid partial flow (a sweep prefix)
-        return [
-            (v, u)
-            for arc, (v, u) in middle_arcs.items()
-            if network.flow_on(arc) > 0 and sims[v, u] > 0
-        ]
 
     # ------------------------------------------------------------------
     # Step 2: per-user greedy conflict resolution (lines 8-14)

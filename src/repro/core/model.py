@@ -153,8 +153,10 @@ class Instance:
                 )
             # Exact comparison on purpose: 3.0 is an integer count spelled
             # as a float and is accepted; 2.5 is a modelling error and must
-            # not be silently truncated to 2.
-            if np.any(raw != np.floor(raw)):  # geacc-lint: disable=R2 reason=integrality check; floor is exact for every float, tolerance would accept 2.5
+            # not be silently truncated to 2. Floor is exact for every
+            # float, so this is the integrality test; a tolerance would
+            # accept 2.5.
+            if np.any(raw != np.floor(raw)):
                 raise InvalidInstanceError(
                     f"{kind} capacities must be integral, got {raw!r}"
                 )

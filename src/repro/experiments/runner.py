@@ -44,24 +44,29 @@ of the same grid are identical.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from repro.core.model import Instance
-from repro.exceptions import ReproError
+from repro.exceptions import JournalError
 from repro.experiments.metrics import measure
 from repro.experiments.reporting import format_table
 from repro.robustness.budget import Budget
 from repro.robustness.harness import run_with_budget
 from repro.robustness.outcome import FailureRecord, Outcome, is_transient
+from repro.service.journal import REAL_FS, FileSystem, JsonlLog, encode_line
 
 #: The algorithm set of Fig. 3 / Fig. 4.
 DEFAULT_SOLVERS = ("greedy", "mincostflow", "random-v", "random-u")
 
 #: First line of every sweep checkpoint file (plus the sweep name).
-CHECKPOINT_FORMAT = "geacc-sweep-v1"
+CHECKPOINT_FORMAT = "geacc-sweep-v2"
+
+#: The previous format (cell lines without the ``n`` counter). Resuming
+#: one is refused; a run without ``resume`` overwrites it.
+LEGACY_FORMAT = "geacc-sweep-v1"
 
 #: Instance-seed stride for transient-failure retries. Large and prime so
 #: retry seeds never collide with the sweep's own ``range(repeats)`` seeds.
@@ -170,24 +175,41 @@ class CellResult:
         )
 
 
-class SweepCheckpoint:
+class SweepCheckpoint(JsonlLog):
     """Append-only JSONL checkpoint of a sweep's finished cells.
 
-    Line 1 is a header identifying the format and sweep name; every
-    further line is one :class:`CellResult`. Appends are flushed and
-    fsynced so a cell either fully reached disk or is re-run on resume;
-    a torn final line (crash mid-write) is tolerated by :meth:`load`.
+    A :class:`~repro.service.journal.JsonlLog` with the journal's
+    durability contract. Line 1 is a header naming the format and the
+    sweep; every further line is one fsync'd :class:`CellResult` plus
+    its counter ``n``. A torn final line is re-run; anything else wrong
+    raises :class:`~repro.exceptions.JournalError`.
     """
 
-    def __init__(self, path: str | Path, name: str) -> None:
-        self.path = Path(path)
+    FORMAT = CHECKPOINT_FORMAT
+    COUNTER = "n"
+    NOUN = "sweep checkpoint"
+
+    def __init__(
+        self, path: str | Path, name: str, *, fs: FileSystem = REAL_FS
+    ) -> None:
+        super().__init__(Path(path), None, size_bytes=0, fs=fs)
         self.name = name
-        #: Byte offset after the last complete line seen by :meth:`load`;
-        #: ``None`` until a load has run.
-        self._good_size: int | None = None
+        self.n = 0  # cell lines so far: the last line's ``n``
+        #: Length of the durable prefix :meth:`load` read (None before).
+        self._durable_bytes: int | None = None
+
+    @classmethod
+    def _parse_header(cls, header: object, path: Path) -> tuple[object, int]:
+        if isinstance(header, dict) and header.get("format") == LEGACY_FORMAT:
+            raise JournalError(
+                f"{path} is a {LEGACY_FORMAT} checkpoint; only "
+                f"{CHECKPOINT_FORMAT} checkpoints can be resumed (run without "
+                f"--resume to start the sweep over)"
+            )
+        return cls._check_format(header, path), 1
 
     def exists(self) -> bool:
-        return self.path.exists()
+        return self._fs.exists(self.path)
 
     def reset(self) -> None:
         """Start a fresh checkpoint file containing only the header.
@@ -196,78 +218,62 @@ class SweepCheckpoint:
         previous file (or none), never an empty or torn header that
         :meth:`load` would refuse on every later ``--resume``.
         """
-        from repro.service.journal import atomic_write_bytes
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = json.dumps({"format": CHECKPOINT_FORMAT, "name": self.name})
-        atomic_write_bytes(self.path, (header + "\n").encode("utf-8"))
+        self._fs.mkdir(self.path.parent)
+        self._replace(encode_line({"format": CHECKPOINT_FORMAT, "name": self.name}))
+        self.n = 0
 
     def load(self) -> dict[str, CellResult]:
         """Completed cells keyed by :func:`cell_key`; {} when absent.
 
         Raises:
-            ReproError: The file exists but is not a checkpoint of this
-                sweep (wrong format marker or sweep name) -- resuming
+            JournalError: The file exists but is not a checkpoint of this
+                sweep, or is corrupt before its final line -- resuming
                 into it would silently mix unrelated experiments.
         """
-        if not self.path.exists():
+        if not self.exists():
             return {}
+        lines = self.scan(self.path, self._fs)
+        first = next(lines, None)
+        if first is None:
+            raise JournalError(
+                f"{self.path} is not a sweep checkpoint (no complete header line)"
+            )
+        header: dict = first[0]  # type: ignore[assignment]
+        self._durable_bytes = first[1]
+        if header.get("name") != self.name:
+            raise JournalError(
+                f"{self.path} belongs to sweep {header.get('name')!r}, "
+                f"not {self.name!r}"
+            )
         cells: dict[str, CellResult] = {}
-        with open(self.path, "rb") as fh:
-            header_line = fh.readline()
+        self.n = 0
+        for record, self._durable_bytes in lines:
             try:
-                header = json.loads(header_line.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ReproError(
-                    f"{self.path} is not a sweep checkpoint (unreadable header)"
+                cell = CellResult.from_json(record)  # type: ignore[arg-type]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise JournalError(
+                    f"{self.path}:{self.n + 2}: malformed cell: {exc!r}"
                 ) from exc
-            if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-                raise ReproError(
-                    f"{self.path} is not a {CHECKPOINT_FORMAT} checkpoint"
-                )
-            if header.get("name") != self.name:
-                raise ReproError(
-                    f"{self.path} belongs to sweep {header.get('name')!r}, "
-                    f"not {self.name!r}"
-                )
-            self._good_size = len(header_line)
-            for line in fh:
-                # A line that lacks its newline was cut mid-write even if
-                # it happens to parse -- treat it as torn too.
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    cell = CellResult.from_json(json.loads(line.decode("utf-8")))
-                except (
-                    UnicodeDecodeError,
-                    json.JSONDecodeError,
-                    KeyError,
-                    TypeError,
-                    ValueError,
-                ):
-                    break  # torn tail from a crash mid-append; re-run from here
-                cells[cell.key()] = cell
-                self._good_size += len(line)
+            cells[cell.key()] = cell
+            self.n += 1
         return cells
 
     def truncate_torn_tail(self) -> None:
-        """Drop a torn final line left by a crash mid-append.
+        """Cut a torn final line and open the file for :meth:`append`.
 
         Must run after :meth:`load` and before the first :meth:`append`
         of a resumed sweep: appending straight after a torn fragment
         would glue the fragment and the new cell into one corrupt line.
         """
-        if self._good_size is None or not self.path.exists():
-            return
-        if self.path.stat().st_size > self._good_size:
-            with open(self.path, "rb+") as fh:
-                fh.truncate(self._good_size)
+        if self._durable_bytes is None:
+            raise JournalError(f"{self.path}: load the checkpoint before reopening it")
+        self._handle = self._reopen(self.path, self._durable_bytes, self._fs)
+        self.size_bytes = self._durable_bytes
 
     def append(self, cell: CellResult) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(cell.to_json()) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        """Durably record one finished cell."""
+        self._write_record({"n": self.n + 1, **cell.to_json()})
+        self.n += 1
 
 
 @dataclass
@@ -506,18 +512,16 @@ def canonical_checkpoint_lines(path: str | Path) -> list[str]:
     """A checkpoint's cell lines in scheduling-independent form.
 
     Parallel sweeps append cells in completion order and timings are
-    never reproducible, so raw files differ run to run. This strips the
-    two nondeterministic fields (``seconds``, ``peak_mb``), re-serialises
-    with sorted keys and sorts the lines -- two runs of the same grid
-    are equivalent iff their canonical lines are equal, whatever
-    ``jobs`` was.
+    never reproducible, so raw files differ run to run. This drops the
+    line counter ``n``, zeroes the two nondeterministic fields
+    (``seconds``, ``peak_mb``), re-serialises with sorted keys and sorts
+    the lines -- two runs of the same grid are equivalent iff their
+    canonical lines are equal, whatever ``jobs`` was.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     canonical = []
-    for line in lines[1:]:  # line 0 is the header
-        data = json.loads(line)
-        data["seconds"] = 0.0
-        data["peak_mb"] = 0.0
+    for record, _ in islice(SweepCheckpoint.scan(path), 1, None):  # skip the header
+        data = {**record, "seconds": 0.0, "peak_mb": 0.0}  # type: ignore[dict-item]
+        del data["n"]
         canonical.append(json.dumps(data, sort_keys=True))
     return sorted(canonical)
 
@@ -548,10 +552,15 @@ def sweep_parameter(
             (materialised once, similarity matrix included).
         solver_kwargs: Optional per-solver constructor arguments.
         checkpoint_path: JSONL file to append each finished cell to
-            (created with a header line; see :class:`SweepCheckpoint`).
-        resume: Reload ``checkpoint_path`` and skip every cell already
-            completed successfully; without it an existing file is
-            overwritten.
+            (a :class:`SweepCheckpoint`: a header line, then one fsync'd
+            line per cell, numbered by its ``n`` counter). The file stays
+            open for appending until the sweep returns or raises.
+        resume: Reload ``checkpoint_path``, cut a torn final line, and
+            skip every cell already completed successfully; a file that
+            is no ``geacc-sweep-v2`` checkpoint of this sweep, or is
+            corrupt before its final line, raises
+            :class:`~repro.exceptions.JournalError` and is left as it
+            was. Without ``resume`` an existing file is overwritten.
         timeout / node_limit: Per-cell budget forwarded to
             :func:`~repro.robustness.harness.run_with_budget`; timed-out
             cells report their anytime best-so-far with outcome
@@ -601,14 +610,29 @@ def sweep_parameter(
     on_cell = checkpoint.append if checkpoint is not None else None
     run_serial = jobs == 1
     fresh: dict[str, CellResult] = {}
-    if not run_serial and groups:
-        from repro.parallel import ParallelUnavailableError, run_cell_groups
+    try:
+        if not run_serial and groups:
+            from repro.parallel import ParallelUnavailableError, run_cell_groups
 
-        try:
-            fresh = run_cell_groups(
+            try:
+                fresh = run_cell_groups(
+                    instance_factory,
+                    groups,
+                    jobs=jobs,
+                    memory=memory,
+                    solver_kwargs=solver_kwargs,
+                    timeout=timeout,
+                    node_limit=node_limit,
+                    max_attempts=max_attempts,
+                    budget=budget,
+                    on_cell=on_cell,
+                )
+            except ParallelUnavailableError:
+                run_serial = True
+        if run_serial and groups:
+            fresh = run_groups(
                 instance_factory,
                 groups,
-                jobs=jobs,
                 memory=memory,
                 solver_kwargs=solver_kwargs,
                 timeout=timeout,
@@ -617,20 +641,9 @@ def sweep_parameter(
                 budget=budget,
                 on_cell=on_cell,
             )
-        except ParallelUnavailableError:
-            run_serial = True
-    if run_serial and groups:
-        fresh = run_groups(
-            instance_factory,
-            groups,
-            memory=memory,
-            solver_kwargs=solver_kwargs,
-            timeout=timeout,
-            node_limit=node_limit,
-            max_attempts=max_attempts,
-            budget=budget,
-            on_cell=on_cell,
-        )
+    finally:
+        if checkpoint is not None:
+            checkpoint.close()
     merged = dict(completed)
     merged.update(fresh)
 

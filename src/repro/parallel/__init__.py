@@ -7,17 +7,14 @@ goes through this package -- ``tests/test_boundaries.py`` fails on a
 (:mod:`repro.robustness.budget`) and the crash-safe sweep checkpoint
 (:mod:`repro.experiments.runner`) cannot be bypassed by ad-hoc pools.
 
-Two public pieces:
-
-* :mod:`repro.parallel.executor` -- the sweep executor: runs each
-  (grid point, seed) group of a sweep in a worker process through the
-  serial group runner, keeps the *parent* the sole writer of the
-  fsynced JSONL checkpoint, records the cells of a worker that died as
-  failed, and cancels running groups when a global
-  :class:`~repro.robustness.budget.Budget` deadline is exhausted.
-* :mod:`repro.parallel.maplib` -- ``thread_map``, an order-preserving
-  map over threads for work that shares parent state (used by the
-  shard coordinator).
+One public piece, :mod:`repro.parallel.executor`, the sweep executor:
+it runs each (grid point, seed) group of a sweep in a worker process
+through the serial group runner, keeps the *parent* the sole writer of
+the fsynced JSONL checkpoint, records the cells of a worker that died as
+failed, and cancels running groups when a global
+:class:`~repro.robustness.budget.Budget` deadline is exhausted.
+In-process thread fan-out (the shard coordinator's per-shard recovery)
+uses :class:`concurrent.futures.ThreadPoolExecutor` directly.
 """
 
 from repro.parallel.executor import (
@@ -25,11 +22,9 @@ from repro.parallel.executor import (
     default_jobs,
     run_cell_groups,
 )
-from repro.parallel.maplib import thread_map
 
 __all__ = [
     "ParallelUnavailableError",
     "default_jobs",
     "run_cell_groups",
-    "thread_map",
 ]

@@ -1,7 +1,8 @@
 """Fault-injecting filesystem: enumerate crash points under durability code.
 
-The journal and snapshot layers (:mod:`repro.service.journal`,
-:mod:`repro.service.snapshot`) route every byte they move to disk
+The journal, snapshot and sweep-checkpoint layers
+(:mod:`repro.service.journal`, :mod:`repro.service.snapshot`,
+:mod:`repro.experiments.runner`) route every byte they move to disk
 through the :class:`~repro.service.journal.FileSystem` seam.
 :class:`FaultFS` is the drop-in test double: a fully in-memory
 filesystem that models the one thing a real crash exposes -- the gap

@@ -1,7 +1,10 @@
 """Write-ahead journal: an fsync'd JSONL log of accepted commands.
 
-Durability contract (the same crash-safe style as the sweep checkpoints
-in :mod:`repro.experiments.runner`, hardened for a serving path):
+Durability contract (:class:`JsonlLog`'s, so it holds for all three
+logs built on it: this journal, the shard manifest of
+:mod:`repro.service.sharding.manifest` and the sweep checkpoint of
+:mod:`repro.experiments.runner`; the header and records described
+here are the journal's):
 
 * the header line names the format and carries the immutable
   :class:`~repro.service.store.StoreConfig` plus the journal's **base
@@ -39,7 +42,7 @@ These two modules are the only files under ``src/repro/service/``
 allowed to open files for writing (lint rule R14,
 ``docs/static-analysis.md``); everything else must route through
 :func:`atomic_write_bytes` or :class:`JsonlLog`, the append-only log
-the journal and the shard manifest are both built on.
+the journal, the shard manifest and the sweep checkpoint are built on.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def encode_line(record: dict) -> bytes:
 
 
 class JsonlLog:
-    """An append-only, fsync'd JSONL file: the journal's and the manifest's.
+    """An append-only, fsync'd JSONL file: journal, manifest, sweep checkpoint.
 
     Line 1 is a header whose ``format`` field is :attr:`FORMAT`; every
     later line is a record whose :attr:`COUNTER` field counts up by one
@@ -152,7 +155,12 @@ class JsonlLog:
     NOUN = "log"
 
     def __init__(
-        self, path: Path, handle: IO[bytes], *, size_bytes: int, fs: FileSystem
+        self,
+        path: Path,
+        handle: IO[bytes] | None,
+        *,
+        size_bytes: int,
+        fs: FileSystem,
     ) -> None:
         self.path = path
         self.size_bytes = size_bytes

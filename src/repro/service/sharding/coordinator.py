@@ -50,11 +50,11 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterable
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
 from repro.exceptions import JournalError, ServiceError
-from repro.parallel.maplib import thread_map
 from repro.service.engine import PendingRequest, fleet_engine_summary
 from repro.service.frontend import DEFAULT_REQUEST_WAIT, ArrangementService
 from repro.service.journal import RECOVERY_RUNGS, REAL_FS, FileSystem
@@ -183,9 +183,10 @@ class ShardCoordinator:
         """Restart a shard fleet from its root directory.
 
         Every shard recovers through its own snapshot+tail ladder
-        (concurrently, via :func:`~repro.parallel.maplib.thread_map`,
-        when running on the real filesystem -- fault-injecting
-        filesystems get a deterministic serial walk), so a corrupt
+        (concurrently, one thread per shard, when running on the real
+        filesystem -- fault-injecting filesystems get a deterministic
+        serial walk; the first error in shard order is raised after
+        every shard has finished), so a corrupt
         snapshot or torn journal degrades *that* shard alone. The
         manifest is then replayed to rebuild the id tables and the
         partitioner, redo any half-applied rebalance, and drop
@@ -206,7 +207,8 @@ class ShardCoordinator:
             )
 
         if fs is REAL_FS and manifest.shards > 1:
-            services = thread_map(recover_one, range(manifest.shards))
+            with ThreadPoolExecutor(max_workers=manifest.shards) as pool:
+                services = list(pool.map(recover_one, range(manifest.shards)))
         else:
             services = [recover_one(shard) for shard in range(manifest.shards)]
         coordinator = cls(root, manifest, services, threaded=threaded)

@@ -51,8 +51,8 @@ def test_get_solver_instantiates():
 
 
 def test_get_solver_forwards_kwargs():
-    solver = get_solver("mincostflow", engine="generic")
-    assert solver._engine == "generic"
+    solver = get_solver("mincostflow", full_sweep=True)
+    assert solver._full_sweep is True
 
 
 def test_unknown_solver():

@@ -7,7 +7,7 @@ from repro.core.algorithms import MinCostFlowGEACC, PruneGEACC
 from repro.core.conflicts import ConflictGraph
 from repro.core.model import Instance
 from repro.core.validation import validate_arrangement
-from tests.conftest import random_matrix_instance
+from tests.conftest import random_matrix_instance, sspa_mincostflow
 
 
 def brute_force_relaxation_optimum(instance) -> float:
@@ -61,8 +61,9 @@ def test_approximation_ratio_vs_exact():
 
 
 def test_engines_agree(small_instance):
-    dense = MinCostFlowGEACC(engine="dense").solve(small_instance)
-    generic = MinCostFlowGEACC(engine="generic").solve(small_instance)
+    """The dense flow kernel agrees with the reference SSP on a network."""
+    dense = MinCostFlowGEACC().solve(small_instance)
+    generic = sspa_mincostflow(small_instance)
     assert dense.max_sum() == pytest.approx(generic.max_sum())
 
 
@@ -70,11 +71,6 @@ def test_full_sweep_agrees(small_instance):
     early = MinCostFlowGEACC().solve(small_instance)
     full = MinCostFlowGEACC(full_sweep=True).solve(small_instance)
     assert early.max_sum() == pytest.approx(full.max_sum())
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        MinCostFlowGEACC(engine="quantum")
 
 
 def test_relaxation_excludes_zero_sim_pairs():

@@ -20,6 +20,7 @@ from repro.core.toy import (
     toy_instance,
 )
 from repro.core.validation import validate_arrangement
+from tests.conftest import sspa_mincostflow
 
 
 @pytest.fixture
@@ -58,8 +59,9 @@ def test_mincostflow_returns_413(toy):
 
 
 def test_mincostflow_generic_engine_agrees(toy):
-    dense = MinCostFlowGEACC(engine="dense").solve(toy)
-    generic = MinCostFlowGEACC(engine="generic").solve(toy)
+    """The dense flow kernel agrees with the reference SSP on a network."""
+    dense = MinCostFlowGEACC().solve(toy)
+    generic = sspa_mincostflow(toy)
     assert dense.max_sum() == pytest.approx(generic.max_sum())
 
 

@@ -24,6 +24,7 @@ from repro.core.algorithms import (
 from repro.core.conflicts import ConflictGraph
 from repro.core.model import Instance
 from repro.core.validation import validate_arrangement
+from tests.conftest import sspa_relaxation
 from tests.property.strategies import tiny_instances
 
 SOLVER_FACTORIES = [
@@ -114,10 +115,11 @@ def test_local_search_monotone_improvement(instance):
 @settings(max_examples=25, deadline=None)
 @given(tiny_instances())
 def test_mincostflow_engines_find_equally_good_relaxations(instance):
-    """Both engines solve the relaxation optimally (Lemma 1), so their
-    relaxed MaxSums agree even when the matchings themselves differ."""
-    dense_pairs = MinCostFlowGEACC(engine="dense").solve_relaxation(instance)
-    generic_pairs = MinCostFlowGEACC(engine="generic").solve_relaxation(instance)
+    """The dense kernel and the reference SSP both solve the relaxation
+    optimally (Lemma 1), so their relaxed MaxSums agree even when the
+    matchings themselves differ."""
+    dense_pairs = MinCostFlowGEACC().solve_relaxation(instance)
+    generic_pairs = sspa_relaxation(instance)
     dense_sum = sum(instance.sim(v, u) for v, u in dense_pairs)
     generic_sum = sum(instance.sim(v, u) for v, u in generic_pairs)
     assert abs(dense_sum - generic_sum) < 1e-9

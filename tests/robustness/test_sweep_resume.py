@@ -59,7 +59,7 @@ class TestCheckpointFile:
         run_sweep(CountingFactory(), path)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["format"] == "geacc-sweep-v1"
+        assert header["format"] == "geacc-sweep-v2"
         assert header["name"] == "resume-test"
         assert len(lines) == 1 + len(GRID) * REPEATS * len(SOLVERS)
         cell = CellResult.from_json(json.loads(lines[1]))
@@ -165,6 +165,36 @@ class TestResume:
         factory = CountingFactory()
         run_sweep(factory, path, resume=True)
         assert factory.calls == 0
+
+    def test_corrupt_middle_line_is_refused(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        run_sweep(CountingFactory(), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        # Damage the 2nd of 8 cell lines: no crash of an append can do
+        # that, so resuming must not guess which cells to trust.
+        lines[2] = b'{"n": 2, "x": 4, "seed": 0, "sol\n'
+        damaged = b"".join(lines)
+        path.write_bytes(damaged)
+        factory = CountingFactory()
+        with pytest.raises(ReproError, match="ckpt.jsonl:3: corrupt record"):
+            run_sweep(factory, path, resume=True)
+        assert factory.calls == 0
+        assert path.read_bytes() == damaged
+
+    def test_v1_checkpoint_is_refused_on_resume(self, tmp_path):
+        path = tmp_path / "ckpt.jsonl"
+        legacy = (
+            b'{"format": "geacc-sweep-v1", "name": "resume-test"}\n'
+            b'{"x": 4, "seed": 0, "solver": "greedy"}\n'
+        )
+        path.write_bytes(legacy)
+        with pytest.raises(ReproError, match="geacc-sweep-v1.*geacc-sweep-v2"):
+            run_sweep(CountingFactory(), path, resume=True)
+        assert path.read_bytes() == legacy
+        # Without resume the file is overwritten, as any checkpoint is.
+        run_sweep(CountingFactory(), path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["format"] == "geacc-sweep-v2"
 
     def test_keyboard_interrupt_is_not_swallowed(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"

@@ -12,7 +12,7 @@ from repro.service.engine import PendingRequest
 from repro.service.frontend import ArrangementService
 from repro.service.http import make_server
 from repro.service.journal import Journal
-from repro.service.sharding import MANIFEST_NAME, ShardCoordinator
+from repro.service.sharding import MANIFEST_NAME, ShardCoordinator, ShardManager
 from repro.service.store import ArrangementStore, StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
@@ -234,6 +234,26 @@ def test_non_trailing_manifest_hole_is_an_error(tmp_path: Path) -> None:
         coordinator.manifest.append("user", {"gid": 4, "shard": 1})
 
     with pytest.raises(JournalError):
+        ShardCoordinator.recover(root, threaded=False)
+
+
+def test_concurrent_recovery_raises_a_corrupt_shards_journal_error(
+    tmp_path: Path,
+) -> None:
+    root = tmp_path / "fleet"
+    with make_fleet(root) as coordinator:
+        populate(coordinator)
+    # A corrupt middle line in the journals of shards 2 and 3: no crash
+    # produces that, so their recoveries must refuse. The four shards
+    # recover on four threads (real filesystem); the caller sees the
+    # error of the first failing shard in shard order.
+    for shard in (2, 3):
+        journal = ShardManager.journal_path(root, shard)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        lines[1] = b"{garbage\n"
+        journal.write_bytes(b"".join(lines))
+    with pytest.raises(JournalError, match="shard-02.jsonl:2: corrupt record"):
         ShardCoordinator.recover(root, threaded=False)
 
 
