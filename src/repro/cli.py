@@ -51,6 +51,7 @@ import argparse
 import sys
 
 from repro.core.algorithms import SOLVERS, get_solver
+from repro.core.similarity import TILEABLE_METRICS
 from repro.exceptions import ReproError
 from repro.core.validation import validate_arrangement
 from repro.datagen.synthetic import SyntheticConfig, generate_instance
@@ -337,7 +338,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "batch_ms": args.batch_ms,
         "solve_timeout": args.timeout,
         "max_pending": args.max_pending,
-        "ladder": tuple(args.ladder),
     }
     try:
         # args.journal names the fleet root (manifest + one journal and
@@ -426,7 +426,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 Path(args.journal) if args.journal else Path(tmp) / "fleet",
                 shards=args.shards,
                 solve_timeout=args.timeout,
-                ladder=tuple(args.ladder),
                 bound=args.bound,
             )
     except JournalError as exc:
@@ -701,13 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="admission-control queue bound (503 beyond it)",
     )
     serve.add_argument(
-        "--ladder",
-        nargs="+",
-        default=["greedy", "random-u"],
-        choices=sorted(SOLVERS),
-        help="batch-solve degradation ladder, best first",
-    )
-    serve.add_argument(
         "--dimension", type=int, default=20,
         help="attribute dimensionality (new journals only)",
     )
@@ -716,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attribute bound T (new journals only)",
     )
     serve.add_argument(
-        "--metric", default="euclidean",
+        "--metric", default="euclidean", choices=sorted(TILEABLE_METRICS),
         help="similarity metric (new journals only)",
     )
     serve.add_argument(
@@ -762,13 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--timeout", type=float, default=0.25, metavar="SECONDS",
         help="per-batch solve deadline",
-    )
-    replay.add_argument(
-        "--ladder",
-        nargs="+",
-        default=["greedy", "random-u"],
-        choices=sorted(SOLVERS),
-        help="batch-solve degradation ladder, best first",
     )
     replay.add_argument(
         "--bound",

@@ -4,8 +4,9 @@ Assignment requests do not each pay for a solve: they queue, and every
 ``batch_ms`` the engine drains the queue and re-solves the *un-frozen
 remainder* of the live instance in one shot -- the simulator's rebatch
 (:func:`~repro.simulation.simulate`) applied at batch granularity,
-under a :class:`~repro.robustness.budget.Budget` with the degradation
-ladder (:func:`repro.robustness.harness.solve_with_ladder`) as the deadline
+under a :class:`~repro.robustness.budget.Budget` with the fixed
+degradation ladder :data:`BATCH_LADDER`
+(:func:`repro.robustness.harness.solve_with_ladder`) as the deadline
 fallback. The solved arrangement is compared against the
 standing one and committed only if it is at least as good, as a
 journaled ``commit_batch`` delta -- so replay never re-solves anything
@@ -55,9 +56,10 @@ DEFAULT_SOLVE_TIMEOUT = 0.25
 #: Default admission-control bound on queued assignment requests.
 DEFAULT_MAX_PENDING = 1024
 
-#: Default degradation ladder for batch solves: the scalable
-#: approximation first, the cheapest feasible answer as the floor.
-DEFAULT_LADDER: tuple[str, ...] = ("greedy", "random-u")
+#: The degradation ladder of every batch solve: Greedy-GEACC first (its
+#: one global similarity order is what lets a batch re-solve only the
+#: clusters it changed), the cheapest feasible answer as the floor.
+BATCH_LADDER: tuple[str, ...] = ("greedy", "random-u")
 
 #: Counters of :attr:`MicroBatchEngine.stats` (the ``engine`` block).
 _STAT_KEYS = ("batches", "scoped", "full", "scope_refused")
@@ -127,12 +129,12 @@ class MicroBatchEngine:
     Each batch re-solves the *scope* -- the clusters (conflict
     components merged through users' seats) holding a change since the
     last batch, a dirty event, or the best open event of a user who
-    arrived, asked or lost a seat -- and checks that the full Greedy
-    re-solve would have accepted no pair across the scope's border. If
-    the check fails, or the first rung is not Greedy, the batch
-    re-solves every open event. A cluster stays dirty until its seats
-    equal a first-rung ``optimal`` candidate. :attr:`stats` counts
-    scoped, full and refused batches.
+    arrived, asked or lost a seat -- with :data:`BATCH_LADDER`, and
+    checks that the full Greedy re-solve would have accepted no pair
+    across the scope's border. If the check fails, the batch re-solves
+    every open event. A cluster stays dirty until its seats equal a
+    Greedy ``optimal`` candidate. :attr:`stats` counts scoped, full and
+    refused batches.
 
     Args:
         service: The owning :class:`~repro.service.frontend.
@@ -142,7 +144,6 @@ class MicroBatchEngine:
             share one solve.
         solve_timeout: Per-batch ladder deadline (seconds).
         max_pending: Admission-control queue bound.
-        ladder: Solver names for :func:`solve_with_ladder`, best first.
     """
 
     def __init__(
@@ -151,7 +152,6 @@ class MicroBatchEngine:
         batch_ms: float = DEFAULT_BATCH_MS,
         solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
         max_pending: int = DEFAULT_MAX_PENDING,
-        ladder: tuple[str, ...] = DEFAULT_LADDER,
     ) -> None:
         if batch_ms < 0:
             raise ServiceError(f"batch_ms must be >= 0, got {batch_ms}")
@@ -166,7 +166,6 @@ class MicroBatchEngine:
         self.batch_ms = batch_ms
         self.solve_timeout = solve_timeout
         self.max_pending = max_pending
-        self.ladder = tuple(ladder)
         self.batches_solved = 0
         self.requests_served = 0
         self.last_outcome: str | None = None
@@ -175,8 +174,8 @@ class MicroBatchEngine:
         #: (after a ``scope_refused`` check failure too).
         self.stats = dict.fromkeys(_STAT_KEYS, 0)
         self._remainder = OpenRemainder()
-        #: Events whose cluster's seats are not the last first-rung
-        #: optimal candidate; their clusters are re-solved next batch.
+        #: Events whose cluster's seats are not the last Greedy optimal
+        #: candidate; their clusters are re-solved next batch.
         self._dirty_events: set[int] = set()
         self._pending: list[PendingRequest] = []
         self._cond = threading.Condition()
@@ -338,12 +337,12 @@ class MicroBatchEngine:
 
         The restricted instance is the one the simulator's rebatch
         (:func:`~repro.simulation.simulate`) builds (see
-        :mod:`repro.service.remainder`). With Greedy as the first rung, only the *scope* is re-solved: every cluster holding a
-        changed event, a dirty event, or the best open event of a user
-        who arrived, asked, or lost a seat. A vectorised check then
-        proves that the full re-solve would have accepted no pair
-        crossing the scope's border; if it cannot, the same batch
-        re-solves everything. Either way the solved arrangement replaces
+        :mod:`repro.service.remainder`). Only the *scope* is re-solved:
+        every cluster holding a changed event, a dirty event, or the
+        best open event of a user who arrived, asked, or lost a seat. A
+        vectorised check then proves that the full re-solve would have
+        accepted no pair crossing the scope's border; if it cannot, the
+        same batch re-solves everything. Either way the solved arrangement replaces
         a cluster's standing seats only if it does not lower their
         MaxSum, so a deadline-starved rung can never regress the
         arrangement.
@@ -395,7 +394,7 @@ class MicroBatchEngine:
         if result is not None:
             self.last_outcome = result.outcome.value
         clean = result is None or (
-            result.solver == self.ladder[0] and result.outcome is Outcome.OPTIMAL
+            result.solver == BATCH_LADDER[0] and result.outcome is Outcome.OPTIMAL
         )
         if candidate is None:
             self._dirty_events = set(np.flatnonzero(scope).tolist())
@@ -419,14 +418,10 @@ class MicroBatchEngine:
         """The open events of every cluster this batch must re-solve.
 
         That is every cluster holding a ``stale`` event or the most
-        similar open event of a ``mover``. Only Greedy is known to split
-        across clusters, so any other first rung re-solves all open
-        events. So does a batch whose remainder was rebuilt (after a
-        retire, or always when similarities are not per pair): every
-        event is new to it, hence stale.
+        similar open event of a ``mover``. A batch whose remainder was
+        rebuilt (after a retire) re-solves all open events: every event
+        is new to it, hence stale.
         """
-        if self.ladder[0] != "greedy":
-            return open_events
         sims = self._remainder.sims
         if movers:
             users = sorted(movers)
@@ -462,7 +457,7 @@ class MicroBatchEngine:
             sims=remainder.sims[np.ix_(events, users)],
             validate=False,
         )
-        result = solve_with_ladder(instance, self.ladder, timeout=self.solve_timeout)
+        result = solve_with_ladder(instance, BATCH_LADDER, timeout=self.solve_timeout)
         if result.arrangement is None:
             return result, None
         seat_events, seat_users = result.arrangement.seats()

@@ -29,7 +29,6 @@ from pathlib import Path
 from repro.exceptions import ServiceError
 from repro.service.engine import (
     DEFAULT_BATCH_MS,
-    DEFAULT_LADDER,
     DEFAULT_MAX_PENDING,
     DEFAULT_SOLVE_TIMEOUT,
     MicroBatchEngine,
@@ -80,7 +79,6 @@ class ArrangementService:
         batch_ms: float = DEFAULT_BATCH_MS,
         solve_timeout: float = DEFAULT_SOLVE_TIMEOUT,
         max_pending: int = DEFAULT_MAX_PENDING,
-        ladder: tuple[str, ...] = DEFAULT_LADDER,
         threaded: bool = True,
         snapshot_dir: str | Path | None = None,
         retain: int = DEFAULT_RETAIN,
@@ -108,7 +106,6 @@ class ArrangementService:
             batch_ms=batch_ms,
             solve_timeout=solve_timeout,
             max_pending=max_pending,
-            ladder=ladder,
         )
         self._threaded = threaded
         self._closed = False

@@ -151,7 +151,6 @@ def replay_timeline(
     *,
     shards: int = 1,
     solve_timeout: float = 0.25,
-    ladder: tuple[str, ...] = ("greedy", "random-u"),
     bound: str = "relaxation",
     verify_replay: bool = True,
 ) -> ReplayReport:
@@ -205,7 +204,6 @@ def replay_timeline(
         shards,
         threaded=False,
         solve_timeout=solve_timeout,
-        ladder=ladder,
     ) as fleet:
         for _, kind, entity in timeline.moments():
             if kind == POST:

@@ -67,10 +67,9 @@ class OpenRemainder:
         """Fold in everything that changed since the last sync.
 
         Returns the ids of the events and users that are new to the
-        remainder: everything after a retire, or when similarities are
-        not per pair (they then move as entities arrive).
+        remainder: everything after a retire, which rebuilds it.
         """
-        if changes.retired or not store.per_pair_similarity:
+        if changes.retired:
             self.n_events = self.n_users = 0
             self._components = DisjointSet()
         old_events, old_users = self.n_events, self.n_users

@@ -49,7 +49,7 @@ to rebuild routing and finish any half-applied rebalance.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
@@ -151,15 +151,20 @@ class ShardCoordinator:
         """Create a fresh shard fleet under ``root``.
 
         ``options`` (``batch_ms``, ``solve_timeout``, ``max_pending``,
-        ``ladder``, ``retain``, ``compact_bytes``) configure every
-        shard's :class:`~repro.service.frontend.ArrangementService`.
+        ``retain``, ``compact_bytes``) configure every shard's
+        :class:`~repro.service.frontend.ArrangementService`. Every shard
+        solves its batches with
+        :data:`~repro.service.engine.BATCH_LADDER`. If a shard cannot be
+        created, the shards built before it and the manifest are closed
+        before the error propagates.
         """
         root = _fleet_root(root, fs)
         if not fs.exists(root):
             fs.mkdir(root)
         manifest = ShardManifest.create(root / MANIFEST_NAME, config, shards, fs=fs)
-        services = [
-            ArrangementService.create(
+
+        def create_one(shard: int) -> ArrangementService:
+            return ArrangementService.create(
                 ShardManager.journal_path(root, shard),
                 config,
                 fs=fs,
@@ -167,8 +172,11 @@ class ShardCoordinator:
                 threaded=threaded,
                 **options,
             )
-            for shard in range(shards)
-        ]
+
+        with ExitStack() as cleanup:
+            cleanup.callback(manifest.close)
+            services = _build_shards(create_one, shards, cleanup, parallel=False)
+            cleanup.pop_all()
         return cls(root, manifest, services, threaded=threaded)
 
     @classmethod
@@ -190,7 +198,10 @@ class ShardCoordinator:
         snapshot or torn journal degrades *that* shard alone. The
         manifest is then replayed to rebuild the id tables and the
         partitioner, redo any half-applied rebalance, and drop
-        unacknowledged trailing entries. ``options`` are :meth:`create`'s.
+        unacknowledged trailing entries. If a shard's recovery or the
+        manifest replay raises, every shard that did recover (engine
+        thread and journal) and the manifest are closed before the
+        error propagates. ``options`` are :meth:`create`'s.
         """
         root = _fleet_root(root, fs)
         manifest, entries = ShardManifest.load(root / MANIFEST_NAME, fs=fs)
@@ -206,13 +217,17 @@ class ShardCoordinator:
                 **options,
             )
 
-        if fs is REAL_FS and manifest.shards > 1:
-            with ThreadPoolExecutor(max_workers=manifest.shards) as pool:
-                services = list(pool.map(recover_one, range(manifest.shards)))
-        else:
-            services = [recover_one(shard) for shard in range(manifest.shards)]
-        coordinator = cls(root, manifest, services, threaded=threaded)
-        coordinator._replay_manifest(entries)
+        with ExitStack() as cleanup:
+            cleanup.callback(manifest.close)
+            services = _build_shards(
+                recover_one,
+                manifest.shards,
+                cleanup,
+                parallel=fs is REAL_FS and manifest.shards > 1,
+            )
+            coordinator = cls(root, manifest, services, threaded=threaded)
+            coordinator._replay_manifest(entries)
+            cleanup.pop_all()
         return coordinator
 
     @classmethod
@@ -1000,6 +1015,33 @@ class ShardCoordinator:
             f"events={len(self._owner['event'])}, "
             f"users={len(self._owner['user'])})"
         )
+
+
+def _build_shards(
+    build: Callable[[int], ArrangementService],
+    count: int,
+    cleanup: ExitStack,
+    *,
+    parallel: bool,
+) -> list[ArrangementService]:
+    """``build(shard)`` for every shard; ``cleanup`` closes each one built.
+
+    In parallel (one thread per shard) every shard finishes before the
+    first error in shard order is raised; serially the walk stops at
+    the first error.
+    """
+    if parallel:
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            futures = [pool.submit(build, shard) for shard in range(count)]
+        for future in futures:
+            if future.exception() is None:
+                cleanup.callback(future.result().close)
+        return [future.result() for future in futures]
+    services: list[ArrangementService] = []
+    for shard in range(count):
+        services.append(build(shard))
+        cleanup.callback(services[-1].close)
+    return services
 
 
 def _fleet_root(root: str | Path, fs: FileSystem) -> Path:

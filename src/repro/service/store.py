@@ -18,6 +18,14 @@ flags, packed attributes, seats, remaining capacities);
 digest hashes and the snapshot codec writes, and :meth:`from_buffers`
 rebuilds a store from them.
 
+Every similarity the service reads -- the engine's batch instances,
+:meth:`~ArrangementStore.sim`, :meth:`~ArrangementStore.max_sum`, the
+invariant check -- comes from one buffer,
+:meth:`~ArrangementStore.similarities`. That needs a metric whose
+entries depend on the one pair only, so :class:`StoreConfig` accepts
+the :data:`~repro.core.similarity.TILEABLE_METRICS` alone and refuses
+the offline library's rescaled ``dot``.
+
 Feasibility is not re-invented here: :meth:`check_invariants` snapshots
 the live state into a real :class:`~repro.core.model.Instance` +
 :class:`~repro.core.model.Arrangement` and runs the library's own
@@ -160,8 +168,9 @@ class StoreConfig:
     Attributes:
         dimension: Attribute dimensionality ``d`` of Definitions 1-2.
         t: The attribute bound ``T`` (attributes live in ``[0, T]^d``).
-        metric: Similarity metric name (``euclidean`` = the paper's
-            Eq. 1).
+        metric: Similarity metric name, one of
+            :data:`~repro.core.similarity.TILEABLE_METRICS` (``euclidean``
+            = the paper's Eq. 1).
     """
 
     dimension: int
@@ -173,6 +182,11 @@ class StoreConfig:
             raise ServiceError(f"dimension must be >= 1, got {self.dimension}")
         if not (self.t > 0):
             raise ServiceError(f"attribute bound t must be > 0, got {self.t}")
+        if self.metric not in TILEABLE_METRICS:
+            raise ServiceError(
+                f"metric {self.metric!r} is not served (choose from "
+                f"{sorted(TILEABLE_METRICS)})"
+            )
 
     def to_json(self) -> dict:
         return {"dimension": self.dimension, "t": self.t, "metric": self.metric}
@@ -185,7 +199,7 @@ class StoreConfig:
                 t=float(data["t"]),
                 metric=str(data["metric"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ServiceError) as exc:
             raise JournalError(f"malformed store config {data!r}: {exc}") from exc
 
 
@@ -303,7 +317,7 @@ class ArrangementStore:
         self.changes = ChangeLog()
         # Packed attributes (rows appended as entities arrive) plus a
         # dense similarity buffer over them, allocated on first use and
-        # grown by doubling. Attributes are immutable and tileable
+        # grown by doubling. Attributes are immutable and the served
         # metrics are per pair, so the filled block stays valid and only
         # new rows and columns are ever computed.
         self._event_attrs_buf = np.empty((0, config.dimension), dtype=np.float64)
@@ -480,31 +494,15 @@ class ArrangementStore:
             self._conflicts[other].add(event)
             self._conflict_pairs.extend((other, event))
 
-    @property
-    def per_pair_similarity(self) -> bool:
-        """True when a pair's similarity never changes as entities arrive.
-
-        Holds for the tileable metrics; ``dot`` rescales by a peak that
-        moves with every new entity.
-        """
-        return self.config.metric in TILEABLE_METRICS
-
     def similarities(self) -> np.ndarray:
         """The read-only ``(|V|, |U|)`` similarity matrix of every entity.
 
-        With a per-pair metric the matrix lives in one buffer that is
-        grown by doubling; a call computes only the rows of events and
-        the columns of users that arrived since the last call. Other
-        metrics are recomputed row by row on every call, as
-        :meth:`sim_row` defines them.
+        The matrix lives in one buffer that is grown by doubling. Every
+        served metric is per pair, so the filled block stays valid and a
+        call computes only the rows of events and the columns of users
+        that arrived since the last call.
         """
         n_events, n_users = self.n_events, self.n_users
-        if not self.per_pair_similarity:
-            sims = np.zeros((n_events, n_users))
-            for event in range(n_events if n_users else 0):
-                sims[event] = self.sim_row(event)
-            sims.flags.writeable = False
-            return sims
         rows, cols = self._sims_filled
         if (rows, cols) != (n_events, n_users):
             self._sims_buf = buf = grown_to(self._sims_buf, (n_events, n_users))
@@ -524,39 +522,16 @@ class ArrangementStore:
         return view
 
     def sim(self, event: int, user: int) -> float:
-        """Eq. (1) similarity of one live pair.
-
-        Served from :meth:`similarities` when the metric is per pair
-        (O(1) lookups once the buffer is filled), else computed pairwise
-        on demand.
-        """
-        if self.per_pair_similarity:
-            return float(self.similarities()[event, user])
-        row = similarity_matrix(
-            self._event_attrs_buf[event : event + 1],
-            self._user_attrs_buf[user : user + 1],
-            self.config.t,
-            self.config.metric,
-        )
-        return float(row[0, 0])
+        """Eq. (1) similarity of one live pair, read off :meth:`similarities`."""
+        return float(self.similarities()[event, user])
 
     def sim_row(self, event: int) -> np.ndarray:
         """Similarities of one event against every registered user.
 
-        A read-only row of :meth:`similarities` when the metric is per
-        pair, so no number of open events makes rows recompute; else
-        computed on demand against the current user set.
+        A read-only row of :meth:`similarities`, so no number of open
+        events makes rows recompute.
         """
-        if not self.n_users:
-            return np.zeros(0)
-        if self.per_pair_similarity:
-            return self.similarities()[event]
-        return similarity_matrix(
-            self._event_attrs_buf[event : event + 1],
-            self._user_attrs_view(),
-            self.config.t,
-            self.config.metric,
-        )[0]
+        return self.similarities()[event]
 
     def max_sum(self) -> float:
         """``MaxSum`` of the standing arrangement (Definition 5), summed
@@ -564,7 +539,7 @@ class ArrangementStore:
         if not self._seat_events:
             return 0.0
         events, users = seat_order(*self.seats())
-        return float(sum(self._sims_matrix()[events, users].tolist()))
+        return float(sum(self.similarities()[events, users].tolist()))
 
     # ------------------------------------------------------------------
     # Feasibility guard (the paper's, plus the service lifecycle)
@@ -580,15 +555,21 @@ class ArrangementStore:
         """
         if not (0 <= event < self.n_events and 0 <= user < self.n_users):
             return False
-        if not self.is_open(event):
-            return False
-        if self._event_remaining[event] <= 0 or self._user_remaining[user] <= 0:
-            return False
-        if event in self._events_of_user[user]:
-            return False
-        if self.conflicts_with_any(event, self._events_of_user[user]):
-            return False
-        return self.sim(event, user) > 0
+        return self._fits(event, user) and self.sim(event, user) > 0
+
+    def _fits(self, event: int, user: int) -> bool:
+        """The guard of :meth:`can_assign` and of a ``commit_batch``
+        assign, minus the similarity: ``event`` is open, both sides have
+        capacity left, and the user holds neither ``event`` nor a
+        conflicting event. Both ids must be known."""
+        held = self._events_of_user[user]
+        return (
+            self.is_open(event)
+            and self._event_remaining[event] > 0
+            and self._user_remaining[user] > 0
+            and event not in held
+            and not self.conflicts_with_any(event, held)
+        )
 
     # ------------------------------------------------------------------
     # Command validation (before journaling) and application (after)
@@ -795,10 +776,10 @@ class ArrangementStore:
     def _apply_delta(self, delta: Delta) -> None:
         """Apply a ``commit_batch`` delta (unassigns first), O(1) per pair.
 
-        Every edit must target an *open* event; assigns must pass the
-        full :meth:`can_assign` guard minus the sim check (the engine
-        guarantees sim > 0 by construction; replay trusts the journal
-        and the invariant checker re-certifies afterwards). A pair that
+        Every edit must target an *open* event; assigns must pass
+        :meth:`_fits`, the :meth:`can_assign` guard minus the sim check
+        (the engine guarantees sim > 0 by construction; replay trusts
+        the journal and the invariant checker re-certifies afterwards). A pair that
         does not fit raises :class:`JournalError` after the pairs before
         it are rolled back, so the store never holds a half-applied batch.
         """
@@ -817,13 +798,7 @@ class ArrangementStore:
             for event, user in delta.assigns:
                 if not (0 <= event < self.n_events and 0 <= user < self.n_users):
                     raise JournalError(f"delta references unknown pair ({event}, {user})")
-                if (
-                    not self.is_open(event)
-                    or self._event_remaining[event] <= 0
-                    or self._user_remaining[user] <= 0
-                    or event in self._events_of_user[user]
-                    or self.conflicts_with_any(event, self._events_of_user[user])
-                ):
+                if not self._fits(event, user):
                     raise JournalError(f"delta assign ({event}, {user}) is infeasible")
                 self._assign(event, user)
                 applied_as.append((event, user))
@@ -854,16 +829,6 @@ class ArrangementStore:
     # Snapshots, equality, invariants
     # ------------------------------------------------------------------
 
-    def _sims_matrix(self) -> np.ndarray:
-        if not self.n_events or not self.n_users:
-            return np.zeros((self.n_events, self.n_users))
-        return similarity_matrix(
-            self._event_attrs_view(),
-            self._user_attrs_view(),
-            self.config.t,
-            self.config.metric,
-        )
-
     def _cancelled(self) -> np.ndarray:
         """Per-event boolean mask of the CANCELLED flag."""
         return np.frombuffer(bytes(self._event_flags), dtype=np.uint8) & CANCELLED != 0
@@ -880,7 +845,7 @@ class ArrangementStore:
             capacities,
             np.array(self._user_capacity, dtype=np.int64),
             self.conflict_graph(range(self.n_events)),
-            sims=self._sims_matrix(),
+            sims=self.similarities(),
             validate=False,
         )
 

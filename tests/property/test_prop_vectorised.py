@@ -86,6 +86,24 @@ def test_store_similarity_buffer_growth_is_bit_identical(attrs, metric, data):
     assert np.array_equal(grown, full)
     assert not grown.flags.writeable
     assert np.array_equal(store.sim_row(0), full[0])
+    # Every other reader of the store sees the same numbers: one pair,
+    # the batch snapshot, and MaxSum over a few seats.
+    event = data.draw(st.integers(0, event_attrs.shape[0] - 1), label="event")
+    user = data.draw(st.integers(0, user_attrs.shape[0] - 1), label="user")
+    assert store.sim(event, user) == full[event, user]
+    assert np.array_equal(store.snapshot_instance().sims, full)
+    # Event i seats users[i]: every capacity is 1 and nothing conflicts.
+    users = data.draw(
+        st.lists(
+            st.integers(0, user_attrs.shape[0] - 1),
+            unique=True,
+            max_size=min(4, *full.shape),
+        ),
+        label="users",
+    )
+    seq += 1
+    store.apply({"seq": seq, "cmd": "commit_batch", "assign": list(enumerate(users))})
+    assert store.max_sum() == sum(full[range(len(users)), users].tolist())
 
 
 @st.composite

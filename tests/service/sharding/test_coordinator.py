@@ -11,7 +11,7 @@ from repro.exceptions import JournalError, ServiceError
 from repro.service.engine import PendingRequest
 from repro.service.frontend import ArrangementService
 from repro.service.http import make_server
-from repro.service.journal import Journal
+from repro.service.journal import FileSystem, Journal
 from repro.service.sharding import MANIFEST_NAME, ShardCoordinator, ShardManager
 from repro.service.store import ArrangementStore, StoreConfig
 
@@ -255,6 +255,89 @@ def test_concurrent_recovery_raises_a_corrupt_shards_journal_error(
         journal.write_bytes(b"".join(lines))
     with pytest.raises(JournalError, match="shard-02.jsonl:2: corrupt record"):
         ShardCoordinator.recover(root, threaded=False)
+
+
+class HandleTrackingFS(FileSystem):
+    """The real filesystem, remembering every handle it opened.
+
+    Not :data:`~repro.service.journal.REAL_FS` itself, so a fleet
+    recovers its shards in a serial walk.
+    """
+
+    def __init__(self) -> None:
+        self.handles: list = []
+
+    def open(self, path, mode):
+        handle = super().open(path, mode)
+        self.handles.append(handle)
+        return handle
+
+
+def engine_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name == "geacc-batch-engine"}
+
+
+def corrupt_middle_line(path: Path) -> None:
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) >= 3
+    lines[1] = b"{garbage\n"
+    path.write_bytes(b"".join(lines))
+
+
+def test_failed_concurrent_recovery_closes_the_shards_that_recovered(
+    tmp_path: Path,
+) -> None:
+    root = tmp_path / "fleet"
+    with make_fleet(root) as coordinator:
+        populate(coordinator)
+    corrupt_middle_line(ShardManager.journal_path(root, 2))
+    before = engine_threads()
+    with pytest.raises(JournalError, match="shard-02.jsonl:2: corrupt record"):
+        ShardCoordinator.recover(root, threaded=True)
+    assert engine_threads() - before == set()
+
+
+def test_failed_serial_recovery_closes_the_shards_that_recovered(
+    tmp_path: Path,
+) -> None:
+    root = tmp_path / "fleet"
+    with make_fleet(root) as coordinator:
+        populate(coordinator)
+    corrupt_middle_line(ShardManager.journal_path(root, 2))
+    fs = HandleTrackingFS()
+    before = engine_threads()
+    with pytest.raises(JournalError, match="shard-02.jsonl:2: corrupt record"):
+        ShardCoordinator.recover(root, fs=fs, threaded=True)
+    assert engine_threads() - before == set()
+    assert fs.handles and all(handle.closed for handle in fs.handles)
+
+
+def test_failed_manifest_replay_closes_every_shard(tmp_path: Path) -> None:
+    root = tmp_path / "fleet"
+    with make_fleet(root) as coordinator:
+        populate(coordinator)
+    # Without its last placement entry the manifest knows one user fewer
+    # than the shard journals hold: the replay refuses.
+    manifest = root / MANIFEST_NAME
+    manifest.write_bytes(b"".join(manifest.read_bytes().splitlines(keepends=True)[:-1]))
+    fs = HandleTrackingFS()
+    before = engine_threads()
+    with pytest.raises(JournalError, match="disagrees with the manifest"):
+        ShardCoordinator.recover(root, fs=fs, threaded=True)
+    assert engine_threads() - before == set()
+    assert fs.handles and all(handle.closed for handle in fs.handles)
+
+
+def test_failed_create_closes_the_shards_already_created(tmp_path: Path) -> None:
+    root = tmp_path / "fleet"
+    root.mkdir()
+    ShardManager.journal_path(root, 2).write_bytes(b"occupied")
+    fs = HandleTrackingFS()
+    before = engine_threads()
+    with pytest.raises(JournalError, match="already exists"):
+        ShardCoordinator.create(root, CONFIG, 4, fs=fs, threaded=True)
+    assert engine_threads() - before == set()
+    assert fs.handles and all(handle.closed for handle in fs.handles)
 
 
 def test_corrupt_manifest_tail_line_is_truncated(tmp_path: Path) -> None:

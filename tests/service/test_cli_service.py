@@ -9,6 +9,8 @@ a fleet offline.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
 from repro.service.journal import Journal
 from repro.service.sharding import ShardCoordinator, ShardManager
@@ -85,6 +87,17 @@ def test_serve_refuses_a_single_service_journal_file(
     assert len(captured.err.strip().splitlines()) == 1
     assert "Traceback" not in captured.err
     assert "listening" not in captured.out
+
+
+def test_serve_refuses_a_metric_the_service_cannot_serve(
+    tmp_path: Path, capsys
+) -> None:
+    root = tmp_path / "fleet"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--journal", str(root), "--port", "0", "--metric", "dot"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'dot'" in capsys.readouterr().err
+    assert not root.exists()
 
 
 def write_fleet(root: Path, shards: int) -> ShardCoordinator:

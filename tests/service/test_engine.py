@@ -349,38 +349,6 @@ def test_lower_rung_batch_leaves_its_clusters_dirty(
         assert service.engine.stats["scoped"] == len(sizes) - 1
 
 
-def test_other_first_rungs_always_resolve_everything(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    sizes = recording(monkeypatch)
-    with sync_service(tmp_path, ladder=("mincostflow", "greedy")) as service:
-        for corner in ([1.0, 1.0], [9.0, 9.0], [1.0, 9.0]):
-            service.post_event(1, corner)
-            service.request_assignment(service.register_user(1, corner))
-        assert sizes == [(1, 1), (2, 2), (3, 3)]
-        assert service.engine.stats == {
-            "batches": 3, "scoped": 0, "full": 3, "scope_refused": 0
-        }
-
-
-def test_rescaled_similarities_always_resolve_everything(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    # ``dot`` rescales by a peak that moves as entities arrive, so a
-    # clean cluster's similarities do not stay put.
-    config = StoreConfig(dimension=2, t=10.0, metric="dot")
-    sizes = recording(monkeypatch)
-    with ArrangementService.create(
-        tmp_path / "j.jsonl", config, threaded=False
-    ) as service:
-        for corner in ([1.0, 2.0], [9.0, 8.0], [2.0, 9.0]):
-            service.post_event(1, corner)
-            service.request_assignment(service.register_user(1, corner))
-        assert sizes == [(1, 1), (2, 2), (3, 3)]
-        assert service.engine.stats["scoped"] == 0
-        service.check_invariants()
-
-
 def test_first_batch_after_recover_is_full(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:

@@ -6,7 +6,14 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import JournalError
-from repro.service.journal import JOURNAL_FORMAT, Journal, iter_records, replay
+from repro.service.frontend import ArrangementService
+from repro.service.journal import (
+    JOURNAL_FORMAT,
+    Journal,
+    encode_line,
+    iter_records,
+    replay,
+)
 from repro.service.store import ArrangementStore, StoreConfig
 
 CONFIG = StoreConfig(dimension=2, t=10.0)
@@ -219,3 +226,25 @@ def test_rewrite_tail_refuses_a_file_that_is_not_the_live_journal(
         with pytest.raises(JournalError):
             journal.rewrite_tail(2)
         assert path.read_bytes() == before
+
+
+def test_journal_naming_dot_is_refused_and_left_as_it_is(tmp_path: Path) -> None:
+    # The service once accepted the rescaled ``dot`` metric; its engine
+    # then solved against similarities no other reader of the store
+    # used. Such a journal is refused on recovery, torn tail and all,
+    # and not a byte of it changes.
+    path = tmp_path / "j.jsonl"
+    write_sample(path)
+    header, *records = path.read_bytes().splitlines(keepends=True)
+    header_fields = json.loads(header)
+    header_fields["config"]["metric"] = "dot"
+    blob = encode_line(header_fields) + b"".join(records) + b'{"seq":6,"cmd":"req'
+    path.write_bytes(blob)
+    for recover in (
+        lambda: Journal.recover(path),
+        lambda: ArrangementService.recover(path, threaded=False),
+        lambda: replay(path),
+    ):
+        with pytest.raises(JournalError, match="metric 'dot'"):
+            recover()
+        assert path.read_bytes() == blob

@@ -49,6 +49,22 @@ def test_micro_batching_beats_greedy_arrival_baseline(tmp_path: Path) -> None:
     assert report.ratio >= report.baseline_ratio - 1e-12
 
 
+def test_a_metric_the_service_does_not_serve_writes_nothing(tmp_path: Path) -> None:
+    instance, timeline = small_workload()
+    dot = Instance(
+        instance.event_capacities,
+        instance.user_capacities,
+        instance.conflicts,
+        event_attributes=instance.event_attributes,
+        user_attributes=instance.user_attributes,
+        t=instance.t,
+        metric="dot",
+    )
+    with pytest.raises(ServiceError, match="metric 'dot'"):
+        replay_timeline(dot, timeline, tmp_path / "fleet")
+    assert not (tmp_path / "fleet").exists()
+
+
 def test_matrix_only_instances_are_rejected(tmp_path: Path) -> None:
     instance = Instance.from_matrix(
         np.array([[0.5]]),

@@ -261,6 +261,13 @@ def test_config_round_trip_and_validation() -> None:
         StoreConfig(dimension=0)
     with pytest.raises(ServiceError, match="bound t"):
         StoreConfig(dimension=2, t=0.0)
+    for metric in ("dot", "bogus"):
+        with pytest.raises(ServiceError, match=f"metric '{metric}'"):
+            StoreConfig(dimension=2, metric=metric)
+    # A header naming ``dot`` (as older service journals may) is refused
+    # as a journal fault, and the message names the metric.
+    with pytest.raises(JournalError, match="metric 'dot'"):
+        StoreConfig.from_json({"dimension": 2, "t": 10.0, "metric": "dot"})
 
 
 def test_delta_json_round_trip() -> None:
