@@ -21,7 +21,9 @@ feasible pair. Two implementations:
   it is already there. Infeasible pairs are skipped for good; pairs
   sitting in H must *not* be -- the paper keeps the node's frontier on
   them until they are popped (Example 3) -- so each cursor distinguishes
-  "advance past" from "hold".
+  "advance past" from "hold". Saturation is the commonest reason to
+  advance past, and it is permanent, so a cursor steps past counterparts
+  with no capacity left by itself, without a refill call per pair.
 """
 
 from __future__ import annotations
@@ -135,15 +137,22 @@ class _Cursor:
     :meth:`IndexNeighborOrders.user_stream` serves its first neighbour
     from one argmax and only pays the argsort when a second is demanded,
     and Algorithm 2's initialisation peeks *every* user's cursor once.
+
+    ``left`` is the counterpart side's remaining capacities, which the
+    caller keeps current. A new candidate whose counterpart has none
+    left is stepped past inside :meth:`peek`: saturation is permanent,
+    so the caller would skip it for good anyway. The held candidate is
+    returned as it is, for the caller to re-check.
     """
 
-    __slots__ = ("_stream", "_buffer", "_pos", "_chunk", "current", "done")
+    __slots__ = ("_stream", "_left", "_buffer", "_pos", "_chunk", "current", "done")
 
     #: Largest single pull; bounds per-cursor buffer memory.
     CHUNK_CAP = 64
 
-    def __init__(self, stream: Iterator[tuple[int, float]]) -> None:
+    def __init__(self, stream: Iterator[tuple[int, float]], left: list[int]) -> None:
         self._stream = stream
+        self._left = left
         self._buffer: list[tuple[int, float]] = []
         self._pos = 0
         self._chunk = 1
@@ -151,19 +160,25 @@ class _Cursor:
         self.done = False
 
     def peek(self) -> tuple[int, float] | None:
-        """Current candidate, pulling a chunk from the stream when empty."""
+        """Current candidate, pulling chunks from the stream as needed."""
         if self.done:
             return None
         if self.current is None:
-            if self._pos >= len(self._buffer):
-                self._buffer = list(islice(self._stream, self._chunk))
-                self._pos = 0
+            buffer, pos, left = self._buffer, self._pos, self._left
+            while True:
+                end = len(buffer)
+                while pos < end and left[buffer[pos][0]] <= 0:
+                    pos += 1
+                if pos < end:
+                    break
+                buffer = self._buffer = list(islice(self._stream, self._chunk))
+                pos = 0
                 self._chunk = min(self._chunk * 4, self.CHUNK_CAP)
-                if not self._buffer:
+                if not buffer:
                     self.finish()  # releases the exhausted stream's state
                     return None
-            self.current = self._buffer[self._pos]
-            self._pos += 1
+            self.current = buffer[pos]
+            self._pos = pos + 1
         return self.current
 
     def skip(self) -> None:
@@ -209,10 +224,16 @@ class GreedyGEACC(Solver):
         arrangement = Arrangement(instance)
         heap = CandidatePairHeap()
         visited: set[tuple[int, int]] = set()
+        # Remaining capacities, kept in step with the arrangement's, for
+        # the cursors to step past saturated counterparts.
+        event_left = instance.event_capacities.tolist()
+        user_left = instance.user_capacities.tolist()
         event_cursors = [
-            _Cursor(orders.event_stream(v)) for v in range(instance.n_events)
+            _Cursor(orders.event_stream(v), user_left) for v in range(instance.n_events)
         ]
-        user_cursors = [_Cursor(orders.user_stream(u)) for u in range(instance.n_users)]
+        user_cursors = [
+            _Cursor(orders.user_stream(u), event_left) for u in range(instance.n_users)
+        ]
 
         # Any whole arrangement state is feasible, so on exhaustion
         # "return what we have" is correct everywhere.
@@ -237,11 +258,13 @@ class GreedyGEACC(Solver):
                 visited.add((v, u))
                 if sim > 0 and arrangement.can_add(v, u):
                     arrangement.add(v, u)
-                if arrangement.event_remaining(v) > 0:
+                    event_left[v] -= 1
+                    user_left[u] -= 1
+                if event_left[v] > 0:
                     self._refill_event(v, arrangement, heap, visited, event_cursors)
                 else:
                     event_cursors[v].finish()
-                if arrangement.user_remaining(u) > 0:
+                if user_left[u] > 0:
                     self._refill_user(u, arrangement, heap, visited, user_cursors)
                 else:
                     user_cursors[u].finish()

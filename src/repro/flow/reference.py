@@ -3,7 +3,11 @@
 :class:`ReferenceBipartiteMinCostFlow` implements the specification in
 :mod:`repro.flow.dense_bipartite`'s module docstring with explicit
 per-element loops: same float associations and clamps at 0, same
-two-phase strict sweeps, same Dijkstra cut and potential clamp. Where
+two-phase strict sweeps, same potential clamp. It takes only the
+kernel's first Dijkstra cut (no sweeps unless an improved event label
+undercuts the direct sink distance): once started, its sweeps run to
+fixpoint, so comparing the two checks the kernel's decided-label cut
+against a search that relaxes every row. Where
 the kernel stamps each label with its generation and recomputes the
 argmin for the nodes on the path, this reference records each parent as
 it lowers the label (a strict ``<`` over nodes in index order keeps the

@@ -125,9 +125,19 @@ class ArrangementService:
         fs: FileSystem = REAL_FS,
         **kwargs: object,
     ) -> "ArrangementService":
-        """Start a brand-new service with an empty journal."""
+        """Start a brand-new service with an empty journal.
+
+        If the service cannot start (an invalid option), the journal
+        just created is closed and removed, so a corrected call can
+        create it again.
+        """
         journal = Journal.create(journal_path, config, fs=fs)
-        return cls(ArrangementStore(config), journal, **kwargs)  # type: ignore[arg-type]
+        try:
+            return cls(ArrangementStore(config), journal, **kwargs)  # type: ignore[arg-type]
+        except BaseException:
+            journal.close()
+            fs.remove(journal.path)
+            raise
 
     @classmethod
     def recover(
@@ -146,11 +156,16 @@ class ArrangementService:
         the service keeps compacting into that directory. ``config`` is
         the last-rung safety net: an empty/headerless journal with no
         snapshots recovers to a fresh empty store instead of failing.
+        If the service cannot start, the journal is closed again.
         """
         journal, store = Journal.recover(
             journal_path, snapshot_dir=snapshot_dir, config=config, fs=fs
         )
-        return cls(store, journal, snapshot_dir=snapshot_dir, **kwargs)  # type: ignore[arg-type]
+        try:
+            return cls(store, journal, snapshot_dir=snapshot_dir, **kwargs)  # type: ignore[arg-type]
+        except BaseException:
+            journal.close()
+            raise
 
     # ------------------------------------------------------------------
     # The write-ahead spine

@@ -360,14 +360,27 @@ class RecoveryReport:
 RECOVERY_RUNGS = ("snapshot+tail", "snapshot-only", "full-replay", "recreate")
 
 
+#: How a journal header line can begin: its object's opening brace and
+#: one of the header's keys (the key-sorted lines written here begin
+#: ``{"base_seq":``).
+_HEADER_OPENINGS = tuple(f'{{"{key}"'.encode() for key in ("base_seq", "config", "format"))
+
+
+def _is_torn_header(blob: bytes) -> bool:
+    """True when ``blob`` (no newline) can be the start of a header line."""
+    return any(blob[: len(opening)] == opening[: len(blob)] for opening in _HEADER_OPENINGS)
+
+
 def read_header(path: str | Path, fs: FileSystem = REAL_FS) -> JournalHeader | None:
     """Parse a journal's durable header line, if one exists.
 
-    Returns ``None`` when the file is missing, empty, or holds no
-    *complete* (newline-terminated) first line -- the crash window of
-    journal creation, where nothing of the journal is durable yet.
-    A complete-but-foreign/undecodable header raises
-    :class:`JournalError` (that file was not produced by this code).
+    Returns ``None`` when the file is missing, empty, or holds only a
+    torn header (no newline, and its bytes begin a header line) -- the
+    crash window of journal creation, where nothing of the journal is
+    durable yet. Any other file raises :class:`JournalError`: a
+    complete-but-foreign/undecodable header, or bytes with no newline
+    that no header begins with (that file was not produced by this
+    code, and recovery must not overwrite it).
     """
     path = Path(path)
     try:
@@ -376,6 +389,11 @@ def read_header(path: str | Path, fs: FileSystem = REAL_FS) -> JournalHeader | N
         return None
     newline = blob.find(b"\n")
     if newline < 0:
+        if not _is_torn_header(blob):
+            raise JournalError(
+                f"{path}: not a journal (no header line, and {blob[:40]!r} "
+                f"does not begin one)"
+            )
         return None
     try:
         header = json.loads(blob[:newline].decode("utf-8", errors="replace"))

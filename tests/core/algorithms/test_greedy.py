@@ -161,7 +161,8 @@ def _cursor_on(items):
     from repro.core.algorithms.greedy import _Cursor
 
     stream = _CountingStream(items)
-    return _Cursor(stream), stream
+    no_counterpart_full = [1] * (1 + max(i for i, _ in items))
+    return _Cursor(stream, no_counterpart_full), stream
 
 
 def test_cursor_preserves_stream_order_across_chunks():
@@ -212,3 +213,46 @@ def test_cursor_peek_holds_and_finish_releases():
     assert cursor.done
     assert cursor.peek() is None
     assert stream.pulled == 1  # a finished cursor never touches the stream
+
+
+def test_cursor_steps_past_full_counterparts_but_not_a_held_candidate():
+    from repro.core.algorithms.greedy import _Cursor
+
+    left = [1, 0, 1, 0, 0, 1]
+    cursor = _Cursor(iter([(i, 6.0 - i) for i in range(6)]), left)
+    assert cursor.peek() == (0, 6.0)
+    left[0] = 0  # the held candidate's counterpart fills: still held
+    assert cursor.peek() == (0, 6.0)
+    cursor.skip()
+    assert cursor.peek() == (2, 4.0)  # 1 is full
+    cursor.skip()
+    assert cursor.peek() == (5, 1.0)  # 3 and 4 are full
+    cursor.skip()
+    assert cursor.peek() is None
+    assert cursor.done
+
+
+def tie_free_instance(seed: int) -> Instance:
+    """Uniform attributes (similarities all distinct), conflicts, and
+    event capacities small enough that events fill early."""
+    rng = np.random.default_rng(seed)
+    n_events, n_users = int(rng.integers(2, 12)), int(rng.integers(5, 60))
+    return Instance.from_attributes(
+        rng.uniform(0, 10, (n_events, 3)),
+        rng.uniform(0, 10, (n_users, 3)),
+        rng.integers(1, 4, n_events),
+        rng.integers(1, 4, n_users),
+        ConflictGraph.random(n_events, 0.3, rng),
+        t=10.0,
+    )
+
+
+@pytest.mark.parametrize("kind", ["linear", "chunked", "kdtree"])
+def test_heap_path_accepts_the_scans_pairs(kind):
+    from repro.core.algorithms.greedy import _scan
+
+    for seed in range(60):
+        instance = tie_free_instance(seed)
+        want = _scan(instance).pairs()
+        got = GreedyGEACC(index_kind=kind).solve(instance).pairs()
+        assert got == want, f"seed {seed}"

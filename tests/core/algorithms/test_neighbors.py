@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms.neighbors import (
-    IndexNeighborOrders,
-    _chunked_descending,
-    neighbor_orders_for,
-)
+from repro.core.algorithms.neighbors import IndexNeighborOrders, neighbor_orders_for
 from repro.robustness.budget import Budget
 from repro.core.model import Instance
 
@@ -29,22 +25,23 @@ def _is_non_increasing(values):
 
 
 class TestMatrixOrders:
-    """Chunked streams over one row or column of the similarity matrix."""
+    """Streams checked against one row or column of the similarity matrix."""
 
     def test_event_stream_order_and_coverage(self, attribute_instance):
-        stream = list(_chunked_descending(attribute_instance.sims[2]))
+        orders = IndexNeighborOrders(attribute_instance, "chunked")
+        stream = list(orders.event_stream(2))
         assert len(stream) == attribute_instance.n_users
         assert {u for u, _ in stream} == set(range(attribute_instance.n_users))
         assert _is_non_increasing([s for _, s in stream])
 
     def test_user_stream_order(self, attribute_instance):
-        stream = list(_chunked_descending(attribute_instance.sims[:, 4]))
-        assert len(stream) == attribute_instance.n_events
-        assert _is_non_increasing([s for _, s in stream])
+        column = attribute_instance.sims[:, 4]
+        stream = list(IndexNeighborOrders(attribute_instance).user_stream(4))
+        assert [v for v, _ in stream] == np.argsort(-column, kind="stable").tolist()
 
     def test_sims_match_instance(self, attribute_instance):
-        for u, sim in _chunked_descending(attribute_instance.sims[0]):
-            assert sim == pytest.approx(attribute_instance.sim(0, u))
+        for v, sim in IndexNeighborOrders(attribute_instance).user_stream(0):
+            assert sim == attribute_instance.sims[v, 0]
 
 
 class TestIndexOrders:
@@ -53,7 +50,7 @@ class TestIndexOrders:
         index = IndexNeighborOrders(attribute_instance, kind)
         for v in range(attribute_instance.n_events):
             row = attribute_instance.sims[v]
-            matrix_sims = sorted(s for _, s in _chunked_descending(row))
+            matrix_sims = sorted(row.tolist())
             index_sims = sorted(round(s, 9) for _, s in index.event_stream(v))
             np.testing.assert_allclose(index_sims, matrix_sims, atol=1e-9)
 
@@ -102,16 +99,27 @@ class TestAutoSelection:
         assert not instance.has_matrix
 
 
+def grid_instance(values: np.ndarray) -> Instance:
+    """One user at the origin and one event per value, at that distance:
+    the user's similarities are ``1 - values``, ties and all."""
+    n = values.shape[0]
+    return Instance.from_attributes(
+        values[:, None], np.zeros((1, 1)), np.ones(n), np.ones(1), t=1.0
+    )
+
+
 class TestChunkedStreams:
-    """The chunked top-k generator behind the index provider's user streams."""
+    """A user stream: its argmax, then one stable argsort served in slices."""
 
     def test_stream_is_exactly_stable_argsort_order(self):
         rng = np.random.default_rng(3)
         values = np.round(rng.random(200), 1)  # one-decimal grid: ties galore
-        stream = list(_chunked_descending(values))
+        instance = grid_instance(values)
+        sims = instance.sim_col(0)
+        stream = list(IndexNeighborOrders(instance).user_stream(0))
         expected = [
-            (int(i), float(values[i]))
-            for i in np.argsort(-values, kind="stable")
+            (int(i), float(sims[i]))
+            for i in np.argsort(-sims, kind="stable")
         ]
         assert stream == expected
 

@@ -340,6 +340,21 @@ def test_failed_create_closes_the_shards_already_created(tmp_path: Path) -> None
     assert fs.handles and all(handle.closed for handle in fs.handles)
 
 
+def test_recovery_leaves_a_foreign_shard_file_alone(tmp_path: Path) -> None:
+    root = tmp_path / "fleet"
+    with make_fleet(root, shards=3) as coordinator:
+        populate(coordinator)
+    # Eight bytes with no newline that no journal header begins with:
+    # not a torn header, so no recovery rung may rewrite the file.
+    foreign = ShardManager.journal_path(root, 2)
+    foreign.write_bytes(b"occupied")
+    before = engine_threads()
+    with pytest.raises(JournalError, match="shard-02.jsonl: not a journal"):
+        ShardCoordinator.open(root, threaded=True)
+    assert foreign.read_bytes() == b"occupied"
+    assert engine_threads() - before == set()
+
+
 def test_corrupt_manifest_tail_line_is_truncated(tmp_path: Path) -> None:
     root = tmp_path / "fleet"
     with make_fleet(root) as coordinator:

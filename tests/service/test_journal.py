@@ -1,11 +1,13 @@
 """Journal: write-ahead durability, torn tails, corruption, recovery."""
 
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from repro.exceptions import JournalError
+from repro.exceptions import JournalError, ServiceError
 from repro.service.frontend import ArrangementService
 from repro.service.journal import (
     JOURNAL_FORMAT,
@@ -185,6 +187,68 @@ def test_recover_partial_header_line_is_recreate_not_corruption(
     assert store.seq == 0
     assert journal.last_recovery is not None
     assert journal.last_recovery.rung == "recreate"
+
+
+def test_recover_leaves_a_foreign_headerless_file_alone(tmp_path: Path) -> None:
+    # No newline, but no header begins with these bytes: not a torn
+    # journal header, so recovery must neither recreate nor overwrite it.
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(b"occupied")
+    with pytest.raises(JournalError, match="not a journal"):
+        Journal.recover(path, config=CONFIG)
+    assert path.read_bytes() == b"occupied"
+
+
+def test_torn_header_prefixes_of_a_written_header_still_recreate(tmp_path: Path) -> None:
+    path = tmp_path / "j.jsonl"
+    Journal.create(path, CONFIG).close()
+    header = path.read_bytes()
+    assert header.startswith(b'{"base_seq":')
+    for cut in (1, 5, len(header) // 2, len(header) - 1):
+        path.write_bytes(header[:cut])
+        journal, store = Journal.recover(path, config=CONFIG)
+        journal.close()
+        assert journal.last_recovery.rung == "recreate"
+        assert store == ArrangementStore(CONFIG)
+        assert path.read_bytes() == header
+
+
+def resource_warnings(action) -> list:
+    """The ResourceWarnings raised while ``action`` runs and garbage is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_a_service_that_cannot_start_leaves_no_journal_behind(tmp_path: Path) -> None:
+    path = tmp_path / "j.jsonl"
+
+    def create_without_snapshot_dir() -> None:
+        with pytest.raises(ServiceError, match="compact_bytes requires a snapshot_dir"):
+            ArrangementService.create(path, CONFIG, compact_bytes=10, threaded=False)
+
+    assert resource_warnings(create_without_snapshot_dir) == []
+    assert not path.exists()
+    # The corrected retry creates the journal afresh.
+    with ArrangementService.create(
+        path, CONFIG, compact_bytes=10, snapshot_dir=tmp_path / "snaps", threaded=False
+    ) as service:
+        assert service.journal.seq == 0
+
+
+def test_a_recovered_service_that_cannot_start_closes_its_journal(tmp_path: Path) -> None:
+    path = tmp_path / "j.jsonl"
+    write_sample(path)
+    intact = path.read_bytes()
+
+    def recover_without_snapshot_dir() -> None:
+        with pytest.raises(ServiceError, match="compact_bytes requires a snapshot_dir"):
+            ArrangementService.recover(path, compact_bytes=10, threaded=False)
+
+    assert resource_warnings(recover_without_snapshot_dir) == []
+    assert path.read_bytes() == intact
 
 
 def test_recover_headerless_journal_without_config_raises(tmp_path: Path) -> None:
